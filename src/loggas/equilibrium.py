@@ -20,6 +20,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import SolverError
+from .quadrature import composite_gl
 
 MRS_QUADRATURE_ORDER = 256
 DENSITY_DISCRETIZATION = 512
@@ -219,7 +220,8 @@ def eta(eq, V, x):
     vmax = math.sqrt(max(x - b, 0.0))
     if vmax == 0.0:
         return 0.0
-    nodes, weights = _unit_panels(vmax, ETA_NODES_PER_UNIT)
+    edges = np.append(np.arange(0.0, vmax, 1.0), vmax)
+    nodes, weights = composite_gl(edges, ETA_NODES_PER_UNIT)
     f = 2.0 * nodes**2 * np.sqrt(nodes**2 + (b - a)) * _g_values(
         V, a, b, eq.quadrature_order, b + nodes**2)
     return float(np.dot(weights, f))
@@ -231,27 +233,6 @@ def eta_prime(eq, V, x):
         raise ValueError(f"eta_prime needs x > b = {eq.b!r}, got {x!r}")
     g = float(_g_values(V, eq.a, eq.b, eq.quadrature_order, np.array([x]))[0])
     return math.sqrt((x - eq.b) * (x - eq.a)) * g
-
-
-@lru_cache(maxsize=32)
-def _gl_rule(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _unit_panels(vmax, nodes_per_panel):
-    """Composite Gauss-Legendre grid on [0, vmax], panels of length 1."""
-    xg, wg = _gl_rule(nodes_per_panel)
-    edges = np.arange(0.0, vmax, 1.0)
-    edges = np.append(edges, vmax)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
 
 
 @lru_cache(maxsize=16)

@@ -6,12 +6,14 @@ input from the equilibrium or tail modules, so it can serve as an
 independent ground truth for their asymptotic formulas.
 
 The recurrence coefficients come from a discretized Stieltjes
-orthonormalization on a window outside of which the weight is below
-1e-300.  All polynomial values are carried in weighted form
+orthonormalization on the window N(V - Vmin) <= 750, outside of which
+the weight is below e^-750 (about 1e-326) times its peak.  All
+polynomial values are carried in weighted form
 phi_j = p_j exp(-N V / 2), which stays of moderate size where the raw
 p_j would overflow.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,13 +22,14 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
 from .errors import NumericalError
+from .quadrature import composite_gl, gl_rule
 
 WINDOW_LOG_CUTOFF = 750.0          # N(V - Vmin) beyond which exp(-NV) < 1e-325
 PANEL_WEIGHT_CUTOFF = 250.0 * math.log(10.0)
 PANEL_RELATIVE_CUTOFF = 1e-3
 BASE_PANEL_NODES = 32
 UNDERFLOW_LIMIT = 1e-300
-SERIES_SIZE_LIMIT = 5              # brute-force series cost grows as 24**N
+SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
 SERIES_LOG_CUTOFF = 80.0
 
 
@@ -102,17 +105,6 @@ def _support_window(V, N):
     return (edges[0], edges[1]), v_min
 
 
-def _composite_gl(lo, hi, total_nodes, per_panel=BASE_PANEL_NODES):
-    n_panels = max(1, math.ceil(total_nodes / per_panel))
-    xg, wg = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
-
-
 def build_basis(V, N, quad_points=None):
     """Recurrence coefficients of the first N orthonormal polynomials
     for the weight exp(-N V), by discretized Stieltjes orthonormalization.
@@ -140,7 +132,8 @@ def build_basis(V, N, quad_points=None):
     elif quad_points < 40 * N:
         raise ValueError(f"quad_points must be at least 40 N = {40 * N}")
     (lo, hi), v_min = _support_window(V, N)
-    x, w = _composite_gl(lo, hi, quad_points)
+    n_panels = max(1, math.ceil(quad_points / BASE_PANEL_NODES))
+    x, w = composite_gl(np.linspace(lo, hi, n_panels + 1), BASE_PANEL_NODES)
     weight = w * np.exp(-N * V.eval(x, 0))
     beta0 = float(np.sum(weight))
     if not beta0 > 0.0:
@@ -214,57 +207,57 @@ def _bulk_estimate(basis):
 
 
 def _tail_grid(basis, V, t):
-    """Quadrature nodes/weights for integrals over (t, infinity), plus
-    the accumulated kernel trace used as the termination gauge.
+    """Quadrature nodes x and weights w for integrals over (t, infinity),
+    and phi_0..phi_{N-1} at x as an (N, len(x)) array.
 
     Marches fixed-width panels rightward from t.  Panels touching the
     bulk carry extra nodes so the fastest oscillation of phi_{N-1}
     (about N half-waves across the bulk) stays resolved; a panel ends
-    the march once its contribution is relatively negligible and the
-    weight at its start has fallen below the underflow gauge.
+    the march once its contribution to the kernel trace is relatively
+    negligible and the weight at its start has fallen below the
+    underflow gauge.
     """
     lo, hi = basis.support_window
     N = basis.N
     start = max(t, lo) if np.isfinite(t) else lo
     if start >= hi:
-        return np.empty(0), np.empty(0), 0.0
+        return np.empty(0), np.empty(0), np.empty((N, 0))
     blo, bhi = _bulk_estimate(basis)
     span = max(bhi - blo, 1e-2 * (hi - lo))
     width = 0.25 * span
     extra = math.ceil(4.0 * N * width / span)
     total = 0.0
-    xs, ws = [], []
+    xs, ws, phis = [], [], []
     for p in range(20000):
         p0 = start + p * width
         p1 = p0 + width
         in_bulk = (p0 < bhi + 0.5 * width) and (p1 > blo - 0.5 * width)
         nn = BASE_PANEL_NODES + (extra if in_bulk else 0)
-        xg, wg = np.polynomial.legendre.leggauss(nn)
+        xg, wg = gl_rule(nn)
         xm = 0.5 * (p0 + p1) + 0.5 * width * xg
         wm = 0.5 * width * wg
         Phi = _phi_matrix(basis, V, xm)
         contrib = float(np.sum(wm * np.sum(Phi * Phi, axis=0)))
         xs.append(xm)
         ws.append(wm)
+        phis.append(Phi)
         total += contrib
         weight_small = N * (V.eval(p0, 0) - basis.v_min) > PANEL_WEIGHT_CUTOFF
         if weight_small and (total == 0.0 or contrib < PANEL_RELATIVE_CUTOFF * total):
-            return np.concatenate(xs), np.concatenate(ws), total
+            return np.concatenate(xs), np.concatenate(ws), np.concatenate(phis, axis=1)
     raise NumericalError("tail quadrature did not terminate")
 
 
 def tail_trace(basis, V, t):
-    """Integral of the kernel diagonal over (t, infinity)."""
-    return _tail_grid(basis, V, t)[2]
+    """Integral of the kernel diagonal over (t, infinity): the trace of
+    the tail Gram matrix, the same number as gap_probability's trace."""
+    return float(np.trace(gram(basis, V, t)))
 
 
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
-    construction and sharing its quadrature with tail_trace."""
-    x, w, _ = _tail_grid(basis, V, t)
-    if x.size == 0:
-        return np.zeros((basis.N, basis.N))
-    Phi = _phi_matrix(basis, V, x)
+    construction; all zeros when the tail grid is empty."""
+    _, w, Phi = _tail_grid(basis, V, t)
     G = (Phi * w) @ Phi.T
     return 0.5 * (G + G.T)
 
@@ -315,22 +308,11 @@ def gap_probability(basis, V, t):
                      det_value=det_value, eigenvalues=lam, trace=trace)
 
 
-def brute_force_survival(basis, V, t, k_max=None, chunk=50000):
-    """Survival probability by the inclusion-exclusion series: the k-th
-    term is (-1)^{k+1}/k! times the k-fold integral of the k x k kernel
-    determinant over (t, infinity)^k.
-
-    Cost 24**k per term, so this is a desk-scale correctness check only
-    (N at most 5).  Tensorizes one 24-point Gauss-Legendre rule over a
-    box whose far edge puts the weight 80 e-foldings down.
-    """
+def _series_kernel(basis, V, t):
+    """sqrt(w_i) K(x_i, x_j) sqrt(w_j) for one 24-point Gauss-Legendre
+    rule over a box from t whose far edge puts the weight 80 e-foldings
+    down."""
     N = basis.N
-    if N > SERIES_SIZE_LIMIT:
-        raise ValueError(f"brute-force series restricted to N <= {SERIES_SIZE_LIMIT}")
-    if k_max is None:
-        k_max = N
-    if not 1 <= k_max <= N:
-        raise ValueError(f"k_max must be in [1, {N}], got {k_max!r}")
 
     def excess(x):
         return N * (V.eval(x, 0) - V.eval(t, 0)) - SERIES_LOG_CUTOFF
@@ -344,25 +326,36 @@ def brute_force_survival(basis, V, t, k_max=None, chunk=50000):
         raise NumericalError("could not bracket the series integration box")
     hi = brentq(excess, t, t + d)
 
-    nq = 24
-    xg, wg = np.polynomial.legendre.leggauss(nq)
+    xg, wg = gl_rule(24)
     xm = 0.5 * (t + hi) + 0.5 * (hi - t) * xg
     wm = 0.5 * (hi - t) * wg
     Phi = _phi_matrix(basis, V, xm)
-    K = Phi.T @ Phi
     sw = np.sqrt(wm)
-    M = sw[:, None] * K * sw[None, :]
+    return sw[:, None] * (Phi.T @ Phi) * sw[None, :]
 
+
+def brute_force_survival(basis, V, t, k_max=None):
+    """Survival probability by the inclusion-exclusion series: the k-th
+    term is (-1)^{k+1}/k! times the k-fold integral of the k x k kernel
+    determinant over (t, infinity)^k, on the rule of _series_kernel.
+
+    Determinants with a repeated node vanish and the rest are symmetric,
+    so term k sums the C(24, k) node subsets in place of the 24**k
+    ordered tuples over k!: a desk-scale check only (N at most 5).
+    """
+    N = basis.N
+    if N > SERIES_SIZE_LIMIT:
+        raise ValueError(f"brute-force series restricted to N <= {SERIES_SIZE_LIMIT}")
+    if k_max is None:
+        k_max = N
+    if not 1 <= k_max <= N:
+        raise ValueError(f"k_max must be in [1, {N}], got {k_max!r}")
+    M = _series_kernel(basis, V, t)
     total = 0.0
     for k in range(1, k_max + 1):
-        n_tuples = nq ** k
-        acc = 0.0
-        for start in range(0, n_tuples, chunk):
-            flat = np.arange(start, min(start + chunk, n_tuples))
-            idx = np.stack(np.unravel_index(flat, (nq,) * k), axis=1)
-            sub = M[idx[:, :, None], idx[:, None, :]]
-            acc += float(np.linalg.det(sub).sum())
-        total += (-1.0) ** (k + 1) / math.factorial(k) * acc
+        idx = np.array(list(itertools.combinations(range(len(M)), k)))
+        sub = M[idx[:, :, None], idx[:, None, :]]
+        total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
     return total
 
 

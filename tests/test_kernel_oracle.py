@@ -1,14 +1,16 @@
 """Finite-N reference: recurrence data, kernel mass, gap determinants,
 series cross-checks, determinant bound."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
 
 from loggas import (brute_force_survival, build_basis, gap_probability, gram,
                     hadamard_check, kernel_diag, phi, tail_trace)
+from loggas.kernel_oracle import _phi_matrix, _series_kernel, _tail_grid
+from loggas.quadrature import gl_rule
 
 NEG_INF = float("-inf")
 
@@ -26,7 +28,7 @@ class TestBasis:
         assert b.beta[0] == pytest.approx(math.sqrt(2.0 * math.pi / 12.0),
                                           rel=1e-12)
         bq = build_basis(quartic, 8)
-        assert bq.beta[0] == pytest.approx(gamma_fn(0.25) / (2.0 * 8.0**0.25),
+        assert bq.beta[0] == pytest.approx(math.gamma(0.25) / (2.0 * 8.0**0.25),
                                            rel=1e-12)
 
     def test_quadratic_recurrence_closed_form(self, gue):
@@ -92,6 +94,50 @@ class TestProjector:
         vals = [tail_trace(b, gue, t) for t in (1.0, 1.5, 2.0, 2.5, 3.0)]
         assert all(x > y > 0.0 for x, y in zip(vals, vals[1:]))
 
+    def test_tail_trace_is_gram_trace(self, gue, quartic):
+        for V, N in ((gue, 12), (quartic, 9)):
+            b = build_basis(V, N)
+            for t in (NEG_INF, -0.5, 1.1, 2.3, 40.0):
+                assert tail_trace(b, V, t) == gap_probability(b, V, t).trace
+
+    def test_gram_reuses_grid_phi(self, gue, quartic):
+        # gram takes phi from the tail grid's panels; evaluating phi once
+        # on all the grid's nodes gives the same matrix bit for bit
+        for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (quartic, 17, 0.9)):
+            b = build_basis(V, N)
+            x, w, _ = _tail_grid(b, V, t)
+            Phi = _phi_matrix(b, V, x)
+            G = (Phi * w) @ Phi.T
+            assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
+
+
+class TestRule:
+    def test_cached_rule_read_only(self):
+        x, w = gl_rule(7)
+        assert gl_rule(7)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_one_rule_per_node_count(self, gue, monkeypatch):
+        # a compare-style sweep: several N, several thresholds each
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        gl_rule.cache_clear()
+        for N in (8, 20, 36):
+            b = build_basis(gue, N)
+            for t in (1.5, 2.0, 2.5, 3.0, 3.5):
+                gap_probability(b, gue, t)
+        gl_rule.cache_clear()
+        assert calls
+        assert len(calls) == len(set(calls))
+
 
 class TestGap:
     def test_tail_probability_falls(self, gue):
@@ -119,6 +165,18 @@ class TestGap:
         b = build_basis(gue, 3)
         assert brute_force_survival(b, gue, 2.2, k_max=1) == pytest.approx(
             tail_trace(b, gue, 2.2), rel=1e-10)
+
+    def test_subsets_match_ordered_tuples(self, gue, quartic):
+        # reference: every ordered k-tuple of rule nodes, over k!
+        for V, N, t in ((gue, 2, 2.2), (gue, 3, 2.6), (quartic, 3, 1.3)):
+            b = build_basis(V, N)
+            M = _series_kernel(b, V, t)
+            ordered = 0.0
+            for k in range(1, N + 1):
+                idx = np.array(list(itertools.product(range(len(M)), repeat=k)))
+                dets = np.linalg.det(M[idx[:, :, None], idx[:, None, :]])
+                ordered += (-1.0) ** (k + 1) / math.factorial(k) * float(dets.sum())
+            assert brute_force_survival(b, V, t) == pytest.approx(ordered, abs=1e-14)
 
     def test_series_size_cap(self, gue):
         b = build_basis(gue, 6)
