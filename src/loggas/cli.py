@@ -142,8 +142,20 @@ def _write_csv(stream, fieldnames, rows, summary=None):
             stream.write(f"# {key} = {_fmt_cell(summary[key])}\n")
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None, so the JSON
+    output carries null where Python would write -Infinity or NaN."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(stream, payload):
-    stream.write(json.dumps(payload, indent=2))
+    stream.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False))
     stream.write("\n")
 
 
@@ -311,8 +323,9 @@ CSV column orders (floats carry 17 significant digits):
   cramer       j, alpha_j, d_j
 
 Linear-space probabilities below 1e-300 print as the token "underflow";
-their log columns stay finite.  Failed rows carry an "error: ..." status
-and the run exits 1 after writing every row.
+their log columns stay finite.  JSON output is strict JSON: a non-finite
+number prints as null.  Failed rows carry an "error: ..." status and the
+run exits 1 after writing every row.
 """
 
 

@@ -9,7 +9,9 @@ All quadrature against the arcsine-type weight 1/sqrt((b-t)(t-a)) uses
 first-kind Gauss-Chebyshev nodes, which integrate polynomial data of
 the relevant degrees exactly.  The log kernel of the effective
 potential is integrated in closed form against a Chebyshev cosine
-expansion of the density, which is exact for polynomial fields.
+expansion of the density, which is exact for polynomial fields; the
+expansion comes from a DCT-II in its FFT form, so numpy is the only
+numerical dependency.
 """
 
 import math
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import SolverError
 from .quadrature import composite_gl
@@ -235,20 +236,30 @@ def eta_prime(eq, V, x):
     return math.sqrt((x - eq.b) * (x - eq.a)) * g
 
 
+def _dct2(g):
+    """Unnormalized DCT-II, 2 sum_j g_j cos(pi k (2j + 1) / (2n)) for
+    k < n, in Makhoul's reorder-and-FFT form (IEEE TASSP 28, 1980): the
+    FFT of the even samples followed by the reversed odd ones, turned
+    by exp(-i pi k / (2n))."""
+    n = g.size
+    v = np.fft.fft(np.concatenate((g[::2], g[1::2][::-1])))
+    return 2.0 * (np.exp(-0.5j * np.pi * np.arange(n) / n) * v).real
+
+
 @lru_cache(maxsize=16)
 def _log_kernel_coeffs(V, a, b, n):
     """Cosine coefficients of the density pushed to the angle variable.
 
     With y = c + r cos(theta), the measure becomes g(theta) d(theta) on
     [0, pi] with g = r^2 sin^2(theta) G(y) / (2 pi), a trigonometric
-    polynomial for polynomial V, so its midpoint-grid DCT is exact.
+    polynomial for polynomial V, so its midpoint-grid DCT-II, taken by
+    FFT in _dct2, is exact.
     """
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     theta = _chebyshev_angles(n)
     y = c + r * np.cos(theta)
     g = (r * r / (2.0 * np.pi)) * np.sin(theta) ** 2 * _g_values(V, a, b, MRS_QUADRATURE_ORDER, y)
-    spectrum = scipy.fft.dct(g, type=2)
-    am = spectrum / n
+    am = _dct2(g) / n
     am[0] *= 0.5
     am.flags.writeable = False
     return am, c, r

@@ -1,8 +1,11 @@
-"""Error types shared across the library.
+"""Error types and the linear-space underflow floor shared across the
+library.
 
 Argument and domain violations raise plain ValueError; the classes here
 cover failures of the numerical machinery itself.
 """
+
+UNDERFLOW_LIMIT = 1e-300           # probabilities below this exist only in log space
 
 
 class SolverError(RuntimeError):

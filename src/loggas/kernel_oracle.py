@@ -19,16 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
-from .errors import NumericalError
-from .quadrature import composite_gl, gl_rule
+from .errors import UNDERFLOW_LIMIT, NumericalError
+from .quadrature import brentq, composite_gl, gl_rule
 
 WINDOW_LOG_CUTOFF = 750.0          # N(V - Vmin) beyond which exp(-NV) < 1e-325
 PANEL_WEIGHT_CUTOFF = 250.0 * math.log(10.0)
 PANEL_RELATIVE_CUTOFF = 1e-3
 BASE_PANEL_NODES = 32
-UNDERFLOW_LIMIT = 1e-300
 SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
 SERIES_LOG_CUTOFF = 80.0
 

@@ -1,8 +1,15 @@
-"""Gauss-Legendre rules, computed once per node count and shared."""
+"""Gauss-Legendre rules, computed once per node count and shared, and
+Brent's bracketed root finder."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+# scipy.optimize.brentq's defaults
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 4 * np.finfo(float).eps
+BRENT_MAXITER = 100
 
 
 @lru_cache(maxsize=32)
@@ -24,3 +31,55 @@ def composite_gl(edges, n):
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w
+
+
+def brentq(f, a, b):
+    """Root of f in the bracket [a, b] by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    A step-for-step port of scipy's Zeros/brentq.c with its default
+    tolerances, so it returns the same iterate as scipy.optimize.brentq.
+    Raises ValueError if f(a) and f(b) have the same sign and
+    RuntimeError if BRENT_MAXITER steps do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(
+        f"brentq failed to converge after {BRENT_MAXITER} iterations, value is {xcur!r}")

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import eta, eta_prime, g_factor
-from .errors import NumericalError
+from .errors import UNDERFLOW_LIMIT, NumericalError
 
-UNDERFLOW_LIMIT = 1e-300
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
 K_MAX_SUPPORTED = 6
 TW_CUTOFF = 8.0

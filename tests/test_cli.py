@@ -5,9 +5,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loggas
 from loggas.cli import ConfigError, load_config, main
 
 GUE_POTENTIAL = {"coeffs": [0, 0, 0.5]}
@@ -193,6 +197,21 @@ class TestCompareCommand:
         assert float(row["ratio_minus_1"]) == -1.0
         assert float(row["log_F"]) < -700.0
 
+    def test_underflow_row_is_strict_json(self, tmp_path, capsys):
+        # same row as above: its -inf log survival prints as null
+        cfg = write_config(tmp_path, N_list=[90], t_grid=[5.0],
+                           output_format="json")
+        assert main(["compare", "--config", cfg]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        row = payload["rows"][0]
+        assert row["log_survival_oracle"] is None
+        assert row["survival_oracle"] == "underflow"
+        assert row["ratio_minus_1"] == -1.0
+
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])
         assert main(["compare", "--config", cfg]) == 2
@@ -228,6 +247,16 @@ class TestPlumbing:
         b1 = open(out1, "rb").read()
         assert b1 == open(out2, "rb").read()
         assert b1.startswith(b"N,t,log_survival_oracle")
+
+    def test_import_loads_no_scipy(self):
+        # numpy and the standard library are the only runtime dependencies
+        src = os.path.dirname(os.path.dirname(loggas.__file__))
+        code = ("import loggas, loggas.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

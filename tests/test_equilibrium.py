@@ -8,6 +8,7 @@ import pytest
 from loggas import (DiscreteMeasure, Potential, SolverError, density,
                     effective_potential, energy, equilibrium_measure, eta,
                     eta_prime, g_factor, solve_mrs)
+from loggas.equilibrium import _dct2
 
 
 def eta_quadratic(x):
@@ -26,6 +27,10 @@ class TestSolveMRS:
         assert gue_eq.gamma == pytest.approx(1.0, abs=1e-12)
         # ell = V - 2 int log|x-t| dmu on the support; 1 exactly here
         assert gue_eq.ell == pytest.approx(1.0, abs=1e-10)
+
+    def test_gue_ell_exact(self, gue_eq):
+        # an O(n^2) cosine-matrix DCT gives 1.0000000000000002 here
+        assert gue_eq.ell == 1.0
 
     def test_quartic_endpoints(self, quartic_eq):
         b = (4.0 / 3.0) ** 0.25
@@ -133,6 +138,17 @@ class TestEffectivePotential:
             assert gap > 0.0
             # outside the support the excess is exactly the rate function
             assert gap == pytest.approx(eta(quartic_eq, quartic, x), abs=1e-10)
+
+
+class TestDCT:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_matches_direct_cosine_sum(self, n):
+        g = np.random.default_rng(n).standard_normal(n)
+        k, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        # reduce the phase k (2j + 1) mod 4n so the cosines stay accurate
+        phase = (k * (2 * j + 1)) % (4 * n)
+        direct = 2.0 * np.cos(np.pi * phase / (2 * n)) @ g
+        assert float(np.max(np.abs(_dct2(g) - direct))) < 1e-13
 
 
 class TestDiscreteMeasure:

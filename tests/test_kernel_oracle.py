@@ -9,8 +9,10 @@ import pytest
 
 from loggas import (brute_force_survival, build_basis, gap_probability, gram,
                     hadamard_check, kernel_diag, phi, tail_trace)
-from loggas.kernel_oracle import _phi_matrix, _series_kernel, _tail_grid
-from loggas.quadrature import gl_rule
+from loggas import quadrature
+from loggas.kernel_oracle import (_phi_matrix, _series_kernel, _support_window,
+                                  _tail_grid)
+from loggas.quadrature import brentq, gl_rule
 
 NEG_INF = float("-inf")
 
@@ -137,6 +139,49 @@ class TestRule:
         gl_rule.cache_clear()
         assert calls
         assert len(calls) == len(set(calls))
+
+
+def polynomial_brackets():
+    """Seeded random polynomials with sign-changing brackets."""
+    rng = np.random.default_rng(20160314)
+    out = []
+    while len(out) < 200:
+        c = rng.standard_normal(rng.integers(2, 8))
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        fa, fb = np.polynomial.polynomial.polyval([a, b], c)
+        if fa * fb < 0.0:
+            out.append((tuple(c), float(a), float(b)))
+    return out
+
+
+class TestBrentq:
+    def test_sqrt_two(self):
+        root = brentq(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) < 2e-12
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x - 2.0, 2.0, 3.0)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "BRENT_MAXITER", 2)
+        with pytest.raises(RuntimeError):
+            brentq(lambda x: x * x - 2.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("N", [10, 50, 200])
+    def test_gue_window_edges(self, gue, N):
+        # N x^2 / 2 reaches the cutoff 750 at x = sqrt(1500 / N)
+        (lo, hi), _ = _support_window(gue, N)
+        edge = math.sqrt(1500.0 / N)
+        assert abs(hi - edge) < 2e-12
+        assert abs(lo + edge) < 2e-12
+
+    def test_matches_scipy_bit_for_bit(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for c, a, b in polynomial_brackets():
+            def f(x, c=c):
+                return np.polynomial.polynomial.polyval(x, c)
+            assert brentq(f, a, b) == optimize.brentq(f, a, b), (c, a, b)
 
 
 class TestGap:
