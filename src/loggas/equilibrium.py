@@ -5,25 +5,28 @@ the density factor G, the equilibrium density, the rate function eta
 and its derivative, the edge constant gamma, the effective potential L,
 and the discretized energy functional.
 
-All quadrature against the arcsine-type weight 1/sqrt((b-t)(t-a)) uses
-first-kind Gauss-Chebyshev nodes, which integrate polynomial data of
-the relevant degrees exactly.  The log kernel of the effective
-potential is integrated in closed form against a Chebyshev cosine
-expansion of the density, which is exact for polynomial fields; the
-expansion comes from a DCT-II in its FFT form, so numpy is the only
-numerical dependency.
+For polynomial V all of it is exact Chebyshev algebra on one array.
+With x = c + r y mapping [-1, 1] onto [a, b], let w_k be the Chebyshev
+coefficients of V'(c + r y).  The endpoint equations are polynomial in
+(c, r) through w_0 and w_1, and so is their Jacobian; the density factor
+is r G(c + r y) = sum_k w_k U_{k-1}(y), a polynomial of degree deg V - 2;
+and the density pushed to the angle y = cos(theta) has a finite cosine
+expansion, on which the log kernel of the effective potential acts in
+closed form.  The only quadratures left are the Gauss-Legendre rule of
+eta and the Gauss-Chebyshev discretization of equilibrium_measure.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial import polynomial as npoly
 
-from .errors import SolverError
+from .errors import NumericalError, SolverError
 from .quadrature import composite_gl
 
-MRS_QUADRATURE_ORDER = 256
 DENSITY_DISCRETIZATION = 512
 ETA_NODES_PER_UNIT = 64
 
@@ -34,15 +37,16 @@ class EquilibriumData:
 
     gamma is the edge scaling constant; ell the Lagrange multiplier of
     the variational problem (the constant value of the effective
-    potential on the support); residuals the endpoint-equation residuals
-    at (a, b).
+    potential on the support); g_coeffs the Chebyshev coefficients of
+    the density factor G in y = (x - c)/r, with c = (a + b)/2 and
+    r = (b - a)/2; residuals the endpoint-equation residuals at (a, b).
     """
 
     a: float
     b: float
     gamma: float
     ell: float
-    quadrature_order: int
+    g_coeffs: tuple
     residuals: tuple
 
 
@@ -74,25 +78,43 @@ def _chebyshev_angles(n):
     return (2 * k - 1) * np.pi / (2 * n)
 
 
-def _mrs_residuals(V, a, b, n):
-    # endpoint equations, pushed to [0, pi] where the arcsine weight is flat:
-    #   int V'(t)/sqrt((b-t)(t-a)) dt = 0
-    #   int t V'(t)/sqrt((b-t)(t-a)) dt = 2 pi
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    t = c + r * np.cos(_chebyshev_angles(n))
-    vp = V.eval(t, 1)
-    h = np.pi / n
-    return np.array([h * np.sum(vp), h * np.sum(t * vp) - 2.0 * np.pi])
+def _cheb_derivative(V, order, c, r):
+    """Chebyshev coefficients in y of the order-th derivative of V at
+    x = c + r y."""
+    p = Polynomial(npoly.polyder(V.coeffs, order))
+    return cheb.poly2cheb(p(Polynomial([c, r])).coef)
 
 
-def solve_mrs(V, tol=1e-12, max_iter=100, quadrature_order=MRS_QUADRATURE_ORDER):
+def _endpoint_system(V, c, r):
+    """Endpoint residuals on the support [c - r, c + r] and their exact
+    Jacobian in (c, r).
+
+    With t = c + r cos(theta) the arcsine weight is flat, and the
+    equations int V'(t)/sqrt((b-t)(t-a)) dt = 0 and
+    int t V'(t)/sqrt((b-t)(t-a)) dt = 2 pi read pi w_0 = 0 and
+    pi (c w_0 + r w_1 / 2) = 2 pi.  With p and q the Chebyshev
+    coefficients of V''(c + r y) and y V''(c + r y),
+    dw_0 = p_0 dc + q_0 dr and dw_1 = 2 q_0 dc + q_1 dr.
+    """
+    # zero-padded, so that a field of degree below 2 ends in a singular Jacobian
+    w = np.pad(_cheb_derivative(V, 1, c, r), (0, 2))
+    p = np.pad(_cheb_derivative(V, 2, c, r), (0, 2))
+    q0, q1 = 0.5 * p[1], p[0] + 0.5 * p[2]      # y T_k = (T_{k-1} + T_{k+1}) / 2
+    F = np.pi * np.array([w[0], c * w[0] + 0.5 * r * w[1] - 2.0])
+    J = np.pi * np.array([[p[0], q0],
+                          [w[0] + c * p[0] + r * q0, c * q0 + 0.5 * (w[1] + r * q1)]])
+    return F, J
+
+
+def solve_mrs(V, tol=1e-12, max_iter=100):
     """Solve the endpoint equations for the support [a, b] of the
     equilibrium measure of V.
 
-    Damped Newton iteration with a central finite-difference Jacobian;
-    the residuals are evaluated by Gauss-Chebyshev quadrature which is
-    exact for polynomial V'.  On success also computes the edge constant
-    gamma and the Lagrange constant ell.
+    Damped Newton iteration on the centre c and half-width r of the
+    support, with the residuals and their Jacobian in exact Chebyshev
+    form (see _endpoint_system).  On success also computes the
+    Chebyshev coefficients of G, checks that G is positive on [a, b],
+    and computes the edge constant gamma and the Lagrange constant ell.
 
     Parameters
     ----------
@@ -111,89 +133,80 @@ def solve_mrs(V, tol=1e-12, max_iter=100, quadrature_order=MRS_QUADRATURE_ORDER)
     ------
     SolverError
         If the residuals are not below tol after max_iter steps.
+    NumericalError
+        If G is not positive on [a, b]: the one-cut density
+        sqrt((b-x)(x-a)) G(x) / (2 pi) is then not a measure, as for a
+        double well whose equilibrium support has two cuts.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sigma = V.scale()
-    a, b = -2.0 * sigma, 2.0 * sigma
-    n = int(quadrature_order)
-    F = _mrs_residuals(V, a, b, n)
-    converged = False
+    c, r = 0.0, 2.0 * V.scale()
+    F, J = _endpoint_system(V, c, r)
     for it in range(max_iter):
         if np.max(np.abs(F)) < tol:
-            converged = True
             break
-        h = 1e-7 * (1.0 + abs(b - a))
-        J = np.empty((2, 2))
-        J[:, 0] = (_mrs_residuals(V, a + h, b, n) - _mrs_residuals(V, a - h, b, n)) / (2 * h)
-        J[:, 1] = (_mrs_residuals(V, a, b + h, n) - _mrs_residuals(V, a, b - h, n)) / (2 * h)
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             raise SolverError(
                 "singular Jacobian in endpoint solve",
-                iterations=it, last_iterate=(a, b), residuals=tuple(F),
+                iterations=it, last_iterate=(c - r, c + r), residuals=tuple(F),
             ) from None
         lam = 1.0
         norm0 = np.max(np.abs(F))
         while True:
-            a_new, b_new = a + lam * step[0], b + lam * step[1]
-            if b_new - a_new > 1e-12 * (1.0 + abs(a) + abs(b)):
-                F_new = _mrs_residuals(V, a_new, b_new, n)
+            c_new, r_new = c + lam * step[0], r + lam * step[1]
+            if r_new > 1e-12 * (1.0 + abs(c) + r):
+                F_new, J_new = _endpoint_system(V, c_new, r_new)
                 if np.max(np.abs(F_new)) <= (1.0 - 0.25 * lam) * norm0 or lam < 1e-4:
                     break
             lam *= 0.5
             if lam < 1e-12:
                 raise SolverError(
                     "line search failed in endpoint solve",
-                    iterations=it, last_iterate=(a, b), residuals=tuple(F),
+                    iterations=it, last_iterate=(c - r, c + r), residuals=tuple(F),
                 )
-        a, b, F = a_new, b_new, F_new
-    if not converged and np.max(np.abs(F)) >= tol:
-        raise SolverError(
-            f"no convergence after {max_iter} iterations",
-            iterations=max_iter, last_iterate=(a, b), residuals=tuple(F),
-        )
+        c, r, F, J = c_new, r_new, F_new, J_new
+    else:
+        if np.max(np.abs(F)) >= tol:
+            raise SolverError(
+                f"no convergence after {max_iter} iterations",
+                iterations=max_iter, last_iterate=(c - r, c + r), residuals=tuple(F),
+            )
 
-    g_edge = float(_g_values(V, a, b, n, np.array([b]))[0])
-    gamma = (0.5 * math.sqrt(b - a) * g_edge) ** (2.0 / 3.0)
+    a, b = float(c - r), float(c + r)
+    # r G(c + r y) = sum_k w_k U_{k-1}(y) = d/dy sum_k (w_k / k) T_k(y)
+    w = _cheb_derivative(V, 1, c, r)
+    g = cheb.chebder(np.append(0.0, w[1:] / np.arange(1, w.size))) / r
+    # G is positive on [a, b] iff it is positive at both ends and at its
+    # real critical points inside; real parts of complex roots of G' only
+    # add sample points
+    y = np.clip(np.append(cheb.chebroots(cheb.chebder(g)).real, (-1.0, 1.0)), -1.0, 1.0)
+    if not (cheb.chebval(y, g) > 0.0).all():
+        raise NumericalError(
+            f"density factor G is not positive on the support [{a!r}, {b!r}]: "
+            f"the field is not one-cut")
+    gamma = (0.5 * math.sqrt(b - a) * cheb.chebval(1.0, g)) ** (2.0 / 3.0)
     # Lagrange constant: value of the effective potential at the support
     # midpoint, the point least affected by edge behavior
     mid = 0.5 * (a + b)
-    ell = float(V.eval(mid, 0) - 2.0 * _log_moment(V, a, b, DENSITY_DISCRETIZATION, np.array([mid]))[0])
+    ell = float(V.eval(mid, 0) - 2.0 * _log_moment(V, a, b, np.array([mid]))[0])
     return EquilibriumData(
-        a=float(a), b=float(b), gamma=float(gamma), ell=ell,
-        quadrature_order=n, residuals=(float(F[0]), float(F[1])),
+        a=a, b=b, gamma=float(gamma), ell=ell,
+        g_coeffs=tuple(float(v) for v in g), residuals=(float(F[0]), float(F[1])),
     )
-
-
-def _g_values(V, a, b, n, x):
-    """Density factor G at points x (1-d array), by Gauss-Chebyshev
-    quadrature of the difference quotient of V'."""
-    c, r = 0.5 * (a + b), 0.5 * (b - a)
-    t = c + r * np.cos(_chebyshev_angles(n))
-    vp_t = V.eval(t, 1)
-    x = np.asarray(x, dtype=float)
-    vp_x = V.eval(x, 1)
-    dx = x[:, None] - t[None, :]
-    # removable singularity of the quotient: second-order accurate patch
-    near = np.abs(dx) < 1e-6 * (1.0 + np.abs(x))[:, None]
-    quot = (vp_x[:, None] - vp_t[None, :]) / np.where(near, 1.0, dx)
-    if near.any():
-        mid = 0.5 * (x[:, None] + t[None, :])
-        quot = np.where(near, V.eval(mid, 2), quot)
-    return quot.sum(axis=1) / n
 
 
 def g_factor(eq, V, x):
     """G(x), the polynomial factor of the equilibrium density.
 
-    Positive for admissible V; G(b)**(2/3) essentially sets gamma.
-    Accepts scalar or array x.
+    Positive on the support (solve_mrs checks it); G(b)**(2/3)
+    essentially sets gamma.  Accepts scalar or array x.  G is read from
+    eq.g_coeffs; V is not used.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _g_values(V, eq.a, eq.b, eq.quadrature_order, x_arr)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    c, r = 0.5 * (eq.a + eq.b), 0.5 * (eq.b - eq.a)
+    out = cheb.chebval((np.asarray(x, dtype=float) - c) / r, eq.g_coeffs)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def density(eq, V, x):
@@ -204,8 +217,7 @@ def density(eq, V, x):
     inside = (x_arr >= eq.a) & (x_arr <= eq.b)
     if inside.any():
         xi = x_arr[inside]
-        g = _g_values(V, eq.a, eq.b, eq.quadrature_order, xi)
-        out[inside] = np.sqrt((eq.b - xi) * (xi - eq.a)) * g / (2.0 * np.pi)
+        out[inside] = np.sqrt((eq.b - xi) * (xi - eq.a)) * g_factor(eq, V, xi) / (2.0 * np.pi)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -223,8 +235,7 @@ def eta(eq, V, x):
         return 0.0
     edges = np.append(np.arange(0.0, vmax, 1.0), vmax)
     nodes, weights = composite_gl(edges, ETA_NODES_PER_UNIT)
-    f = 2.0 * nodes**2 * np.sqrt(nodes**2 + (b - a)) * _g_values(
-        V, a, b, eq.quadrature_order, b + nodes**2)
+    f = 2.0 * nodes**2 * np.sqrt(nodes**2 + (b - a)) * g_factor(eq, V, b + nodes**2)
     return float(np.dot(weights, f))
 
 
@@ -232,40 +243,29 @@ def eta_prime(eq, V, x):
     """Derivative of the rate function: sqrt((x-b)(x-a)) G(x), x > b."""
     if x <= eq.b:
         raise ValueError(f"eta_prime needs x > b = {eq.b!r}, got {x!r}")
-    g = float(_g_values(V, eq.a, eq.b, eq.quadrature_order, np.array([x]))[0])
-    return math.sqrt((x - eq.b) * (x - eq.a)) * g
+    return math.sqrt((x - eq.b) * (x - eq.a)) * g_factor(eq, V, x)
 
 
-def _dct2(g):
-    """Unnormalized DCT-II, 2 sum_j g_j cos(pi k (2j + 1) / (2n)) for
-    k < n, in Makhoul's reorder-and-FFT form (IEEE TASSP 28, 1980): the
-    FFT of the even samples followed by the reversed odd ones, turned
-    by exp(-i pi k / (2n))."""
-    n = g.size
-    v = np.fft.fft(np.concatenate((g[::2], g[1::2][::-1])))
-    return 2.0 * (np.exp(-0.5j * np.pi * np.arange(n) / n) * v).real
-
-
-@lru_cache(maxsize=16)
-def _log_kernel_coeffs(V, a, b, n):
+def _log_kernel_coeffs(V, a, b):
     """Cosine coefficients of the density pushed to the angle variable.
 
     With y = c + r cos(theta), the measure becomes g(theta) d(theta) on
-    [0, pi] with g = r^2 sin^2(theta) G(y) / (2 pi), a trigonometric
-    polynomial for polynomial V, so its midpoint-grid DCT-II, taken by
-    FFT in _dct2, is exact.
+    [0, pi] with g = r^2 sin^2(theta) G(y) / (2 pi).  As
+    r sin(theta) G(y) = sum_k w_k sin(k theta), with w the Chebyshev
+    coefficients of V'(c + r cos(theta)), and
+    sin(theta) sin(k theta) = (cos((k-1) theta) - cos((k+1) theta)) / 2,
+    the coefficient of cos(m theta) is r (w_{m+1} - w_{m-1}) / (4 pi),
+    where w_0 does not enter.
     """
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    theta = _chebyshev_angles(n)
-    y = c + r * np.cos(theta)
-    g = (r * r / (2.0 * np.pi)) * np.sin(theta) ** 2 * _g_values(V, a, b, MRS_QUADRATURE_ORDER, y)
-    am = _dct2(g) / n
-    am[0] *= 0.5
-    am.flags.writeable = False
-    return am, c, r
+    w = _cheb_derivative(V, 1, c, r)[1:]
+    am = np.zeros(w.size + 2)
+    am[:-2] = w
+    am[2:] -= w
+    return (r / (4.0 * np.pi)) * am, c, r
 
 
-def _log_moment(V, a, b, n, x):
+def _log_moment(V, a, b, x):
     """int log|x - y| dmu(y) for 1-d array x, via the closed-form action
     of the log kernel on cosines.
 
@@ -273,7 +273,7 @@ def _log_moment(V, a, b, n, x):
     the constant to -pi log 2; outside, to -pi sign(p)^m e^{-m xi}/m and
     pi (xi - log 2), with p the affine image of x and xi = arccosh|p|.
     """
-    am, c, r = _log_kernel_coeffs(V, a, b, n)
+    am, c, r = _log_kernel_coeffs(V, a, b)
     m = np.arange(1, am.size)
     coeff = am[1:] / m
     x = np.asarray(x, dtype=float)
@@ -300,7 +300,7 @@ def effective_potential(eq, V, x):
     beyond the right edge.  Accepts scalar or array x.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = V.eval(x_arr, 0) - 2.0 * _log_moment(V, eq.a, eq.b, DENSITY_DISCRETIZATION, x_arr)
+    out = V.eval(x_arr, 0) - 2.0 * _log_moment(V, eq.a, eq.b, x_arr)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

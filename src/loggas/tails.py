@@ -14,12 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial import polynomial as npoly
 
-from .equilibrium import eta, eta_prime, g_factor
+from .equilibrium import eta, eta_prime
 from .errors import UNDERFLOW_LIMIT, NumericalError
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
-K_MAX_SUPPORTED = 6
+K_MAX_SUPPORTED = 6      # highest correction order regime_classify selects
 TW_CUTOFF = 8.0
 MODERATE_MARGIN = 0.5
 
@@ -63,41 +66,36 @@ def cramer_coefficients(eq, V, k):
     """Correction coefficients d_1..d_k of the rescaled tail exponent.
 
     The rate function near the right edge is eta(b + v) =
-    sum_m c_m v^{m+3/2}; taking c_m from a degree-32 Chebyshev fit of
-    the analytic integrand h(v) = sqrt(b + v - a) G(b + v) (term-wise
-    integrated, c_m = h_m/(m+3/2)) keeps the high-order coefficients
-    stable where repeated finite differencing would not.  d_j rescales
-    c_j by gamma^{-(j+3/2)}.
+    sum_m c_m v^{m+3/2} with c_m = h_m/(m+3/2), where h_m are the Taylor
+    coefficients of h(v) = sqrt(b - a + v) G(b + v).  Both factors have
+    exact expansions: the binomial series of the square root, and the
+    polynomial G re-expanded about b from its Chebyshev coefficients
+    eq.g_coeffs.  d_j rescales c_j by gamma^{-(j+3/2)}.
 
     The zeroth coefficient must reproduce the universal 4/3 prefactor;
-    a violation means eq and V are inconsistent and raises
-    NumericalError.
+    a violation means eq is inconsistent and raises NumericalError.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > K_MAX_SUPPORTED:
         raise ValueError(
-            f"k = {k} unsupported: the Chebyshev-to-Taylor conversion "
-            f"loses about two digits per order, cap is {K_MAX_SUPPORTED}")
+            f"k = {k} unsupported: the regime classification uses correction "
+            f"orders up to {K_MAX_SUPPORTED}")
     a, b = eq.a, eq.b
-    r_fit = min(1.0, (b - a) / 4.0)
-
-    def h(v):
-        v = np.atleast_1d(v)
-        return np.sqrt((b + v) - a) * g_factor(eq, V, b + v)
-
-    cheb = np.polynomial.chebyshev.Chebyshev.interpolate(h, 32, domain=[0.0, r_fit])
-    taylor = cheb.convert(kind=np.polynomial.Polynomial)
-    h_m = taylor.coef
-    m = np.arange(h_m.size)
-    c = h_m / (m + 1.5)
+    r = 0.5 * (b - a)
+    # G(b + v) = G(c + r y) at y = 1 + v/r
+    g = Polynomial(cheb.cheb2poly(eq.g_coeffs))(Polynomial([1.0, 1.0 / r])).coef
+    m = np.arange(k + 1)
+    binom = np.cumprod(np.append(1.0, (1.5 - m[1:]) / m[1:]))     # binom(1/2, m)
+    root = math.sqrt(b - a) * binom / (b - a) ** m                # sqrt(b - a + v)
+    h = npoly.polymul(root, g)[:k + 1]
+    c = h / (m + 1.5)
     c0_scaled = c[0] * eq.gamma ** (-1.5)
     if abs(c0_scaled - 4.0 / 3.0) > 1e-8:
         raise NumericalError(
             f"edge-coefficient gate failed: c0*gamma^(-3/2) = {c0_scaled!r}, "
             f"expected 4/3 (gamma = {eq.gamma!r}, b = {b!r})")
-    j = np.arange(1, k + 1)
-    d = c[1:k + 1] * eq.gamma ** (-(j + 1.5))
+    d = c[1:] * eq.gamma ** -(m[1:] + 1.5)
     return [float(v) for v in d]
 
 

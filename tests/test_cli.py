@@ -128,6 +128,13 @@ class TestEquilibriumCommand:
         out = capsys.readouterr().out
         assert out.startswith("a,b,gamma,ell")
 
+    def test_two_cut_field_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, potential={"coeffs": [0, 0, -4, 0, 1]})
+        assert main(["equilibrium", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+
 
 class TestTailCommand:
     def test_table_shape(self, tmp_path, capsys):

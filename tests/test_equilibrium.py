@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from loggas import (DiscreteMeasure, Potential, SolverError, density,
-                    effective_potential, energy, equilibrium_measure, eta,
-                    eta_prime, g_factor, solve_mrs)
-from loggas.equilibrium import _dct2
+from loggas import (DiscreteMeasure, NumericalError, Potential, SolverError,
+                    density, effective_potential, energy, equilibrium_measure,
+                    eta, eta_prime, g_factor, solve_mrs)
 
 
 def eta_quadratic(x):
@@ -21,7 +20,8 @@ class TestSolveMRS:
     def test_gue_endpoints(self, gue_eq):
         assert gue_eq.a == pytest.approx(-2.0, abs=1e-12)
         assert gue_eq.b == pytest.approx(2.0, abs=1e-12)
-        assert max(abs(r) for r in gue_eq.residuals) < 1e-12
+        # the endpoint equations are exact polynomial identities here
+        assert gue_eq.residuals == (0.0, 0.0)
 
     def test_gue_constants(self, gue_eq):
         assert gue_eq.gamma == pytest.approx(1.0, abs=1e-12)
@@ -29,13 +29,18 @@ class TestSolveMRS:
         assert gue_eq.ell == pytest.approx(1.0, abs=1e-10)
 
     def test_gue_ell_exact(self, gue_eq):
-        # an O(n^2) cosine-matrix DCT gives 1.0000000000000002 here
+        # the density's cosine coefficients are exact, so no roundoff is left
         assert gue_eq.ell == 1.0
 
     def test_quartic_endpoints(self, quartic_eq):
         b = (4.0 / 3.0) ** 0.25
         assert quartic_eq.b == pytest.approx(b, abs=1e-10)
         assert quartic_eq.a == pytest.approx(-b, abs=1e-10)
+
+    def test_quartic_gamma_closed_form(self, quartic_eq):
+        # G(b) = 6 b^2, so gamma^(3/2) = sqrt(2b) G(b) / 2 = 3 sqrt(2) b^(5/2)
+        b = (4.0 / 3.0) ** 0.25
+        assert abs(quartic_eq.gamma - (3.0 * math.sqrt(2.0) * b**2.5) ** (2.0 / 3.0)) < 1e-15
 
     def test_translation_equivariance(self, gue_eq):
         rng = np.random.default_rng(7)
@@ -67,6 +72,11 @@ class TestSolveMRS:
         with pytest.raises(SolverError):
             solve_mrs(Potential((0.0, 0.0, 0.0, 1.0)))
 
+    def test_two_cut_field_raises(self):
+        # x^4 - 4x^2 is a double well: the one-cut G is negative at 0
+        with pytest.raises(NumericalError):
+            solve_mrs(Potential((0.0, 0.0, -4.0, 0.0, 1.0)))
+
     def test_deterministic(self, gue):
         e1, e2 = solve_mrs(gue), solve_mrs(gue)
         assert (e1.a, e1.b, e1.gamma, e1.ell) == (e2.a, e2.b, e2.gamma, e2.ell)
@@ -85,6 +95,12 @@ class TestDensity:
     def test_scalar_input(self, gue_eq, gue):
         assert density(gue_eq, gue, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-14)
         assert np.ndim(g_factor(gue_eq, gue, 0.0)) == 0
+
+    def test_quartic_g_closed_form(self, quartic_eq, quartic):
+        b = quartic_eq.b
+        x = np.linspace(quartic_eq.a, b, 41)
+        exact = 4.0 * x * x + 2.0 * b * b
+        assert np.max(np.abs(g_factor(quartic_eq, quartic, x) - exact)) < 1e-13
 
     def test_quartic_density_positive(self, quartic_eq, quartic):
         x = np.linspace(quartic_eq.a + 1e-3, quartic_eq.b - 1e-3, 33)
@@ -138,17 +154,6 @@ class TestEffectivePotential:
             assert gap > 0.0
             # outside the support the excess is exactly the rate function
             assert gap == pytest.approx(eta(quartic_eq, quartic, x), abs=1e-10)
-
-
-class TestDCT:
-    @pytest.mark.parametrize("n", [64, 65])
-    def test_matches_direct_cosine_sum(self, n):
-        g = np.random.default_rng(n).standard_normal(n)
-        k, j = np.arange(n)[:, None], np.arange(n)[None, :]
-        # reduce the phase k (2j + 1) mod 4n so the cosines stay accurate
-        phase = (k * (2 * j + 1)) % (4 * n)
-        direct = 2.0 * np.cos(np.pi * phase / (2 * n)) @ g
-        assert float(np.max(np.abs(_dct2(g) - direct))) < 1e-13
 
 
 class TestDiscreteMeasure:

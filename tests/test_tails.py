@@ -3,6 +3,7 @@ deviation-rate decompositions."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,19 +15,38 @@ from loggas import (alpha_threshold, build_tail_model, cramer_coefficients,
 from loggas.tails import K_MAX_SUPPORTED, LOG_UNDERFLOW
 
 
+def binom_half(m):
+    # binom(1/2, m), exactly
+    return math.prod((Fraction(1, 2) - i for i in range(m)), start=Fraction(1)) / math.factorial(m)
+
+
 class TestCramerCoefficients:
     def test_quadratic_first_three(self, gue_eq, gue):
-        # binomial expansion of sqrt(4 + v) gives 1/10, -1/224, 1/2304
-        d = cramer_coefficients(gue_eq, gue, 3)
+        # binomial expansion of sqrt(4 + v) gives 1/10, -1/224, 1/2304, ...
+        d = cramer_coefficients(gue_eq, gue, 6)
         assert d[0] == pytest.approx(0.1, abs=1e-8)
         assert d[1] == pytest.approx(-1.0 / 224.0, abs=1e-7)
         assert d[2] == pytest.approx(1.0 / 2304.0, abs=1e-6)
+        for j in range(1, 7):
+            closed = 2.0 * float(binom_half(j)) * 4.0 ** -j / (j + 1.5)
+            assert abs(d[j - 1] - closed) < 1e-12
 
     def test_quartic_first_two(self, quartic_eq, quartic):
         # edge Taylor coefficients of the density factor, computed by hand
-        d = cramer_coefficients(quartic_eq, quartic, 2)
+        d = cramer_coefficients(quartic_eq, quartic, 6)
         assert d[0] == pytest.approx(0.3989749991333765, abs=1e-8)
         assert d[1] == pytest.approx(0.05492124175336405, abs=1e-8)
+        # h(v) = sqrt(2b + v) (6b^2 + 8bv + 4v^2) with G(x) = 4x^2 + 2b^2,
+        # and gamma^(3/2) = 3 sqrt(2) b^(5/2)
+        b = (4.0 / 3.0) ** 0.25
+        gamma = (3.0 * math.sqrt(2.0) * b**2.5) ** (2.0 / 3.0)
+
+        def root(m):  # v^m coefficient of sqrt(2b + v)
+            return 0.0 if m < 0 else math.sqrt(2.0 * b) * float(binom_half(m)) * (2.0 * b) ** -m
+
+        for j in range(1, 7):
+            h = 6.0 * b * b * root(j) + 8.0 * b * root(j - 1) + 4.0 * root(j - 2)
+            assert abs(d[j - 1] - h / (j + 1.5) * gamma ** -(j + 1.5)) < 1e-12
 
     def test_order_bounds(self, gue_eq, gue):
         assert cramer_coefficients(gue_eq, gue, 0) == []
