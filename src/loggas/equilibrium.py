@@ -39,7 +39,10 @@ class EquilibriumData:
     the variational problem (the constant value of the effective
     potential on the support); g_coeffs the Chebyshev coefficients of
     the density factor G in y = (x - c)/r, with c = (a + b)/2 and
-    r = (b - a)/2; residuals the endpoint-equation residuals at (a, b).
+    r = (b - a)/2; residuals the endpoint-equation residuals at (a, b);
+    coeffs the coefficients of the field V it was solved for.  The
+    functions below that take (eq, V) raise ValueError when V.coeffs
+    differs from coeffs.
     """
 
     a: float
@@ -48,6 +51,7 @@ class EquilibriumData:
     ell: float
     g_coeffs: tuple
     residuals: tuple
+    coeffs: tuple
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,16 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
     return EquilibriumData(
         a=a, b=b, gamma=float(gamma), ell=ell,
         g_coeffs=tuple(float(v) for v in g), residuals=(float(F[0]), float(F[1])),
+        coeffs=V.coeffs,
     )
+
+
+def _require_field(eq, V):
+    """Raise ValueError unless eq was solved for the field V."""
+    if V.coeffs != eq.coeffs:
+        raise ValueError(
+            f"equilibrium data solved for the field {eq.coeffs!r}, "
+            f"used with {V.coeffs!r}")
 
 
 def g_factor(eq, V, x):
@@ -202,8 +215,9 @@ def g_factor(eq, V, x):
 
     Positive on the support (solve_mrs checks it); G(b)**(2/3)
     essentially sets gamma.  Accepts scalar or array x.  G is read from
-    eq.g_coeffs; V is not used.
+    eq.g_coeffs; V only has to be the field eq was solved for.
     """
+    _require_field(eq, V)
     c, r = 0.5 * (eq.a + eq.b), 0.5 * (eq.b - eq.a)
     out = cheb.chebval((np.asarray(x, dtype=float) - c) / r, eq.g_coeffs)
     return float(out) if np.ndim(x) == 0 else out
@@ -212,6 +226,7 @@ def g_factor(eq, V, x):
 def density(eq, V, x):
     """Equilibrium density at x: sqrt((b-x)(x-a)) G(x) / (2 pi) on the
     support, zero outside."""
+    _require_field(eq, V)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x_arr)
     inside = (x_arr >= eq.a) & (x_arr <= eq.b)
@@ -227,6 +242,7 @@ def eta(eq, V, x):
     The substitution u = b + v*v removes the square-root edge factor, so
     composite Gauss-Legendre panels converge at machine accuracy.
     """
+    _require_field(eq, V)
     a, b = eq.a, eq.b
     if x < b - 1e-12 * (1.0 + abs(b)):
         raise ValueError(f"eta needs x >= b = {b!r}, got {x!r}")
@@ -241,6 +257,7 @@ def eta(eq, V, x):
 
 def eta_prime(eq, V, x):
     """Derivative of the rate function: sqrt((x-b)(x-a)) G(x), x > b."""
+    _require_field(eq, V)
     if x <= eq.b:
         raise ValueError(f"eta_prime needs x > b = {eq.b!r}, got {x!r}")
     return math.sqrt((x - eq.b) * (x - eq.a)) * g_factor(eq, V, x)
@@ -299,6 +316,7 @@ def effective_potential(eq, V, x):
     Constant (= ell) on the support, and L(x) - ell reproduces eta(x)
     beyond the right edge.  Accepts scalar or array x.
     """
+    _require_field(eq, V)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = V.eval(x_arr, 0) - 2.0 * _log_moment(V, eq.a, eq.b, x_arr)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out

@@ -11,6 +11,14 @@ the weight is below e^-750 (about 1e-326) times its peak.  All
 polynomial values are carried in weighted form
 phi_j = p_j exp(-N V / 2), which stays of moderate size where the raw
 p_j would overflow.
+
+Per threshold t, one recurrence evaluates every phi_j on all the tail
+nodes and gives the row masses d_j, the diagonal of the tail Gram
+matrix G.  The leading rows whose masses sum to at most DEFLATION_TOL
+of the trace are dropped before the eigenvalues are taken: that moves
+the survival probability by at most the dropped mass (see
+gap_probability), and past the edge it leaves a block far smaller
+than N.
 """
 
 import itertools
@@ -27,6 +35,8 @@ WINDOW_LOG_CUTOFF = 750.0          # N(V - Vmin) beyond which exp(-NV) < 1e-325
 PANEL_WEIGHT_CUTOFF = 250.0 * math.log(10.0)
 PANEL_RELATIVE_CUTOFF = 1e-3
 BASE_PANEL_NODES = 32
+MAX_PANELS = 20000
+DEFLATION_TOL = 1e-30              # tail-mass share of the rows gap_probability drops
 SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
 SERIES_LOG_CUTOFF = 80.0
 
@@ -53,7 +63,10 @@ class GapResult:
 
     survival is None when the value sits below 1e-300; log_survival is
     always finite whenever any eigenvalue of the tail Gram matrix is
-    positive.  det_value is the gap probability det(I - G).
+    positive.  det_value is the gap probability det(I - G).  eigenvalues
+    has length N in ascending order: those of the kept block of G (see
+    gap_probability), preceded by 0.0 for each dropped row.  trace is
+    the trace of the whole of G.
     """
 
     t: float
@@ -164,18 +177,26 @@ def build_basis(V, N, quad_points=None):
 
 def _phi_matrix(basis, V, x, j_max=None):
     """Weighted polynomial values phi_0..phi_{j_max} at the points x,
-    as a (j_max+1, len(x)) array."""
+    as a (j_max+1, len(x)) array.
+
+    Each value depends on its own point only, through element-wise IEEE
+    operations, so evaluating at a concatenation of point sets gives
+    the concatenation of the results bit for bit."""
     if j_max is None:
         j_max = basis.N - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    alpha, beta = basis.alpha, basis.beta
+    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     out = np.empty((j_max + 1, x.size))
-    out[0] = np.exp(-0.5 * basis.N * V.eval(x, 0)) / math.sqrt(beta[0])
-    prev = np.zeros_like(x)
+    out[0] = np.exp(-0.5 * basis.N * V.eval(x, 0)) / sqrt_beta[0]
+    term = np.empty_like(x)
     for j in range(j_max):
-        nxt = ((x - alpha[j]) * out[j] - math.sqrt(beta[j]) * prev) / math.sqrt(beta[j + 1])
-        prev = out[j]
-        out[j + 1] = nxt
+        row = out[j + 1]
+        np.subtract(x, alpha[j], out=row)
+        row *= out[j]
+        if j:
+            np.multiply(out[j - 1], sqrt_beta[j], out=term)
+            row -= term
+        row /= sqrt_beta[j + 1]
     return out
 
 
@@ -206,56 +227,81 @@ def _bulk_estimate(basis):
 
 def _tail_grid(basis, V, t):
     """Quadrature nodes x and weights w for integrals over (t, infinity),
-    and phi_0..phi_{N-1} at x as an (N, len(x)) array.
+    phi_0..phi_{N-1} at x as an (N, len(x)) array, and the row masses
+    d_j = sum_i w_i phi_j(x_i)^2, the diagonal of the tail Gram matrix.
 
-    Marches fixed-width panels rightward from t.  Panels touching the
-    bulk carry extra nodes so the fastest oscillation of phi_{N-1}
-    (about N half-waves across the bulk) stays resolved; a panel ends
-    the march once its contribution to the kernel trace is relatively
-    negligible and the weight at its start has fallen below the
-    underflow gauge.
+    Fixed-width panels run rightward from t.  Panels touching the bulk
+    carry extra nodes so the fastest oscillation of phi_{N-1} (about N
+    half-waves across the bulk) stays resolved; a panel ends the grid
+    once its row masses sum to a relatively negligible part of the
+    total and the weight at its start has fallen below the underflow
+    gauge.  The weight only stays small to the right of the minimum of
+    V, so phi is evaluated in one call on every panel up to the first
+    such start past the first panel, and the grid grows one panel at a
+    time only if the stopping rule has not fired by then.  The panels
+    and the stopping rule are those of a plain panel-by-panel march,
+    and phi is element-wise in x, so the result does not depend on
+    where the single call ends.
     """
     lo, hi = basis.support_window
     N = basis.N
     start = max(t, lo) if np.isfinite(t) else lo
     if start >= hi:
-        return np.empty(0), np.empty(0), np.empty((N, 0))
+        return np.empty(0), np.empty(0), np.empty((N, 0)), np.zeros(N)
     blo, bhi = _bulk_estimate(basis)
     span = max(bhi - blo, 1e-2 * (hi - lo))
     width = 0.25 * span
     extra = math.ceil(4.0 * N * width / span)
-    total = 0.0
-    xs, ws, phis = [], [], []
-    for p in range(20000):
+
+    def panel(p):
         p0 = start + p * width
         p1 = p0 + width
         in_bulk = (p0 < bhi + 0.5 * width) and (p1 > blo - 0.5 * width)
-        nn = BASE_PANEL_NODES + (extra if in_bulk else 0)
-        xg, wg = gl_rule(nn)
-        xm = 0.5 * (p0 + p1) + 0.5 * width * xg
-        wm = 0.5 * width * wg
-        Phi = _phi_matrix(basis, V, xm)
-        contrib = float(np.sum(wm * np.sum(Phi * Phi, axis=0)))
-        xs.append(xm)
-        ws.append(wm)
-        phis.append(Phi)
+        xg, wg = gl_rule(BASE_PANEL_NODES + (extra if in_bulk else 0))
+        return 0.5 * (p0 + p1) + 0.5 * width * xg, 0.5 * width * wg
+
+    # one phi call covers panels 0..last, where last is the first panel
+    # past 0 whose start has a small weight with V increasing; for an
+    # admissible V the first start at or past hi qualifies
+    n_pre = max(1, math.ceil((hi - start) / width))
+    starts = start + width * np.arange(1, n_pre)
+    small = N * (V.eval(starts, 0) - basis.v_min) > PANEL_WEIGHT_CUTOFF
+    settled = np.flatnonzero(small & (V.eval(starts, 1) > 0.0))
+    last = 1 + int(settled[0]) if settled.size else n_pre
+    xs, ws = zip(*(panel(p) for p in range(last + 1)))
+    ends = np.cumsum([xm.size for xm in xs])
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    Phi = _phi_matrix(basis, V, x)
+    d = np.zeros(N)
+    total = 0.0
+    for p in range(MAX_PANELS):
+        if p > last:
+            xm, wm = panel(p)
+            x, w = np.concatenate((x, xm)), np.concatenate((w, wm))
+            Phi = np.concatenate((Phi, _phi_matrix(basis, V, xm)), axis=1)
+            ends = np.append(ends, x.size)
+        begin, end = (ends[p - 1] if p else 0), ends[p]
+        mass = np.square(Phi[:, begin:end]) @ w[begin:end]
+        contrib = float(np.sum(mass))
+        d += mass
         total += contrib
-        weight_small = N * (V.eval(p0, 0) - basis.v_min) > PANEL_WEIGHT_CUTOFF
+        weight_small = N * (V.eval(start + p * width, 0) - basis.v_min) > PANEL_WEIGHT_CUTOFF
         if weight_small and (total == 0.0 or contrib < PANEL_RELATIVE_CUTOFF * total):
-            return np.concatenate(xs), np.concatenate(ws), np.concatenate(phis, axis=1)
+            return x[:end], w[:end], Phi[:, :end], d
     raise NumericalError("tail quadrature did not terminate")
 
 
 def tail_trace(basis, V, t):
     """Integral of the kernel diagonal over (t, infinity): the trace of
-    the tail Gram matrix, the same number as gap_probability's trace."""
-    return float(np.trace(gram(basis, V, t)))
+    the tail Gram matrix as the sum of the tail grid's row masses, in
+    O(N m) for m tail nodes; the same float as gap_probability's trace."""
+    return float(np.sum(_tail_grid(basis, V, t)[3]))
 
 
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
     construction; all zeros when the tail grid is empty."""
-    _, w, Phi = _tail_grid(basis, V, t)
+    _, w, Phi, _ = _tail_grid(basis, V, t)
     G = (Phi * w) @ Phi.T
     return 0.5 * (G + G.T)
 
@@ -267,20 +313,43 @@ def gap_probability(basis, V, t):
     through the eigenvalues keeps log-space accuracy for survival values
     far below the linear floating-point range.
 
-    Raises NumericalError if G has eigenvalues outside [0, 1] beyond a
-    1e-10 tolerance band, or if the result violates the first-order
-    bracketing trace - trace^2/2 <= survival <= trace (trace < 1).
+    Only the rows that carry tail mass enter the eigenproblem.  With
+    d_j the diagonal of G and T = sum_j d_j its trace, the longest
+    prefix of rows 0..j0-1 whose mass eps = d_0 + ... + d_{j0-1} is at
+    most DEFLATION_TOL * T is dropped, and the eigenvalues are those of
+    the kept block G22 = A A^T, A = Phi[j0:] sqrt(w), of size
+    k = N - j0.  For the PSD G with G <= I, det(I - G) =
+    det(I - G22) det(I - S), where I - S is the Schur complement of
+    I - G22 in I - G, tr S <= eps / (1 - lambda_max(G22)) and
+    det(I - G22) <= 1 - lambda_max(G22), so
+    0 <= survival(G) - survival(G22) <= eps.  As survival(G) >=
+    (1 - e^-1) min(T, 1), that is a relative error of at most
+    2 DEFLATION_TOL max(T, 1).  The j0 dropped eigenvalues are reported
+    as 0.0.  An empty or all-underflow tail grid (T = 0) takes no
+    eigenvalues at all.
+
+    Raises NumericalError if the kept block has eigenvalues outside
+    [0, 1] beyond a 1e-10 tolerance band, if the trace is not finite,
+    or if the result violates the first-order bracketing
+    trace - trace^2/2 <= survival <= trace (trace < 1).
     """
-    G = gram(basis, V, t)
-    lam = np.linalg.eigvalsh(G)
-    if lam[0] < -1e-10 or lam[-1] > 1.0 + 1e-10:
-        raise NumericalError(
-            f"tail Gram eigenvalues outside [0, 1]: range "
-            f"[{lam[0]!r}, {lam[-1]!r}] at t = {t!r}")
-    lam = np.clip(lam, 0.0, 1.0)
-    trace = float(np.trace(G))
-    with np.errstate(divide="ignore"):
-        log_det = float(np.sum(np.log1p(-lam)))
+    _, w, Phi, d = _tail_grid(basis, V, t)
+    trace = float(np.sum(d))
+    if not math.isfinite(trace):
+        raise NumericalError(f"tail Gram trace {trace!r} at t = {t!r}")
+    lam = np.zeros(basis.N)
+    log_det = 0.0
+    if trace > 0.0:
+        j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * trace, side="right"))
+        A = Phi[j0:] * np.sqrt(w)
+        kept = np.linalg.eigvalsh(A @ A.T)
+        if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
+            raise NumericalError(
+                f"tail Gram eigenvalues outside [0, 1]: range "
+                f"[{kept[0]!r}, {kept[-1]!r}] at t = {t!r}")
+        lam[j0:] = np.clip(kept, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            log_det = float(np.sum(np.log1p(-lam[j0:])))
     det_value = math.exp(log_det) if log_det > -745.0 else 0.0
     if log_det == -np.inf:
         survival, log_survival = 1.0, 0.0

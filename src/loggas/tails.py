@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
-from .equilibrium import eta, eta_prime
+from .equilibrium import _require_field, eta, eta_prime
 from .errors import UNDERFLOW_LIMIT, NumericalError
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
@@ -73,8 +73,10 @@ def cramer_coefficients(eq, V, k):
     eq.g_coeffs.  d_j rescales c_j by gamma^{-(j+3/2)}.
 
     The zeroth coefficient must reproduce the universal 4/3 prefactor;
-    a violation means eq is inconsistent and raises NumericalError.
+    a violation means eq is inconsistent and raises NumericalError; an
+    eq solved for another field than V raises ValueError.
     """
+    _require_field(eq, V)
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > K_MAX_SUPPORTED:

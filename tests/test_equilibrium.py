@@ -156,6 +156,24 @@ class TestEffectivePotential:
             assert gap == pytest.approx(eta(quartic_eq, quartic, x), abs=1e-10)
 
 
+class TestFieldGuard:
+    # eq solved for the GUE field, V the quartic one: every (eq, V)
+    # function refuses the pair instead of answering for the GUE
+    @pytest.mark.parametrize("fn, x", [(g_factor, 1.0), (density, 1.0), (eta, 3.0),
+                                       (eta_prime, 3.0), (effective_potential, 3.0)],
+                             ids=["g_factor", "density", "eta", "eta_prime",
+                                  "effective_potential"])
+    def test_mismatched_field_raises(self, gue_eq, gue, quartic, fn, x):
+        fn(gue_eq, gue, x)
+        with pytest.raises(ValueError, match="solved for the field"):
+            fn(gue_eq, quartic, x)
+
+    def test_eq_keeps_solved_coeffs(self, gue_eq, gue):
+        assert gue_eq.coeffs == gue.coeffs
+        # equal coefficients in a new Potential pass the check
+        assert eta(gue_eq, Potential((0.0, 0.0, 0.5, 0.0)), 3.0) == eta(gue_eq, gue, 3.0)
+
+
 class TestDiscreteMeasure:
     def test_validation(self):
         with pytest.raises(ValueError):

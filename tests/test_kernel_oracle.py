@@ -7,14 +7,69 @@ import math
 import numpy as np
 import pytest
 
-from loggas import (brute_force_survival, build_basis, gap_probability, gram,
-                    hadamard_check, kernel_diag, phi, tail_trace)
-from loggas import quadrature
-from loggas.kernel_oracle import (_phi_matrix, _series_kernel, _support_window,
-                                  _tail_grid)
+from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
+                    gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
+from loggas import kernel_oracle, quadrature
+from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, _phi_matrix,
+                                  _series_kernel, _support_window, _tail_grid)
+from loggas.errors import NumericalError
 from loggas.quadrature import brentq, gl_rule
 
 NEG_INF = float("-inf")
+ASYMMETRIC = (0.0, 0.5, 0.5, 0.2, 0.25)
+
+
+def thresholds(eq, N):
+    """Whole line, left edge, support midpoint, just inside the right
+    edge, and four edge-scaled points b + s/(gamma N^{2/3}) past it."""
+    return ([NEG_INF, eq.a, 0.5 * (eq.a + eq.b), eq.b - 0.1]
+            + [eq.b + s / (eq.gamma * N ** (2.0 / 3.0)) for s in (0.5, 2.0, 8.0, 32.0)])
+
+
+def panel_march(basis, V, t):
+    """Reference tail grid: panels marched one at a time, each with its
+    own phi call, under the same stopping rule as _tail_grid."""
+    lo, hi = basis.support_window
+    N = basis.N
+    start = max(t, lo) if np.isfinite(t) else lo
+    if start >= hi:
+        return np.empty(0), np.empty(0), np.empty((N, 0))
+    blo, bhi = kernel_oracle._bulk_estimate(basis)
+    span = max(bhi - blo, 1e-2 * (hi - lo))
+    width = 0.25 * span
+    extra = math.ceil(4.0 * N * width / span)
+    total = 0.0
+    xs, ws, phis = [], [], []
+    for p in range(kernel_oracle.MAX_PANELS):
+        p0 = start + p * width
+        p1 = p0 + width
+        in_bulk = (p0 < bhi + 0.5 * width) and (p1 > blo - 0.5 * width)
+        xg, wg = gl_rule(BASE_PANEL_NODES + (extra if in_bulk else 0))
+        xm = 0.5 * (p0 + p1) + 0.5 * width * xg
+        wm = 0.5 * width * wg
+        Phi = _phi_matrix(basis, V, xm)
+        contrib = float(np.sum(wm * np.sum(Phi * Phi, axis=0)))
+        xs.append(xm)
+        ws.append(wm)
+        phis.append(Phi)
+        total += contrib
+        weight_small = N * (V.eval(p0, 0) - basis.v_min) > kernel_oracle.PANEL_WEIGHT_CUTOFF
+        if weight_small and (total == 0.0
+                             or contrib < kernel_oracle.PANEL_RELATIVE_CUTOFF * total):
+            return np.concatenate(xs), np.concatenate(ws), np.concatenate(phis, axis=1)
+    raise AssertionError("reference march did not terminate")
+
+
+def full_survival(G):
+    """Survival and log-survival from every eigenvalue of G, by the rule
+    gap_probability applies to its kept block."""
+    lam = np.clip(np.linalg.eigvalsh(G), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        log_det = float(np.sum(np.log1p(-lam)))
+    sur = -math.expm1(log_det)
+    if sur >= 1e-300:
+        return sur, math.log(sur)
+    return 0.0, (math.log(-log_det) if log_det < 0.0 else NEG_INF)
 
 
 class TestBasis:
@@ -107,10 +162,135 @@ class TestProjector:
         # on all the grid's nodes gives the same matrix bit for bit
         for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (quartic, 17, 0.9)):
             b = build_basis(V, N)
-            x, w, _ = _tail_grid(b, V, t)
+            x, w, _, _ = _tail_grid(b, V, t)
             Phi = _phi_matrix(b, V, x)
             G = (Phi * w) @ Phi.T
             assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
+    @pytest.mark.parametrize("N", [3, 12, 50, 200])
+    def test_dropped_rows_cost_at_most_their_mass(self, coeffs, N):
+        # 0 <= survival(G) - survival(G22) <= eps, eps the dropped mass
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        b = build_basis(V, N)
+        for t in thresholds(eq, N):
+            G = gram(b, V, t)
+            d = np.diag(G)
+            T = float(np.sum(d))
+            j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * T, side="right"))
+            eps = float(np.sum(d[:j0]))
+            sur_full, log_full = full_survival(G)
+            r = gap_probability(b, V, t)
+            sur = 0.0 if r.survival is None else r.survival
+            assert -1e-15 <= sur_full - sur <= eps + 1e-15, (t, sur_full, sur, eps)
+            if t > eq.b:
+                if math.isfinite(log_full):
+                    assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
+                else:
+                    assert r.log_survival == log_full
+
+    def test_eigenproblem_sized_by_tail_rows(self, gue, gue_eq, monkeypatch):
+        # every threshold past the edge on the benchmark's s grid hands
+        # eigvalsh fewer than N/2 rows; an empty tail grid hands it none
+        N = 200
+        b = build_basis(gue, N)
+        ts = [gue_eq.b + s / (gue_eq.gamma * N ** (2.0 / 3.0))
+              for s in np.geomspace(0.5, 32.0, 32)]
+        for t in ts:
+            gap_probability(b, gue, t)  # fills the Gauss-Legendre rule cache
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(A):
+            sizes.append(A.shape)
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        empty = 0
+        for t in ts:
+            sizes.clear()
+            r = gap_probability(b, gue, t)
+            if t >= b.support_window[1]:
+                empty += 1
+                assert sizes == []
+                assert r.trace == 0.0 and r.log_survival == NEG_INF
+                continue
+            assert len(sizes) == 1
+            k = sizes[0][0]
+            assert sizes[0] == (k, k) and k < N // 2, (t, k)
+            assert r.eigenvalues.shape == (N,)
+            assert (r.eigenvalues[:N - k] == 0.0).all()
+        assert 0 < empty < len(ts)
+
+    def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].size)
+            return _phi_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
+        for V in (gue, quartic):
+            eq = solve_mrs(V)
+            for N in (12, 50, 200):
+                b = build_basis(V, N)
+                for t in thresholds(eq, N):
+                    calls.clear()
+                    gap_probability(b, V, t)
+                    empty = max(t, b.support_window[0]) >= b.support_window[1]
+                    assert len(calls) == (0 if empty else 1), (N, t, calls)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
+    def test_grid_matches_panel_march(self, coeffs):
+        # one phi call over the panels gives the grid and the phi values
+        # of a march that calls phi panel by panel, bit for bit
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        multi_panel = 0
+        for N in (12, 30, 60):
+            b = build_basis(V, N)
+            for t in thresholds(eq, N):
+                x, w, Phi, d = _tail_grid(b, V, t)
+                ref_x, ref_w, ref_Phi = panel_march(b, V, t)
+                assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), (N, t)
+                assert np.array_equal(Phi, ref_Phi), (N, t)
+                assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
+                multi_panel += x.size > BASE_PANEL_NODES + N
+        assert multi_panel > 0
+
+    def test_march_past_the_batch(self, gue, monkeypatch):
+        # a stopping rule that does not fire at the batch's last panel
+        # grows the grid one panel and one phi call at a time
+        b = build_basis(gue, 12)
+        x0, _, _, _ = _tail_grid(b, gue, 2.5)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].size)
+            return _phi_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
+        monkeypatch.setattr(kernel_oracle, "PANEL_RELATIVE_CUTOFF", 1e-300)
+        x, w, Phi, d = _tail_grid(b, gue, 2.5)
+        assert len(calls) > 1 and calls[0] == x0.size
+        assert x.size == sum(calls)
+        ref_x, ref_w, ref_Phi = panel_march(b, gue, 2.5)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert np.array_equal(Phi, ref_Phi)
+        assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
+
+    def test_non_finite_trace_raises(self, gue, monkeypatch):
+        b = build_basis(gue, 6)
+        grid = _tail_grid(b, gue, 1.0)
+        monkeypatch.setattr(kernel_oracle, "_tail_grid",
+                            lambda *args: grid[:3] + (np.full(6, np.nan),))
+        with pytest.raises(NumericalError):
+            gap_probability(b, gue, 1.0)
 
 
 class TestRule:

@@ -55,6 +55,10 @@ class TestCramerCoefficients:
         with pytest.raises(ValueError):
             cramer_coefficients(gue_eq, gue, K_MAX_SUPPORTED + 1)
 
+    def test_mismatched_field_raises(self, gue_eq, quartic):
+        with pytest.raises(ValueError, match="solved for the field"):
+            cramer_coefficients(gue_eq, quartic, 2)
+
 
 class TestTailModel:
     def test_fields(self, gue_eq, gue):
