@@ -14,8 +14,8 @@ from .tails import (DeviationStatistics, Regime, TailModel, alpha_threshold,
                     moderate_leading, regime_classify, rescale,
                     tw_tail_asymptotic)
 from .kernel_oracle import (GapResult, OrthoBasis, brute_force_survival,
-                            build_basis, gap_probability, gram,
-                            hadamard_check, kernel_diag, phi, tail_trace)
+                            build_basis, gap_probabilities, gap_probability,
+                            gram, hadamard_check, kernel_diag, phi, tail_trace)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "eta_tilde", "f_approx", "log_f_approx", "moderate_leading",
     "regime_classify", "rescale", "tw_tail_asymptotic",
     "GapResult", "OrthoBasis", "brute_force_survival", "build_basis",
-    "gap_probability", "gram", "hadamard_check", "kernel_diag", "phi",
-    "tail_trace",
+    "gap_probabilities", "gap_probability", "gram", "hadamard_check",
+    "kernel_diag", "phi", "tail_trace",
     "__version__",
 ]

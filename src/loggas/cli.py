@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .equilibrium import eta, eta_prime, solve_mrs
 from .errors import NumericalError, SolverError
-from .kernel_oracle import build_basis, gap_probability
+from .kernel_oracle import GapResult, build_basis, gap_probabilities
 from .potential import potential_from_json
 from .tails import (K_MAX_SUPPORTED, alpha_threshold, build_tail_model,
                     cramer_coefficients, log_f_approx, regime_classify,
@@ -263,10 +263,13 @@ def cmd_compare(args, config):
     for N in config.n_list:
         model = build_tail_model(eq, V, N, k=config.k)
         basis = build_basis(V, N)
-        for t, s in _thresholds(config, eq, N, t_or_s):
+        thresholds = _thresholds(config, eq, N, t_or_s)
+        results = gap_probabilities(basis, V, [t for t, _ in thresholds])
+        for (t, _), result in zip(thresholds, results):
             row = {"N": N, "t": t}
             try:
-                result = gap_probability(basis, V, t)
+                if not isinstance(result, GapResult):
+                    raise result
                 lf = log_f_approx(model, t)
                 ratio_m1 = math.expm1(result.log_survival - lf)
                 row["log_survival_oracle"] = result.log_survival

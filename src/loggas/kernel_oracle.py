@@ -6,23 +6,28 @@ input from the equilibrium or tail modules, so it can serve as an
 independent ground truth for their asymptotic formulas.
 
 The recurrence coefficients come from a discretized Stieltjes
-orthonormalization on the window N(V - Vmin) <= 750, outside of which
-the weight is below e^-750 (about 1e-326) times its peak.  All
-polynomial values are carried in weighted form
-phi_j = p_j exp(-N V / 2), which stays of moderate size where the raw
-p_j would overflow.
+orthonormalization on the window N(V - Vmin) <= 1400, where
+phi_0 = exp(-N (V - Vmin) / 2) / sqrt(beta_0) stays a normal double.
+build_basis checks that the kernel diagonal at both window edges is
+negligible, which holds up to about N = 550 for x^2/2 and N = 800 for
+x^4.  All polynomial values are carried in weighted form
+phi_j = p_j exp(-N (V - Vmin) / 2), which stays of moderate size where
+the raw p_j would overflow.
 
-Per threshold t, one recurrence evaluates every phi_j on all the tail
-nodes and gives the row masses d_j, the diagonal of the tail Gram
-matrix G.  The leading rows whose masses sum to at most DEFLATION_TOL
-of the trace are dropped before the eigenvalues are taken: that moves
-the survival probability by at most the dropped mass (see
-gap_probability), and past the edge it leaves a block far smaller
-than N.
+Per threshold t, the tail grid's nodes are placed beside those of
+neighbouring thresholds, one recurrence per chunk of thresholds
+evaluates every phi_j on them, and each threshold takes its own
+columns for the row masses d_j, the diagonal of the tail Gram matrix
+G.  The leading rows whose masses sum to at most DEFLATION_TOL of the
+trace are dropped before the eigenvalues are taken: that moves the
+survival probability by at most the dropped mass (see
+gap_probability), and past the edge it leaves a block far smaller than
+N.
 """
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +36,25 @@ from numpy.polynomial import polynomial as npoly
 from .errors import UNDERFLOW_LIMIT, NumericalError
 from .quadrature import brentq, composite_gl, gl_rule
 
-WINDOW_LOG_CUTOFF = 750.0          # N(V - Vmin) beyond which exp(-NV) < 1e-325
+WINDOW_LOG_CUTOFF = 1400.0         # N(V - Vmin) at the window edges, where phi_0 is about e^-700
+WINDOW_EDGE_TOL = 1e-30            # kernel share the window may cut off
+BASIS_NODES_PER_N = 8              # first basis rule; refined by BASIS_REFINE until two agree
+BASIS_MIN_NODES = 256
+BASIS_REFINE = 1.5
+BASIS_TOL = 1e-13
+BASIS_MAX_RULES = 12
 PANEL_WEIGHT_CUTOFF = 250.0 * math.log(10.0)
 PANEL_RELATIVE_CUTOFF = 1e-3
 BASE_PANEL_NODES = 32
 MAX_PANELS = 20000
+EDGE_PANELS = 3                    # panels of an edge grid before its a-posteriori check
+EDGE_GROWTH = 2.0                  # width ratio of consecutive edge panels
+EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may span
+EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may carry
+MAX_EDGE_PANELS = 12
+PHI_CHUNK_ENTRIES = 3 << 16        # phi values (1.5 MB) one gap_probabilities chunk holds
 DEFLATION_TOL = 1e-30              # tail-mass share of the rows gap_probability drops
+TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the phi_j^2 sums lose precision
 SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
 SERIES_LOG_CUTOFF = 80.0
 
@@ -45,9 +63,10 @@ SERIES_LOG_CUTOFF = 80.0
 class OrthoBasis:
     """Recurrence data of the polynomials orthonormal for exp(-N V).
 
-    beta[0] holds the weight normalizer (the integral of exp(-N V));
-    beta[1:] the squared off-diagonal recurrence coefficients.  v_min is
-    the minimum of V, used by underflow gauges.
+    beta[0] holds the weight normalizer, the integral of
+    exp(-N (V - v_min)); beta[1:] the squared off-diagonal recurrence
+    coefficients.  v_min is the minimum of V.  Shifting V by a constant
+    changes neither v_min - V nor any of these.
     """
 
     N: int
@@ -61,12 +80,12 @@ class OrthoBasis:
 class GapResult:
     """Exact survival probability of the rightmost particle past t.
 
-    survival is None when the value sits below 1e-300; log_survival is
-    always finite whenever any eigenvalue of the tail Gram matrix is
-    positive.  det_value is the gap probability det(I - G).  eigenvalues
-    has length N in ascending order: those of the kept block of G (see
-    gap_probability), preceded by 0.0 for each dropped row.  trace is
-    the trace of the whole of G.
+    log_survival is always finite; survival is None when the value sits
+    below 1e-300.  det_value is the gap probability det(I - G) for the
+    tail Gram matrix G.  eigenvalues has length N in ascending order:
+    those gap_probability computes (the kept block of G, or its m x m
+    dual when the tail grid has fewer nodes m than kept rows), preceded
+    by 0.0 for every other row.  trace is the trace of the whole of G.
     """
 
     t: float
@@ -77,30 +96,40 @@ class GapResult:
     trace: float
 
 
+# Tail grid for (t, infinity): the nodes x and weights w of its first
+# panels, their ends (cumulative node counts), the rule panel(p) for
+# panels past those, stop(p, contrib, total), true once the grid may end
+# after panel p, and the panel count at which it gives up.
+_TailGrid = namedtuple("_TailGrid", "x w ends panel stop max_panels")
+
+
 def _potential_minimum(V):
     """Location and value of the minimum of an admissible polynomial V."""
     dcoef = npoly.polyder(np.asarray(V.coeffs, dtype=float))
-    roots = npoly.polyroots(dcoef) if dcoef.size > 1 or dcoef[0] != 0 else np.array([])
-    real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real if roots.size else np.array([])
-    if real.size:
-        vals = V.eval(real, 0)
-        i = int(np.argmin(vals))
-        return float(real[i]), float(vals[i])
-    # no stationary point found: fall back to a coarse grid
-    span = 10.0 * (1.0 + 2.0 * V.scale())
-    xs = np.linspace(-span, span, 4001)
-    vals = V.eval(xs, 0)
+    roots = npoly.polyroots(dcoef) if dcoef.size > 1 else np.array([])
+    real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
+    if not real.size:
+        raise ValueError(f"V' has no real root: {V.coeffs!r} has no minimum")
+    vals = V.eval(real, 0)
     i = int(np.argmin(vals))
-    return float(xs[i]), float(vals[i])
+    return float(real[i]), float(vals[i])
+
+
+def _excess(V, v_min, x):
+    """V(x) - v_min, with v_min taken off the constant term before the
+    polynomial is evaluated, so a constant in V cancels exactly."""
+    c = np.array(V.coeffs, dtype=float)
+    c[0] -= v_min
+    return npoly.polyval(x, c)
 
 
 def _support_window(V, N):
-    """Interval outside of which N(V - Vmin) exceeds the underflow cutoff."""
+    """Interval outside of which N(V - Vmin) exceeds the window cutoff."""
     x_min, v_min = _potential_minimum(V)
     target = WINDOW_LOG_CUTOFF / N
 
     def f(x):
-        return V.eval(x, 0) - v_min - target
+        return _excess(V, v_min, x) - target
 
     edges = []
     for direction in (-1.0, 1.0):
@@ -116,63 +145,99 @@ def _support_window(V, N):
     return (edges[0], edges[1]), v_min
 
 
-def build_basis(V, N, quad_points=None):
-    """Recurrence coefficients of the first N orthonormal polynomials
-    for the weight exp(-N V), by discretized Stieltjes orthonormalization.
+def _stieltjes(V, N, lo, hi, v_min, n_nodes):
+    """alpha and beta by discretized Stieltjes orthonormalization on
+    panels of BASE_PANEL_NODES Gauss-Legendre nodes over [lo, hi].
 
-    Parameters
-    ----------
-    V : Potential
-    N : int
-        Weight scale and kernel rank.
-    quad_points : int, optional
-        Total quadrature nodes; defaults to max(4000, 40 N) and may not
-        be set below 40 N.
-
-    Raises
-    ------
-    NumericalError
-        If orthonormalization loses positivity (quadrature failure), or
-        the weight underflows everywhere on the window.
-    """
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if quad_points is None:
-        quad_points = max(4000, 40 * N)
-    elif quad_points < 40 * N:
-        raise ValueError(f"quad_points must be at least 40 N = {40 * N}")
-    (lo, hi), v_min = _support_window(V, N)
-    n_panels = max(1, math.ceil(quad_points / BASE_PANEL_NODES))
+    The recurrence runs on u_j = sqrt(w) phi_j for the quadrature
+    weights w, so every discrete inner product is a dot product."""
+    n_panels = max(1, math.ceil(n_nodes / BASE_PANEL_NODES))
     x, w = composite_gl(np.linspace(lo, hi, n_panels + 1), BASE_PANEL_NODES)
-    weight = w * np.exp(-N * V.eval(x, 0))
-    beta0 = float(np.sum(weight))
+    u = np.sqrt(w) * np.exp(-0.5 * N * _excess(V, v_min, x))
+    beta0 = float(u @ u)
     if not beta0 > 0.0:
-        raise NumericalError("weight exp(-N V) underflows on the whole window")
+        raise NumericalError("weight exp(-N (V - Vmin)) underflows on the whole window")
 
     alpha = np.zeros(N)
     beta = np.zeros(N)
     beta[0] = beta0
-    # run the recurrence on weighted values; the quadrature weight w and
-    # the orthogonality weight stay factored apart
-    phi_prev = np.zeros_like(x)
-    phi = np.exp(-0.5 * N * V.eval(x, 0)) / math.sqrt(beta0)
+    u /= math.sqrt(beta0)
+    u_prev = np.zeros_like(x)
+    xu = np.empty_like(x)
     for j in range(N):
-        alpha[j] = float(np.sum(w * x * phi * phi))
+        np.multiply(x, u, out=xu)
+        alpha[j] = float(xu @ u)
         if j == N - 1:
             break
-        psi = (x - alpha[j]) * phi - (math.sqrt(beta[j]) if j > 0 else 0.0) * phi_prev
-        b_next = float(np.sum(w * psi * psi))
+        # psi = (x - alpha_j) u_j - sqrt(beta_j) u_{j-1}, built in u_prev
+        u_prev *= -math.sqrt(beta[j])
+        u_prev += xu
+        u_prev -= alpha[j] * u
+        b_next = float(u_prev @ u_prev)
         if not b_next > 0.0:
             raise NumericalError(
                 f"orthonormalization lost positivity at beta[{j + 1}] = {b_next!r}")
         beta[j + 1] = b_next
-        phi_prev = phi
-        phi = psi / math.sqrt(b_next)
+        u_prev /= math.sqrt(b_next)
+        u, u_prev = u_prev, u
+    return alpha, beta
+
+
+def _rules_agree(coarse, fine):
+    """True when two Stieltjes results agree to BASIS_TOL: beta[0]
+    relative, alpha and beta[1:] against the scale of beta."""
+    (a1, b1), (a2, b2) = coarse, fine
+    scale = float(np.max(b2[1:], initial=0.0))
+    return (abs(b1[0] - b2[0]) <= BASIS_TOL * b2[0]
+            and float(np.max(np.abs(a1 - a2))) <= BASIS_TOL * max(math.sqrt(scale), 1.0)
+            and float(np.max(np.abs(b1[1:] - b2[1:]), initial=0.0)) <= BASIS_TOL * scale)
+
+
+def build_basis(V, N):
+    """Recurrence coefficients of the first N orthonormal polynomials
+    for the weight exp(-N V), by discretized Stieltjes orthonormalization
+    on the window N(V - Vmin) <= WINDOW_LOG_CUTOFF.
+
+    The node count starts at max(BASIS_MIN_NODES, BASIS_NODES_PER_N N)
+    and grows by BASIS_REFINE until two consecutive rules agree to
+    BASIS_TOL; the finer rule's coefficients are kept.
+
+    Raises
+    ------
+    ValueError
+        If N is not positive, or V' has no real root.
+    NumericalError
+        If orthonormalization loses positivity, the weight underflows
+        everywhere on the window, the node count does not converge in
+        BASIS_MAX_RULES rules, or the window cuts off kernel mass: the
+        kernel diagonal at a window edge times the window width exceeds
+        WINDOW_EDGE_TOL N.  The last happens from about N = 600 for
+        x^2/2 and N = 900 for x^4.
+    """
+    N = int(N)
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    (lo, hi), v_min = _support_window(V, N)
+    n_nodes = max(BASIS_MIN_NODES, BASIS_NODES_PER_N * N)
+    coeffs = _stieltjes(V, N, lo, hi, v_min, n_nodes)
+    for _ in range(BASIS_MAX_RULES - 1):
+        n_nodes = math.ceil(BASIS_REFINE * n_nodes)
+        coarse, coeffs = coeffs, _stieltjes(V, N, lo, hi, v_min, n_nodes)
+        if _rules_agree(coarse, coeffs):
+            break
+    else:
+        raise NumericalError(f"basis quadrature did not converge at {n_nodes} nodes")
+    alpha, beta = coeffs
     alpha.flags.writeable = False
     beta.flags.writeable = False
-    return OrthoBasis(N=N, alpha=alpha, beta=beta,
-                      support_window=(float(lo), float(hi)), v_min=float(v_min))
+    basis = OrthoBasis(N=N, alpha=alpha, beta=beta,
+                       support_window=(float(lo), float(hi)), v_min=float(v_min))
+    edge = kernel_diag(basis, V, np.array([lo, hi])) * (hi - lo)
+    if not (edge <= WINDOW_EDGE_TOL * N).all():
+        raise NumericalError(
+            f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge "
+            f"kernel share {float(np.max(edge)) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
+    return basis
 
 
 def _phi_matrix(basis, V, x, j_max=None):
@@ -187,7 +252,7 @@ def _phi_matrix(basis, V, x, j_max=None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     out = np.empty((j_max + 1, x.size))
-    out[0] = np.exp(-0.5 * basis.N * V.eval(x, 0)) / sqrt_beta[0]
+    out[0] = np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)) / sqrt_beta[0]
     term = np.empty_like(x)
     for j in range(j_max):
         row = out[j + 1]
@@ -226,84 +291,212 @@ def _bulk_estimate(basis):
 
 
 def _tail_grid(basis, V, t):
-    """Quadrature nodes x and weights w for integrals over (t, infinity),
-    phi_0..phi_{N-1} at x as an (N, len(x)) array, and the row masses
-    d_j = sum_i w_i phi_j(x_i)^2, the diagonal of the tail Gram matrix.
+    """The tail grid for (t, infinity) as a _TailGrid.
 
-    Fixed-width panels run rightward from t.  Panels touching the bulk
-    carry extra nodes so the fastest oscillation of phi_{N-1} (about N
-    half-waves across the bulk) stays resolved; a panel ends the grid
-    once its row masses sum to a relatively negligible part of the
-    total and the weight at its start has fallen below the underflow
-    gauge.  The weight only stays small to the right of the minimum of
-    V, so phi is evaluated in one call on every panel up to the first
-    such start past the first panel, and the grid grows one panel at a
-    time only if the stopping rule has not fired by then.  The panels
-    and the stopping rule are those of a plain panel-by-panel march,
-    and phi is element-wise in x, so the result does not depend on
-    where the single call ends.
+    Past the Gershgorin bulk edge the phi_j do not oscillate, and the
+    grid is EDGE_PANELS Gauss-Legendre panels of BASE_PANEL_NODES
+    nodes whose widths grow by EDGE_GROWTH.  The first width is the
+    edge scale, the Jacobi span times N^{-2/3}, capped by
+    EDGE_CAP_EFOLDS decay lengths 1/(N V'(t)) of the weight.  The grid
+    is checked a posteriori: its last panel must carry at most
+    EDGE_SHARE_TOL of the tail mass, and further panels are added until
+    it does.
+
+    From a threshold in the bulk, fixed-width panels run rightward.
+    Panels touching the bulk carry extra nodes so the fastest
+    oscillation of phi_{N-1} (about N half-waves across the bulk) stays
+    resolved; a panel ends the grid once its row masses sum to a
+    relatively negligible part of the total and its start lies right
+    of the minimum of V with the weight below the underflow gauge.  The
+    first panels run up to the first such start past the first panel.
     """
+    t = float(t)
+    if math.isnan(t) or t == math.inf:
+        raise ValueError(f"threshold must be a number below +inf, got {t!r}")
     lo, hi = basis.support_window
+    if t > hi:
+        raise NumericalError(
+            f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], where "
+            f"phi_0 is no longer a normal double")
     N = basis.N
-    start = max(t, lo) if np.isfinite(t) else lo
-    if start >= hi:
-        return np.empty(0), np.empty(0), np.empty((N, 0)), np.zeros(N)
     blo, bhi = _bulk_estimate(basis)
     span = max(bhi - blo, 1e-2 * (hi - lo))
-    width = 0.25 * span
-    extra = math.ceil(4.0 * N * width / span)
+    if t >= bhi:
+        xg, wg = gl_rule(BASE_PANEL_NODES)
+        slope = float(V.eval(t, 1))
+        width = span * N ** (-2.0 / 3.0)
+        if slope > 0.0:
+            width = min(width, EDGE_CAP_EFOLDS / (N * slope))
 
-    def panel(p):
-        p0 = start + p * width
-        p1 = p0 + width
-        in_bulk = (p0 < bhi + 0.5 * width) and (p1 > blo - 0.5 * width)
-        xg, wg = gl_rule(BASE_PANEL_NODES + (extra if in_bulk else 0))
-        return 0.5 * (p0 + p1) + 0.5 * width * xg, 0.5 * width * wg
+        def panel(p):
+            p0 = t + width * (EDGE_GROWTH ** p - 1.0) / (EDGE_GROWTH - 1.0)
+            h = 0.5 * width * EDGE_GROWTH ** p
+            return p0 + h * (1.0 + xg), h * wg
 
-    # one phi call covers panels 0..last, where last is the first panel
-    # past 0 whose start has a small weight with V increasing; for an
-    # admissible V the first start at or past hi qualifies
-    n_pre = max(1, math.ceil((hi - start) / width))
-    starts = start + width * np.arange(1, n_pre)
-    small = N * (V.eval(starts, 0) - basis.v_min) > PANEL_WEIGHT_CUTOFF
-    settled = np.flatnonzero(small & (V.eval(starts, 1) > 0.0))
-    last = 1 + int(settled[0]) if settled.size else n_pre
-    xs, ws = zip(*(panel(p) for p in range(last + 1)))
-    ends = np.cumsum([xm.size for xm in xs])
-    x, w = np.concatenate(xs), np.concatenate(ws)
-    Phi = _phi_matrix(basis, V, x)
-    d = np.zeros(N)
+        def stop(p, contrib, total):
+            return p >= EDGE_PANELS - 1 and contrib <= EDGE_SHARE_TOL * total
+
+        first, max_panels = EDGE_PANELS, MAX_EDGE_PANELS
+    else:
+        start = max(t, lo)
+        width = 0.25 * span
+        extra = math.ceil(4.0 * N * width / span)
+
+        def panel(p):
+            p0 = start + p * width
+            p1 = p0 + width
+            in_bulk = (p0 < bhi + 0.5 * width) and (p1 > blo - 0.5 * width)
+            xb, wb = gl_rule(BASE_PANEL_NODES + (extra if in_bulk else 0))
+            return 0.5 * (p0 + p1) + 0.5 * width * xb, 0.5 * width * wb
+
+        def stop(p, contrib, total):
+            p0 = start + p * width
+            settled = (N * _excess(V, basis.v_min, p0) > PANEL_WEIGHT_CUTOFF
+                       and V.eval(p0, 1) > 0.0)
+            return settled and (total == 0.0 or contrib < PANEL_RELATIVE_CUTOFF * total)
+
+        # the first panels run to the first start past panel 0 with a
+        # small weight and V increasing; for an admissible V the first
+        # start at or past hi qualifies
+        n_pre = max(1, math.ceil((hi - start) / width))
+        starts = start + width * np.arange(1, n_pre)
+        small = N * _excess(V, basis.v_min, starts) > PANEL_WEIGHT_CUTOFF
+        settled = np.flatnonzero(small & (V.eval(starts, 1) > 0.0))
+        first = 2 + int(settled[0]) if settled.size else n_pre + 1
+        max_panels = MAX_PANELS
+    xs, ws = zip(*(panel(p) for p in range(first)))
+    return _TailGrid(x=np.concatenate(xs), w=np.concatenate(ws),
+                     ends=tuple(np.cumsum([xm.size for xm in xs]).tolist()),
+                     panel=panel, stop=stop, max_panels=max_panels)
+
+
+def _settle(basis, V, grid, Phi):
+    """Nodes, weights, phi values and row masses d_j = sum_i w_i
+    phi_j(x_i)^2 of the tail grid up to the first panel at which its
+    stopping rule fires, given Phi on the grid's first panels.  Panels
+    past those are added, with one phi evaluation each, while the rule
+    has not fired."""
+    x, w, ends = grid.x, grid.w, list(grid.ends)
+    d = np.zeros(basis.N)
     total = 0.0
-    for p in range(MAX_PANELS):
-        if p > last:
-            xm, wm = panel(p)
+    for p in range(grid.max_panels):
+        if p == len(ends):
+            xm, wm = grid.panel(p)
             x, w = np.concatenate((x, xm)), np.concatenate((w, wm))
             Phi = np.concatenate((Phi, _phi_matrix(basis, V, xm)), axis=1)
-            ends = np.append(ends, x.size)
+            ends.append(x.size)
         begin, end = (ends[p - 1] if p else 0), ends[p]
         mass = np.square(Phi[:, begin:end]) @ w[begin:end]
         contrib = float(np.sum(mass))
         d += mass
         total += contrib
-        weight_small = N * (V.eval(start + p * width, 0) - basis.v_min) > PANEL_WEIGHT_CUTOFF
-        if weight_small and (total == 0.0 or contrib < PANEL_RELATIVE_CUTOFF * total):
+        if grid.stop(p, contrib, total):
             return x[:end], w[:end], Phi[:, :end], d
     raise NumericalError("tail quadrature did not terminate")
+
+
+def _tail(basis, V, t):
+    """_settle on the tail grid of one threshold."""
+    grid = _tail_grid(basis, V, t)
+    return _settle(basis, V, grid, _phi_matrix(basis, V, grid.x))
 
 
 def tail_trace(basis, V, t):
     """Integral of the kernel diagonal over (t, infinity): the trace of
     the tail Gram matrix as the sum of the tail grid's row masses, in
     O(N m) for m tail nodes; the same float as gap_probability's trace."""
-    return float(np.sum(_tail_grid(basis, V, t)[3]))
+    return float(np.sum(_tail(basis, V, t)[3]))
 
 
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
-    construction; all zeros when the tail grid is empty."""
-    _, w, Phi, _ = _tail_grid(basis, V, t)
+    construction."""
+    _, w, Phi, _ = _tail(basis, V, t)
     G = (Phi * w) @ Phi.T
     return 0.5 * (G + G.T)
+
+
+def _gap(basis, t, w, Phi, d):
+    """GapResult from a settled tail grid (see gap_probability)."""
+    trace = float(np.sum(d))
+    if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
+        raise NumericalError(
+            f"tail Gram trace {trace!r} at t = {t!r}: the kernel mass past the "
+            f"threshold is not a finite normal double")
+    j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * trace, side="right"))
+    A = Phi[j0:] * np.sqrt(w)
+    k, m = A.shape
+    kept = np.linalg.eigvalsh(A @ A.T if k <= m else A.T @ A)
+    if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
+        raise NumericalError(
+            f"tail Gram eigenvalues outside [0, 1]: range "
+            f"[{kept[0]!r}, {kept[-1]!r}] at t = {t!r}")
+    lam = np.zeros(basis.N)
+    lam[basis.N - kept.size:] = np.clip(kept, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        log_det = float(np.sum(np.log1p(-lam)))
+    det_value = math.exp(log_det) if log_det > -745.0 else 0.0
+    if log_det == -np.inf:
+        survival, log_survival = 1.0, 0.0
+    elif log_det < 0.0:
+        sur = -math.expm1(log_det)
+        if sur >= UNDERFLOW_LIMIT:
+            survival, log_survival = sur, math.log(sur)
+        else:
+            # -expm1(u) = -u to better than |u|/2 relative here
+            survival, log_survival = None, math.log(-log_det)
+    else:
+        raise NumericalError(
+            f"tail Gram eigenvalues all round to 0 at t = {t!r} (trace {trace!r})")
+    if survival is not None and trace < 1.0:
+        slack = 1e-12
+        if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
+            raise NumericalError(
+                f"survival {survival!r} violates first-order bracketing "
+                f"against trace {trace!r} at t = {t!r}")
+    lam.flags.writeable = False
+    return GapResult(t=t, log_survival=log_survival, survival=survival,
+                     det_value=det_value, eigenvalues=lam, trace=trace)
+
+
+def gap_probabilities(basis, V, ts):
+    """gap_probability at every threshold of ts, as a list in the order
+    of ts.  An entry is the GapResult, or the ValueError or
+    NumericalError that threshold raised, so one failing threshold does
+    not stop the others.
+
+    The first panels of consecutive thresholds' tail grids are placed
+    side by side and phi is evaluated on them in one recurrence per
+    chunk of thresholds; a chunk holds at most PHI_CHUNK_ENTRIES phi
+    values (or a single threshold), so memory does not grow with
+    len(ts).  Each threshold then takes its own columns; phi is
+    element-wise in x and every product is formed from fresh arrays, so
+    its result is the one gap_probability gives, bit for bit.
+    """
+    out = [None] * len(ts)
+    pending = []
+    for i, t in enumerate(ts):
+        try:
+            pending.append((i, float(t), _tail_grid(basis, V, t)))
+        except (ValueError, NumericalError) as exc:
+            out[i] = exc
+    budget = PHI_CHUNK_ENTRIES // basis.N
+    while pending:
+        n, size = 1, pending[0][2].x.size
+        while n < len(pending) and size + pending[n][2].x.size <= budget:
+            size += pending[n][2].x.size
+            n += 1
+        chunk, pending = pending[:n], pending[n:]
+        Phi = _phi_matrix(basis, V, np.concatenate([g.x for _, _, g in chunk]))
+        col = 0
+        for i, t, grid in chunk:
+            block = Phi[:, col:col + grid.x.size]
+            col += grid.x.size
+            try:
+                out[i] = _gap(basis, t, *_settle(basis, V, grid, block)[1:])
+            except NumericalError as exc:
+                out[i] = exc
+    return out
 
 
 def gap_probability(basis, V, t):
@@ -318,61 +511,27 @@ def gap_probability(basis, V, t):
     prefix of rows 0..j0-1 whose mass eps = d_0 + ... + d_{j0-1} is at
     most DEFLATION_TOL * T is dropped, and the eigenvalues are those of
     the kept block G22 = A A^T, A = Phi[j0:] sqrt(w), of size
-    k = N - j0.  For the PSD G with G <= I, det(I - G) =
-    det(I - G22) det(I - S), where I - S is the Schur complement of
-    I - G22 in I - G, tr S <= eps / (1 - lambda_max(G22)) and
-    det(I - G22) <= 1 - lambda_max(G22), so
+    k = N - j0, taken from the m x m matrix A^T A when the grid has
+    m < k nodes (the same nonzero eigenvalues).  For the PSD G with
+    G <= I, det(I - G) = det(I - G22) det(I - S), where I - S is the
+    Schur complement of I - G22 in I - G, tr S <= eps / (1 -
+    lambda_max(G22)) and det(I - G22) <= 1 - lambda_max(G22), so
     0 <= survival(G) - survival(G22) <= eps.  As survival(G) >=
     (1 - e^-1) min(T, 1), that is a relative error of at most
-    2 DEFLATION_TOL max(T, 1).  The j0 dropped eigenvalues are reported
-    as 0.0.  An empty or all-underflow tail grid (T = 0) takes no
-    eigenvalues at all.
+    2 DEFLATION_TOL max(T, 1).  Eigenvalues not computed are reported
+    as 0.0.
 
-    Raises NumericalError if the kept block has eigenvalues outside
-    [0, 1] beyond a 1e-10 tolerance band, if the trace is not finite,
-    or if the result violates the first-order bracketing
+    Raises NumericalError if t lies past the window (phi_0 is not a
+    normal double there), if the trace is not a finite normal double
+    (no representable kernel mass past t), if the kept block has
+    eigenvalues outside [0, 1] beyond a 1e-10 tolerance band, or if the
+    result violates the first-order bracketing
     trace - trace^2/2 <= survival <= trace (trace < 1).
     """
-    _, w, Phi, d = _tail_grid(basis, V, t)
-    trace = float(np.sum(d))
-    if not math.isfinite(trace):
-        raise NumericalError(f"tail Gram trace {trace!r} at t = {t!r}")
-    lam = np.zeros(basis.N)
-    log_det = 0.0
-    if trace > 0.0:
-        j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * trace, side="right"))
-        A = Phi[j0:] * np.sqrt(w)
-        kept = np.linalg.eigvalsh(A @ A.T)
-        if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
-            raise NumericalError(
-                f"tail Gram eigenvalues outside [0, 1]: range "
-                f"[{kept[0]!r}, {kept[-1]!r}] at t = {t!r}")
-        lam[j0:] = np.clip(kept, 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            log_det = float(np.sum(np.log1p(-lam[j0:])))
-    det_value = math.exp(log_det) if log_det > -745.0 else 0.0
-    if log_det == -np.inf:
-        survival, log_survival = 1.0, 0.0
-    else:
-        sur = -math.expm1(log_det)
-        if sur >= UNDERFLOW_LIMIT:
-            survival, log_survival = sur, math.log(sur)
-        elif log_det < 0.0:
-            # -expm1(u) = -u to better than |u|/2 relative here
-            survival, log_survival = None, math.log(-log_det)
-        else:
-            # no eigenvalue mass at all: the true survival is positive
-            # but beyond both linear and log double-precision range
-            survival, log_survival = None, -np.inf
-    if survival is not None and trace < 1.0:
-        slack = 1e-12
-        if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
-            raise NumericalError(
-                f"survival {survival!r} violates first-order bracketing "
-                f"against trace {trace!r} at t = {t!r}")
-    lam.flags.writeable = False
-    return GapResult(t=float(t), log_survival=log_survival, survival=survival,
-                     det_value=det_value, eigenvalues=lam, trace=trace)
+    result = gap_probabilities(basis, V, [t])[0]
+    if not isinstance(result, GapResult):
+        raise result
+    return result
 
 
 def _series_kernel(basis, V, t):

@@ -192,32 +192,56 @@ class TestCompareCommand:
             scaled, rel=1e-12)
 
     def test_underflow_token(self, tmp_path, capsys):
-        # the N = 90 window ends short of t = 5: positive probability,
-        # but beneath every representable double
-        cfg = write_config(tmp_path, N_list=[90], t_grid=[5.0])
+        # survival near e^-699: positive, beneath every representable
+        # double, and finite in log space
+        cfg = write_config(tmp_path, N_list=[85], t_grid=[4.95])
         assert main(["compare", "--config", cfg]) == 0
         rows, _ = parse_csv(capsys.readouterr().out)
         row = rows[0]
         assert row["status"] == "ok"
         assert row["survival_oracle"] == "underflow"
-        assert row["log_survival_oracle"] == "-inf"
-        assert float(row["ratio_minus_1"]) == -1.0
-        assert float(row["log_F"]) < -700.0
+        assert -708.0 < float(row["log_survival_oracle"]) < math.log(1e-300)
+        assert abs(float(row["ratio_minus_1"])) < 0.01
+        assert float(row["log_F"]) < -690.0
 
     def test_underflow_row_is_strict_json(self, tmp_path, capsys):
-        # same row as above: its -inf log survival prints as null
-        cfg = write_config(tmp_path, N_list=[90], t_grid=[5.0],
+        # same row as above, and a failed row whose empty cells print as null
+        cfg = write_config(tmp_path, N_list=[85], t_grid=[4.95, 12.0],
                            output_format="json")
-        assert main(["compare", "--config", cfg]) == 0
+        assert main(["compare", "--config", cfg]) == 1
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
-        row = payload["rows"][0]
-        assert row["log_survival_oracle"] is None
+        row, failed = payload["rows"]
         assert row["survival_oracle"] == "underflow"
-        assert row["ratio_minus_1"] == -1.0
+        assert math.isfinite(row["log_survival_oracle"])
+        assert failed["status"].startswith("error:")
+        assert failed["log_survival_oracle"] is None
+
+    def test_no_mass_row_is_an_error(self, tmp_path, capsys):
+        # GUE N = 50 has no normal-range kernel mass past t = 12: the row
+        # fails, the run exits 1, and the summary covers the other row only
+        cfg = write_config(tmp_path, N_list=[50], t_grid=[2.5, 12.0])
+        assert main(["compare", "--config", cfg]) == 1
+        rows, summary = parse_csv(capsys.readouterr().out)
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("error:")
+        assert rows[1]["log_survival_oracle"] == "" and rows[1]["ratio_minus_1"] == ""
+        scaled = abs(float(rows[0]["ratio_minus_1"])) * 50 * 0.5 ** 1.5
+        assert float(summary["max_scaled_deviation"]) == pytest.approx(scaled, rel=1e-12)
+
+    def test_constant_in_field(self, tmp_path, capsys):
+        # x^2/2 + 100 has the kernel of x^2/2
+        out = []
+        for coeffs in ([0, 0, 0.5], [100, 0, 0.5]):
+            cfg = write_config(tmp_path, potential={"coeffs": coeffs},
+                               N_list=[50, 200], s_grid=[0.5, 16.0])
+            assert main(["compare", "--config", cfg]) == 0
+            rows, _ = parse_csv(capsys.readouterr().out)
+            out.append([row["log_survival_oracle"] for row in rows])
+        assert out[0] == out[1]
 
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])

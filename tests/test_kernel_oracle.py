@@ -10,54 +10,111 @@ import pytest
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
                     gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
 from loggas import kernel_oracle, quadrature
-from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, _phi_matrix,
-                                  _series_kernel, _support_window, _tail_grid)
+from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, GapResult,
+                                  _phi_matrix, _series_kernel, _support_window,
+                                  _tail, _tail_grid, gap_probabilities)
 from loggas.errors import NumericalError
 from loggas.quadrature import brentq, gl_rule
 
 NEG_INF = float("-inf")
 ASYMMETRIC = (0.0, 0.5, 0.5, 0.2, 0.25)
+FIELDS = pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                            ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
+
+
+def edge_point(eq, N, s):
+    """t = b + s / (gamma N^{2/3})."""
+    return eq.b + s / (eq.gamma * N ** (2.0 / 3.0))
 
 
 def thresholds(eq, N):
     """Whole line, left edge, support midpoint, just inside the right
     edge, and four edge-scaled points b + s/(gamma N^{2/3}) past it."""
     return ([NEG_INF, eq.a, 0.5 * (eq.a + eq.b), eq.b - 0.1]
-            + [eq.b + s / (eq.gamma * N ** (2.0 / 3.0)) for s in (0.5, 2.0, 8.0, 32.0)])
+            + [edge_point(eq, N, s) for s in (0.5, 2.0, 8.0, 32.0)])
 
 
-def panel_march(basis, V, t):
-    """Reference tail grid: panels marched one at a time, each with its
-    own phi call, under the same stopping rule as _tail_grid."""
-    lo, hi = basis.support_window
+def reference_panels(basis, V, t):
+    """The tail grid's panels from their definitions in _tail_grid, as
+    a generator of (node count, left end, half width), and its stopping
+    rule stop(p, p0, contrib, total)."""
     N = basis.N
-    start = max(t, lo) if np.isfinite(t) else lo
-    if start >= hi:
-        return np.empty(0), np.empty(0), np.empty((N, 0))
+    lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
     span = max(bhi - blo, 1e-2 * (hi - lo))
-    width = 0.25 * span
-    extra = math.ceil(4.0 * N * width / span)
+    if t >= bhi:
+        width = span * N ** (-2.0 / 3.0)
+        if V.eval(t, 1) > 0.0:
+            width = min(width, kernel_oracle.EDGE_CAP_EFOLDS / (N * float(V.eval(t, 1))))
+        growth = kernel_oracle.EDGE_GROWTH
+        panels = ((BASE_PANEL_NODES, t + width * (growth ** p - 1.0) / (growth - 1.0),
+                   0.5 * width * growth ** p) for p in range(kernel_oracle.MAX_EDGE_PANELS))
+
+        def stop(p, p0, contrib, total):
+            return (p >= kernel_oracle.EDGE_PANELS - 1
+                    and contrib <= kernel_oracle.EDGE_SHARE_TOL * total)
+    else:
+        start = max(t, lo)
+        width = 0.25 * span
+        extra = math.ceil(4.0 * N * width / span)
+
+        def node_count(p0):
+            in_bulk = (p0 < bhi + 0.5 * width) and (p0 + width > blo - 0.5 * width)
+            return BASE_PANEL_NODES + (extra if in_bulk else 0)
+
+        panels = ((node_count(start + p * width), start + p * width, 0.5 * width)
+                  for p in range(kernel_oracle.MAX_PANELS))
+
+        def stop(p, p0, contrib, total):
+            settled = (N * kernel_oracle._excess(V, basis.v_min, p0)
+                       > kernel_oracle.PANEL_WEIGHT_CUTOFF
+                       and V.eval(p0, 1) > 0.0)
+            return settled and (total == 0.0
+                                or contrib < kernel_oracle.PANEL_RELATIVE_CUTOFF * total)
+    return panels, stop
+
+
+def reference_march(basis, V, t):
+    """Reference tail grid: panels marched one at a time, each with its
+    own phi call, under the stopping rules _tail_grid documents."""
+    panels, stop = reference_panels(basis, V, t)
     total = 0.0
     xs, ws, phis = [], [], []
-    for p in range(kernel_oracle.MAX_PANELS):
-        p0 = start + p * width
-        p1 = p0 + width
-        in_bulk = (p0 < bhi + 0.5 * width) and (p1 > blo - 0.5 * width)
-        xg, wg = gl_rule(BASE_PANEL_NODES + (extra if in_bulk else 0))
-        xm = 0.5 * (p0 + p1) + 0.5 * width * xg
-        wm = 0.5 * width * wg
+    edge = t >= kernel_oracle._bulk_estimate(basis)[1]
+    for p, (n, p0, h) in enumerate(panels):
+        xg, wg = gl_rule(n)
+        xm = p0 + h * (1.0 + xg) if edge else 0.5 * (p0 + (p0 + 2.0 * h)) + h * xg
+        wm = h * wg
         Phi = _phi_matrix(basis, V, xm)
         contrib = float(np.sum(wm * np.sum(Phi * Phi, axis=0)))
         xs.append(xm)
         ws.append(wm)
         phis.append(Phi)
         total += contrib
-        weight_small = N * (V.eval(p0, 0) - basis.v_min) > kernel_oracle.PANEL_WEIGHT_CUTOFF
-        if weight_small and (total == 0.0
-                             or contrib < kernel_oracle.PANEL_RELATIVE_CUTOFF * total):
+        if stop(p, p0, contrib, total):
             return np.concatenate(xs), np.concatenate(ws), np.concatenate(phis, axis=1)
     raise AssertionError("reference march did not terminate")
+
+
+def refined_log_survival(basis, V, t):
+    """log survival on the tail grid with every panel split in two and
+    twice the nodes per half."""
+    x, w, _, _ = _tail(basis, V, t)
+    grid = _tail_grid(basis, V, t)
+    n_panels = x.size // BASE_PANEL_NODES
+    assert n_panels * BASE_PANEL_NODES == x.size
+    xg, wg = gl_rule(2 * BASE_PANEL_NODES)
+    xs, ws = [], []
+    for p in range(n_panels):
+        xm, wm = grid.panel(p)
+        half = 0.5 * float(np.sum(wm))
+        p0 = float(np.mean(xm)) - half
+        for q0 in (p0, p0 + half):
+            xs.append(q0 + 0.5 * half * (1.0 + xg))
+            ws.append(0.5 * half * wg)
+    xr, wr = np.concatenate(xs), np.concatenate(ws)
+    Phi = _phi_matrix(basis, V, xr)
+    return kernel_oracle._gap(basis, float(t), wr, Phi, np.square(Phi) @ wr).log_survival
 
 
 def full_survival(G):
@@ -73,11 +130,70 @@ def full_survival(G):
 
 
 class TestBasis:
-    def test_input_validation(self, gue):
+    def test_input_validation(self, gue, monkeypatch):
         with pytest.raises(ValueError):
             build_basis(gue, 0)
+        # V' without a real root has no minimum to centre the window on
         with pytest.raises(ValueError):
-            build_basis(gue, 10, quad_points=200)  # below the 40 N floor
+            build_basis(Potential((0.0, 1.0)), 5)
+        # a node rule that never agrees with its refinement
+        monkeypatch.setattr(kernel_oracle, "BASIS_TOL", 0.0)
+        with pytest.raises(NumericalError):
+            build_basis(gue, 10)
+
+    def test_node_rule_by_convergence(self, gue, quartic, monkeypatch):
+        # rules of 8 N (at least 256) nodes, each 1.5 times the last,
+        # until two in a row agree; the finer one is kept
+        counts = []
+        stieltjes = kernel_oracle._stieltjes
+
+        def counting(V, N, lo, hi, v_min, n_nodes):
+            counts.append(n_nodes)
+            return stieltjes(V, N, lo, hi, v_min, n_nodes)
+
+        monkeypatch.setattr(kernel_oracle, "_stieltjes", counting)
+        for V, N in ((gue, 4), (gue, 50), (gue, 400), (quartic, 200)):
+            counts.clear()
+            b = build_basis(V, N)
+            assert counts[0] == max(256, 8 * N)
+            assert counts[1:] == [math.ceil(1.5 * n) for n in counts[:-1]]
+            lo, hi = b.support_window
+            rules = [stieltjes(V, N, lo, hi, b.v_min, n) for n in counts]
+            assert np.array_equal(b.alpha, rules[-1][0])
+            assert np.array_equal(b.beta, rules[-1][1])
+            agree = [kernel_oracle._rules_agree(c, f) for c, f in zip(rules, rules[1:])]
+            assert agree == [False] * (len(agree) - 1) + [True], (N, counts)
+        # measured: N = 50 needs more than 12 N nodes, N = 400 does not
+        assert len(counts) == 2
+
+    @pytest.mark.parametrize("N", [50, 200, 400, 500])
+    def test_gue_recurrence_closed_form(self, gue, N):
+        b = build_basis(gue, N)
+        assert float(np.abs(b.alpha).max()) < 1e-13
+        assert float(np.abs(b.beta[1:] - np.arange(1, N) / N).max()) < 1e-13
+
+    def test_window_cuts_off_kernel_mass(self, gue, quartic):
+        # with phi_0 from exp(-N (V - Vmin) / 2), the window stops
+        # holding the kernel from about N = 600 for x^2/2 and 900 for x^4
+        build_basis(gue, 500)
+        build_basis(quartic, 800)
+        for V, N in ((gue, 600), (gue, 800), (quartic, 1000)):
+            with pytest.raises(NumericalError, match="cuts off kernel mass"):
+                build_basis(V, N)
+
+    def test_constant_shift(self, gue):
+        # exp(-N V) and exp(-N (V + 100)) give the same kernel
+        shifted = Potential((100.0, 0.0, 0.5))
+        eq = solve_mrs(gue)
+        for N in (12, 50, 200):
+            b, c = build_basis(gue, N), build_basis(shifted, N)
+            assert c.v_min == 100.0
+            assert float(np.abs(b.alpha - c.alpha).max()) <= 1e-14
+            assert float(np.abs(b.beta[1:] - c.beta[1:]).max()) <= 1e-14
+            assert c.beta[0] == pytest.approx(b.beta[0], rel=1e-14)
+            for t in (NEG_INF, 0.3, edge_point(eq, N, 0.5), edge_point(eq, N, 16.0)):
+                r, s = gap_probability(b, gue, t), gap_probability(c, shifted, t)
+                assert s.log_survival == pytest.approx(r.log_survival, rel=1e-14, abs=1e-14)
 
     def test_weight_normalizer(self, gue, quartic):
         # beta[0] stores the total weight integral
@@ -99,9 +215,10 @@ class TestBasis:
         assert float(np.abs(b.alpha).max()) < 1e-12
 
     def test_support_window(self, gue):
+        # N x^2 / 2 reaches the cutoff 1400 at x = sqrt(2800 / N)
         b = build_basis(gue, 20)
         lo, hi = b.support_window
-        assert hi == pytest.approx(math.sqrt(1500.0 / 20.0), rel=1e-9)
+        assert hi == pytest.approx(math.sqrt(2800.0 / 20.0), rel=1e-9)
         assert lo == pytest.approx(-hi, rel=1e-9)
         assert b.v_min == pytest.approx(0.0, abs=1e-12)
 
@@ -154,23 +271,28 @@ class TestProjector:
     def test_tail_trace_is_gram_trace(self, gue, quartic):
         for V, N in ((gue, 12), (quartic, 9)):
             b = build_basis(V, N)
-            for t in (NEG_INF, -0.5, 1.1, 2.3, 40.0):
+            for t in (NEG_INF, -0.5, 1.1, 2.3):
                 assert tail_trace(b, V, t) == gap_probability(b, V, t).trace
+            # past the window phi_0 underflows: both raise rather than
+            # return 0 and -inf
+            for f in (tail_trace, gap_probability):
+                with pytest.raises(NumericalError, match="past the oracle window"):
+                    f(b, V, 40.0)
 
     def test_gram_reuses_grid_phi(self, gue, quartic):
         # gram takes phi from the tail grid's panels; evaluating phi once
         # on all the grid's nodes gives the same matrix bit for bit
-        for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (quartic, 17, 0.9)):
+        for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (gue, 30, 2.1),
+                        (quartic, 17, 0.9)):
             b = build_basis(V, N)
-            x, w, _, _ = _tail_grid(b, V, t)
+            x, w, _, _ = _tail(b, V, t)
             Phi = _phi_matrix(b, V, x)
             G = (Phi * w) @ Phi.T
             assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
 
 
 class TestDeflation:
-    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
-                                        ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
+    @FIELDS
     @pytest.mark.parametrize("N", [3, 12, 50, 200])
     def test_dropped_rows_cost_at_most_their_mass(self, coeffs, N):
         # 0 <= survival(G) - survival(G22) <= eps, eps the dropped mass
@@ -178,9 +300,22 @@ class TestDeflation:
         eq = solve_mrs(V)
         b = build_basis(V, N)
         for t in thresholds(eq, N):
+            if t > b.support_window[1]:
+                # s = 32 at N = 3 on the quartic fields
+                assert N == 3 and coeffs != (0.0, 0.0, 0.5)
+                with pytest.raises(NumericalError):
+                    gap_probability(b, V, t)
+                continue
             G = gram(b, V, t)
             d = np.diag(G)
             T = float(np.sum(d))
+            if T < np.finfo(float).tiny:
+                # s = 32 at N = 12 on the quartic fields: no normal-range
+                # mass past t
+                assert N == 12 and coeffs != (0.0, 0.0, 0.5)
+                with pytest.raises(NumericalError):
+                    gap_probability(b, V, t)
+                continue
             j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * T, side="right"))
             eps = float(np.sum(d[:j0]))
             sur_full, log_full = full_survival(G)
@@ -188,20 +323,13 @@ class TestDeflation:
             sur = 0.0 if r.survival is None else r.survival
             assert -1e-15 <= sur_full - sur <= eps + 1e-15, (t, sur_full, sur, eps)
             if t > eq.b:
-                if math.isfinite(log_full):
-                    assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
-                else:
-                    assert r.log_survival == log_full
+                assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
 
-    def test_eigenproblem_sized_by_tail_rows(self, gue, gue_eq, monkeypatch):
+    def test_eigenproblem_sized_by_tail_rows(self, gue, quartic, monkeypatch):
         # every threshold past the edge on the benchmark's s grid hands
-        # eigvalsh fewer than N/2 rows; an empty tail grid hands it none
-        N = 200
-        b = build_basis(gue, N)
-        ts = [gue_eq.b + s / (gue_eq.gamma * N ** (2.0 / 3.0))
-              for s in np.geomspace(0.5, 32.0, 32)]
-        for t in ts:
-            gap_probability(b, gue, t)  # fills the Gauss-Legendre rule cache
+        # eigvalsh min(k, m) < N/2 rows, for k kept rows and m tail
+        # nodes; the m x m form (k > m, quartic N = 400) gives the
+        # survival of the full Gram matrix
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -209,22 +337,29 @@ class TestDeflation:
             sizes.append(A.shape)
             return eigvalsh(A)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        empty = 0
-        for t in ts:
-            sizes.clear()
-            r = gap_probability(b, gue, t)
-            if t >= b.support_window[1]:
-                empty += 1
-                assert sizes == []
-                assert r.trace == 0.0 and r.log_survival == NEG_INF
-                continue
-            assert len(sizes) == 1
-            k = sizes[0][0]
-            assert sizes[0] == (k, k) and k < N // 2, (t, k)
-            assert r.eigenvalues.shape == (N,)
-            assert (r.eigenvalues[:N - k] == 0.0).all()
-        assert 0 < empty < len(ts)
+        for V, N in ((gue, 200), (quartic, 400)):
+            eq = solve_mrs(V)
+            b = build_basis(V, N)
+            dual = 0
+            for s in np.geomspace(0.5, 32.0, 32):
+                t = edge_point(eq, N, s)
+                monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+                sizes.clear()
+                r = gap_probability(b, V, t)
+                monkeypatch.undo()
+                x, w, Phi, d = _tail(b, V, t)
+                assert x.size == 3 * BASE_PANEL_NODES
+                k = N - int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * r.trace,
+                                            side="right"))
+                n = min(k, x.size)
+                assert sizes == [(n, n)] and n < N // 2, (t, sizes)
+                assert r.eigenvalues.shape == (N,)
+                assert (r.eigenvalues[:N - n] == 0.0).all()
+                if k > x.size:
+                    dual += 1
+                    _, log_full = full_survival(gram(b, V, t))
+                    assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
+            assert (dual > 0) == (N == 400)
 
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
         calls = []
@@ -233,30 +368,83 @@ class TestDeflation:
             calls.append(args[2].size)
             return _phi_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
         for V in (gue, quartic):
             eq = solve_mrs(V)
             for N in (12, 50, 200):
                 b = build_basis(V, N)
+                monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
                 for t in thresholds(eq, N):
                     calls.clear()
-                    gap_probability(b, V, t)
-                    empty = max(t, b.support_window[0]) >= b.support_window[1]
-                    assert len(calls) == (0 if empty else 1), (N, t, calls)
+                    try:
+                        gap_probability(b, V, t)
+                    except NumericalError:
+                        assert N == 12 and V is quartic  # s = 32: no normal-range mass
+                    assert len(calls) == 1, (N, t, calls)
+                monkeypatch.undo()
 
-    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
-                                        ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
+    def test_one_phi_recurrence_per_chunk(self, gue, quartic, monkeypatch):
+        # consecutive thresholds share a phi call while their first
+        # panels hold at most PHI_CHUNK_ENTRIES values
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].size)
+            return _phi_matrix(*args, **kwargs)
+
+        for V in (gue, quartic):
+            eq = solve_mrs(V)
+            for N in (12, 50, 200):
+                b = build_basis(V, N)
+                ts = thresholds(eq, N) * 6
+                budget = kernel_oracle.PHI_CHUNK_ENTRIES // N
+                chunks, used = [], None
+                for size in (_tail_grid(b, V, t).x.size for t in ts):
+                    if used is None or used + size > budget:
+                        chunks.append(0)
+                        used = 0
+                    chunks[-1] += size
+                    used += size
+                monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
+                calls.clear()
+                gap_probabilities(b, V, ts)
+                monkeypatch.undo()
+                assert calls == chunks, (N, calls, chunks)
+                assert len(chunks) > 1 or N < 200
+
+    def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
+        # a ts that straddles chunk boundaries, with a failing threshold
+        for V, eq, N in ((gue, gue_eq, 200), (quartic, quartic_eq, 120)):
+            b = build_basis(V, N)
+            ts = ([NEG_INF, eq.b - 0.3] + [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 24)]
+                  + [eq.b + 10.0])
+            assert sum(_tail_grid(b, V, t).x.size for t in ts[:-1]) * N \
+                > kernel_oracle.PHI_CHUNK_ENTRIES
+            batch = gap_probabilities(b, V, ts)
+            assert len(batch) == len(ts)
+            for t, r in zip(ts, batch):
+                if t == eq.b + 10.0:
+                    assert isinstance(r, NumericalError)
+                    with pytest.raises(NumericalError):
+                        gap_probability(b, V, t)
+                    continue
+                assert isinstance(r, GapResult)
+                single = gap_probability(b, V, t)
+                for name in ("t", "log_survival", "survival", "det_value", "trace"):
+                    assert getattr(r, name) == getattr(single, name), (t, name)
+                assert np.array_equal(r.eigenvalues, single.eigenvalues), t
+
+    @FIELDS
     def test_grid_matches_panel_march(self, coeffs):
-        # one phi call over the panels gives the grid and the phi values
-        # of a march that calls phi panel by panel, bit for bit
+        # one phi call over the first panels gives the grid and the phi
+        # values of a march that calls phi panel by panel, bit for bit
         V = Potential(coeffs)
         eq = solve_mrs(V)
         multi_panel = 0
         for N in (12, 30, 60):
             b = build_basis(V, N)
             for t in thresholds(eq, N):
-                x, w, Phi, d = _tail_grid(b, V, t)
-                ref_x, ref_w, ref_Phi = panel_march(b, V, t)
+                x, w, Phi, d = _tail(b, V, t)
+                ref_x, ref_w, ref_Phi = reference_march(b, V, t)
                 assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), (N, t)
                 assert np.array_equal(Phi, ref_Phi), (N, t)
                 assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
@@ -264,33 +452,69 @@ class TestDeflation:
         assert multi_panel > 0
 
     def test_march_past_the_batch(self, gue, monkeypatch):
-        # a stopping rule that does not fire at the batch's last panel
-        # grows the grid one panel and one phi call at a time
+        # a stopping rule that has not fired at the last of the first
+        # panels grows the grid one panel and one phi call at a time:
+        # in the bulk (t = 1.5) and past the edge (t = 2.5)
         b = build_basis(gue, 12)
-        x0, _, _, _ = _tail_grid(b, gue, 2.5)
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[2].size)
             return _phi_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
-        monkeypatch.setattr(kernel_oracle, "PANEL_RELATIVE_CUTOFF", 1e-300)
-        x, w, Phi, d = _tail_grid(b, gue, 2.5)
-        assert len(calls) > 1 and calls[0] == x0.size
-        assert x.size == sum(calls)
-        ref_x, ref_w, ref_Phi = panel_march(b, gue, 2.5)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-        assert np.array_equal(Phi, ref_Phi)
-        assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
+        for t, cutoff in ((1.5, "PANEL_RELATIVE_CUTOFF"), (2.5, "EDGE_SHARE_TOL")):
+            first = _tail_grid(b, gue, t).x.size
+            monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
+            monkeypatch.setattr(kernel_oracle, cutoff, 1e-300)
+            calls.clear()
+            x, w, Phi, d = _tail(b, gue, t)
+            assert len(calls) > 1 and calls[0] == first
+            assert x.size == sum(calls)
+            ref_x, ref_w, ref_Phi = reference_march(b, gue, t)
+            monkeypatch.undo()
+            assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+            assert np.array_equal(Phi, ref_Phi)
+            assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
+
+    def test_edge_grid_raises_when_it_does_not_settle(self, gue, monkeypatch):
+        b = build_basis(gue, 12)
+        monkeypatch.setattr(kernel_oracle, "EDGE_SHARE_TOL", -1.0)
+        with pytest.raises(NumericalError, match="did not terminate"):
+            gap_probability(b, gue, 2.5)
 
     def test_non_finite_trace_raises(self, gue, monkeypatch):
         b = build_basis(gue, 6)
-        grid = _tail_grid(b, gue, 1.0)
-        monkeypatch.setattr(kernel_oracle, "_tail_grid",
-                            lambda *args: grid[:3] + (np.full(6, np.nan),))
+        settle = kernel_oracle._settle
+        monkeypatch.setattr(kernel_oracle, "_settle",
+                            lambda *args: settle(*args)[:3] + (np.full(6, np.nan),))
         with pytest.raises(NumericalError):
             gap_probability(b, gue, 1.0)
+
+
+class TestEdgeGrid:
+    @FIELDS
+    @pytest.mark.parametrize("N", [3, 12, 50, 200, 400])
+    def test_matches_refined_rule(self, coeffs, N):
+        # twice the panels and twice the nodes move log_survival by at
+        # most 1e-12 relative
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        b = build_basis(V, N)
+        for s in (0.5, 4.0, 16.0, 32.0):
+            t = edge_point(eq, N, s)
+            assert t >= kernel_oracle._bulk_estimate(b)[1]
+            try:
+                ref = refined_log_survival(b, V, t)
+            except NumericalError:
+                # s = 32 at N <= 12 on quartic fields: past the window, or
+                # no normal-range mass past t
+                assert N <= 12 and s == 32.0 and coeffs != (0.0, 0.0, 0.5)
+                with pytest.raises(NumericalError):
+                    gap_probability(b, V, t)
+                continue
+            r = gap_probability(b, V, t)
+            assert r.log_survival == pytest.approx(ref, rel=1e-12, abs=1e-300), (N, s)
+            assert _tail(b, V, t)[0].size == 3 * BASE_PANEL_NODES
 
 
 class TestRule:
@@ -350,9 +574,9 @@ class TestBrentq:
 
     @pytest.mark.parametrize("N", [10, 50, 200])
     def test_gue_window_edges(self, gue, N):
-        # N x^2 / 2 reaches the cutoff 750 at x = sqrt(1500 / N)
+        # N x^2 / 2 reaches the cutoff 1400 at x = sqrt(2800 / N)
         (lo, hi), _ = _support_window(gue, N)
-        edge = math.sqrt(1500.0 / N)
+        edge = math.sqrt(2800.0 / N)
         assert abs(hi - edge) < 2e-12
         assert abs(lo + edge) < 2e-12
 
@@ -420,14 +644,33 @@ class TestGap:
         assert r.log_survival < -170.0
 
     def test_underflow_marker(self, gue):
-        # all the representable weight sits left of the threshold: the
-        # probability is positive but below the smallest double
-        b = build_basis(gue, 90)
-        r = gap_probability(b, gue, 5.0)
+        # survival near e^-699: below the linear floor, finite in log
+        # space, and within 1e-12 of the refined rule
+        b = build_basis(gue, 85)
+        r = gap_probability(b, gue, 4.95)
         assert r.survival is None
-        assert r.log_survival == NEG_INF
+        assert -708.0 < r.log_survival < math.log(1e-300)
+        assert r.log_survival == pytest.approx(refined_log_survival(b, gue, 4.95), rel=1e-12)
         assert r.det_value == 1.0
-        assert r.trace == 0.0
+
+    def test_no_silent_minus_infinity(self, gue):
+        # t = 12 lies past the N = 50 window; past t = 5 at N = 90 the
+        # kernel mass is below the normal double range: errors, not -inf
+        for N, t in ((50, 12.0), (90, 5.0)):
+            b = build_basis(gue, N)
+            with pytest.raises(NumericalError, match="normal double"):
+                gap_probability(b, gue, t)
+
+    def test_threshold_past_the_window(self, gue):
+        # at N = 500 the window ends at sqrt(2800/500) = 2.366; past it
+        # phi_0 is subnormal and the survival (about e^-175 at t = 2.4)
+        # cannot be computed, so it raises instead of losing precision
+        b = build_basis(gue, 500)
+        hi = b.support_window[1]
+        assert hi == pytest.approx(math.sqrt(2800.0 / 500.0), rel=1e-9)
+        assert gap_probability(b, gue, hi).log_survival < -100.0
+        with pytest.raises(NumericalError, match="past the oracle window"):
+            gap_probability(b, gue, 2.4)
 
     def test_threshold_far_below_support(self, gue):
         b = build_basis(gue, 6)
