@@ -11,7 +11,7 @@ from .equilibrium import (DiscreteMeasure, EquilibriumData, density,
 from .tails import (DeviationStatistics, Regime, TailModel, alpha_threshold,
                     build_tail_model, cramer_coefficients,
                     deviation_statistics, eta_tilde, f_approx, log_f_approx,
-                    moderate_leading, regime_classify, rescale,
+                    moderate_leading, regime_classify, rescale, tail_terms,
                     tw_tail_asymptotic)
 from .kernel_oracle import (GapResult, OrthoBasis, brute_force_survival,
                             build_basis, gap_probabilities, gap_probability,
@@ -29,7 +29,7 @@ __all__ = [
     "DeviationStatistics", "Regime", "TailModel", "alpha_threshold",
     "build_tail_model", "cramer_coefficients", "deviation_statistics",
     "eta_tilde", "f_approx", "log_f_approx", "moderate_leading",
-    "regime_classify", "rescale", "tw_tail_asymptotic",
+    "regime_classify", "rescale", "tail_terms", "tw_tail_asymptotic",
     "GapResult", "OrthoBasis", "brute_force_survival", "build_basis",
     "gap_probabilities", "gap_probability", "gram", "hadamard_check",
     "kernel_diag", "phi", "tail_trace",

@@ -22,13 +22,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .equilibrium import eta, eta_prime, solve_mrs
+from .equilibrium import solve_mrs
 from .errors import NumericalError, SolverError
 from .kernel_oracle import GapResult, build_basis, gap_probabilities
 from .potential import potential_from_json
-from .tails import (K_MAX_SUPPORTED, alpha_threshold, build_tail_model,
+# log_f_approx is not called here, but perfbench/child.py wraps
+# loggas.cli.log_f_approx when it traces a run
+from .tails import (K_MAX_SUPPORTED, alpha_threshold, build_tail_model,  # noqa: F401
                     cramer_coefficients, log_f_approx, regime_classify,
-                    rescale)
+                    tail_terms)
 
 DEFAULT_ORACLE_N_LIMIT = 200
 
@@ -227,13 +229,16 @@ def cmd_tail(args, config):
     rows, all_ok = [], True
     for N in config.n_list:
         model = build_tail_model(eq, V, N, k=config.k)
-        for t, s in _thresholds(config, eq, N, t_or_s):
+        thresholds = _thresholds(config, eq, N, t_or_s)
+        terms = tail_terms(model, [t for t, _ in thresholds])
+        for (t, s), term in zip(thresholds, terms):
             row = {"N": N, "t": t}
             try:
-                row["log_F"] = log_f_approx(model, t)
+                if isinstance(term, Exception):
+                    raise term
+                row["log_F"] = term[0]
                 row["regime"] = regime_classify(s, N).label()
-                row["eta"] = eta(eq, V, t)
-                row["eta_prime"] = eta_prime(eq, V, t)
+                row["eta"], row["eta_prime"] = term[1:]
                 row["status"] = "ok"
             except (ValueError, NumericalError) as exc:
                 row.update(log_F=None, regime=None, eta=None, eta_prime=None,
@@ -264,13 +269,16 @@ def cmd_compare(args, config):
         model = build_tail_model(eq, V, N, k=config.k)
         basis = build_basis(V, N)
         thresholds = _thresholds(config, eq, N, t_or_s)
-        results = gap_probabilities(basis, V, [t for t, _ in thresholds])
-        for (t, _), result in zip(thresholds, results):
+        ts = [t for t, _ in thresholds]
+        results = gap_probabilities(basis, V, ts)
+        for t, result, term in zip(ts, results, tail_terms(model, ts)):
             row = {"N": N, "t": t}
             try:
                 if not isinstance(result, GapResult):
                     raise result
-                lf = log_f_approx(model, t)
+                if isinstance(term, Exception):
+                    raise term
+                lf = term[0]
                 ratio_m1 = math.expm1(result.log_survival - lf)
                 row["log_survival_oracle"] = result.log_survival
                 row["survival_oracle"] = ("underflow" if result.survival is None

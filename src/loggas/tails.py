@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
-from .equilibrium import _require_field, eta, eta_prime
+from .equilibrium import _eta, _eta_prime, _require_field, eta, eta_prime
 from .errors import UNDERFLOW_LIMIT, NumericalError
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
@@ -101,15 +101,57 @@ def cramer_coefficients(eq, V, k):
     return [float(v) for v in d]
 
 
+def _edge_error(eq, t):
+    return ValueError(f"tail approximation needs t > b = {eq.b!r}, got {t!r}")
+
+
+def _log_f(model, t, eta_t, eta_prime_t):
+    """log F at t from eta(t) and eta'(t), without forming exp(-N eta)."""
+    eq, N = model.eq, model.N
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (math.log((eq.b - eq.a) / (8.0 * math.pi)) - N * eta_t
+                - np.log(N * (t - eq.b) * (t - eq.a) * eta_prime_t))
+
+
 def log_f_approx(model, t):
-    """log F(t) for t > b, assembled without forming exp(-N eta)."""
-    eq, V, N = model.eq, model.potential, model.N
-    if t <= eq.b:
-        raise ValueError(f"tail approximation needs t > b = {eq.b!r}, got {t!r}")
-    ep = eta_prime(eq, V, t)
-    return (math.log((eq.b - eq.a) / (8.0 * math.pi))
-            - N * eta(eq, V, t)
-            - math.log(N * (t - eq.b) * (t - eq.a) * ep))
+    """log F(t) for a scalar or an array t > b, assembled without forming
+    exp(-N eta); eta and eta' are one closed-form array evaluation each.
+    Any t <= b raises ValueError."""
+    eq = model.eq
+    t_arr = np.asarray(t, dtype=float)
+    low = t_arr <= eq.b
+    if low.any():
+        raise _edge_error(eq, float(t_arr[low][0]))
+    t_flat = t_arr.reshape(-1)
+    out = _log_f(model, t_flat, _eta(eq, t_flat), _eta_prime(eq, t_flat)).reshape(t_arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def tail_terms(model, ts):
+    """log F, eta and eta' at every threshold of ts, as a list in the
+    order of ts.  An entry is the (log_f, eta, eta_prime) tuple of
+    floats, or the error of that threshold, so one failing threshold
+    does not stop the others: ValueError for t <= b, NumericalError
+    when one of the three is not finite (a t too large for a double
+    result, or not a number).  eta and eta' are evaluated once, over
+    the array of every threshold past b.
+    """
+    eq = model.eq
+    ts = np.asarray(ts, dtype=float)
+    t = ts[~(ts <= eq.b)]
+    eta_t, eta_prime_t = _eta(eq, t), _eta_prime(eq, t)
+    values = zip(_log_f(model, t, eta_t, eta_prime_t).tolist(), eta_t.tolist(),
+                 eta_prime_t.tolist())
+    out = []
+    for ti in ts.tolist():
+        if ti <= eq.b:
+            out.append(_edge_error(eq, ti))
+            continue
+        v = next(values)
+        out.append(v if all(map(math.isfinite, v)) else NumericalError(
+            "tail approximation not finite at t = %r: log_F = %r, eta = %r, "
+            "eta_prime = %r" % ((ti,) + v)))
+    return out
 
 
 def f_approx(model, t):
@@ -230,9 +272,12 @@ def deviation_statistics(model, t=None, s=None):
         s = (t - eq.b) * eq.gamma * N ** (2.0 / 3.0)
         if s <= 0:
             raise ValueError(f"t must exceed b = {eq.b!r}, got {t!r}")
-    log_f = log_f_approx(model, t)
+    if t <= eq.b:
+        raise _edge_error(eq, t)
+    eta_t = eta(eq, model.potential, t)
+    log_f = float(_log_f(model, t, eta_t, eta_prime(eq, model.potential, t)))
     ldp_rate = log_f / N
-    ldp_eta_term = -eta(eq, model.potential, t)
+    ldp_eta_term = -eta_t
     ldp_logn_term = -math.log(N) / N
     s32 = s ** 1.5
     mdp_rate = log_f / s32

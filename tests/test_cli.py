@@ -12,9 +12,12 @@ import sys
 import pytest
 
 import loggas
+from loggas import tails
 from loggas.cli import ConfigError, load_config, main
 
 GUE_POTENTIAL = {"coeffs": [0, 0, 0.5]}
+EXTREME_T = [-math.inf, 1.0, 2.5, 1e12, math.inf]
+EXTREME_S = [-1.0, 0.0, 1e-300, 0.5, 1e300]
 
 
 def write_config(tmp_path, name="config.json", **keys):
@@ -166,6 +169,33 @@ class TestTailCommand:
         assert rows[0]["log_F"] == ""
         assert rows[1]["status"] == "ok"
 
+    def test_extreme_t_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N_list=[10], t_grid=EXTREME_T)
+        assert main(["tail", "--config", cfg]) == 1
+        rows, _ = parse_csv(capsys.readouterr().out)
+        assert [r["status"] for r in rows[:2]] == [
+            "error: tail approximation needs t > b = 2.0, got -inf",
+            "error: tail approximation needs t > b = 2.0, got 1.0"]
+        assert rows[2]["status"] == rows[3]["status"] == "ok"
+        # eta(t) = t^2/2 - 2 log t + O(1/t^2) for x^2/2
+        assert float(rows[3]["eta"]) == pytest.approx(5e23, rel=1e-14)
+        assert float(rows[3]["eta_prime"]) == pytest.approx(1e12, rel=1e-14)
+        assert math.isfinite(float(rows[3]["log_F"]))
+        assert rows[4]["status"].startswith("error: tail approximation not finite at t = inf:")
+        assert rows[4]["eta"] == rows[4]["log_F"] == ""
+
+    def test_extreme_s_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N_list=[10], s_grid=EXTREME_S, output_format="json")
+        assert main(["tail", "--config", cfg]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        # s = 1e-300 puts t on b itself
+        for row in rows[:3]:
+            assert row["status"] == f"error: tail approximation needs t > b = 2.0, got {row['t']!r}"
+        assert rows[3]["status"] == "ok"
+        assert rows[4]["status"] == (f"error: tail approximation not finite at t = {rows[4]['t']!r}: "
+                                     "log_F = nan, eta = nan, eta_prime = inf")
+        assert rows[4]["eta"] is None
+
     def test_needs_grids(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[10])
         assert main(["tail", "--config", cfg]) == 2
@@ -243,6 +273,23 @@ class TestCompareCommand:
             out.append([row["log_survival_oracle"] for row in rows])
         assert out[0] == out[1]
 
+    @pytest.mark.parametrize("grid, ok_row", [({"t_grid": EXTREME_T}, 2),
+                                              ({"s_grid": EXTREME_S}, 3)],
+                             ids=["t_grid", "s_grid"])
+    def test_extreme_thresholds(self, tmp_path, capsys, grid, ok_row):
+        # below the ok row the oracle runs and the tail approximation fails;
+        # above it the oracle's error comes first
+        cfg = write_config(tmp_path, N_list=[10], **grid)
+        assert main(["compare", "--config", cfg]) == 1
+        rows, summary = parse_csv(capsys.readouterr().out)
+        for row in rows[:ok_row]:
+            assert row["status"] == f"error: tail approximation needs t > b = 2.0, got {float(row['t'])!r}"
+        assert rows[ok_row]["status"] == "ok"
+        assert all(row["status"].startswith("error: threshold ") for row in rows[ok_row + 1:])
+        t = float(rows[ok_row]["t"])
+        scaled = abs(float(rows[ok_row]["ratio_minus_1"])) * 10 * (t - 2.0) ** 1.5
+        assert float(summary["max_scaled_deviation"]) == pytest.approx(scaled, rel=1e-12)
+
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])
         assert main(["compare", "--config", cfg]) == 2
@@ -288,6 +335,34 @@ class TestPlumbing:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "[]"
+
+    def test_no_runtime_warning(self, tmp_path):
+        # non-finite and huge thresholds end as error rows, and numpy says
+        # nothing on stderr
+        src = os.path.dirname(os.path.dirname(loggas.__file__))
+        cfg = write_config(tmp_path, N_list=[10, 50], t_grid=EXTREME_T)
+        for command in ("tail", "compare"):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "loggas.cli",
+                 command, "--config", cfg],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            assert (proc.returncode, proc.stderr) == (1, ""), command
+            assert proc.stdout.count(",ok\n") == 2 + 2 * (command == "tail")
+
+    @pytest.mark.parametrize("command", ["tail", "compare"])
+    def test_one_tail_evaluation_per_n(self, tmp_path, capsys, monkeypatch, command):
+        sizes = []
+        core = tails._eta
+
+        def counting(eq, x):
+            sizes.append(x.size)
+            return core(eq, x)
+
+        monkeypatch.setattr(tails, "_eta", counting)
+        cfg = write_config(tmp_path, N_list=[4, 8, 16], t_grid=[1.0, 2.2, 2.5, 3.0])
+        assert main([command, "--config", cfg]) == 1
+        capsys.readouterr()
+        assert sizes == [3, 3, 3]
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -1,13 +1,24 @@
 """Support solver, density data, rate integral, effective potential, energy."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from loggas import (DiscreteMeasure, NumericalError, Potential, SolverError,
-                    density, effective_potential, energy, equilibrium_measure,
-                    eta, eta_prime, g_factor, solve_mrs)
+                    build_tail_model, cramer_coefficients, density,
+                    effective_potential, energy, equilibrium_measure, eta,
+                    eta_prime, g_factor, log_f_approx, solve_mrs)
+
+# GUE, quartic, sextic and asymmetric quartic: the benchmark's four fields
+FIELDS = {
+    "gue": (0.0, 0.0, 0.5),
+    "quartic": (0.0, 0.0, 0.0, 0.0, 1.0),
+    "sextic": (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1),
+    "asymmetric": (0.0, 0.5, 0.5, 0.2, 0.25),
+}
 
 
 def eta_quadratic(x):
@@ -138,6 +149,70 @@ class TestEta:
         xs = quartic_eq.b + np.array([0.1, 0.5, 1.0, 2.0, 4.0])
         vals = [eta(quartic_eq, quartic, float(x)) for x in xs]
         assert all(u < v for u, v in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("coeffs", FIELDS.values(), ids=FIELDS.keys())
+    def test_edge_matches_cramer_series(self, coeffs):
+        # eta(b + v) = sum_m c_m v^{m+3/2}, c_m = d_m gamma^{m+3/2}, d_0 = 4/3;
+        # the first term left out is below 1e-25 of the sum here
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        d = np.array([4.0 / 3.0] + cramer_coefficients(eq, V, 6))
+        c = d * eq.gamma ** (np.arange(7) + 1.5)
+        x = eq.b + np.geomspace(1e-12, 1e-4, 40)
+        v = x - eq.b        # the offset x really carries
+        series = sum(c[m] * v ** (m + 1.5) for m in range(7))
+        assert np.max(np.abs(eta(eq, V, x) / series - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("coeffs", FIELDS.values(), ids=FIELDS.keys())
+    def test_matches_effective_potential(self, coeffs):
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        x = eq.b + np.geomspace(0.1, 100.0, 40)
+        excess = effective_potential(eq, V, x) - eq.ell
+        assert np.max(np.abs(eta(eq, V, x) / excess - 1.0)) < 1e-13
+
+    def test_gue_closed_form_to_1e12(self, gue_eq, gue):
+        # the closed form cancels two terms of size x sqrt(x^2 - 4) / 2 near
+        # the edge, so its own rounding is relative to that size
+        for x in np.geomspace(2.01, 1e12, 60).tolist():
+            lead = 0.5 * x * math.sqrt(x * x - 4.0)
+            assert abs(eta(gue_eq, gue, x) - (lead - 2.0 * math.acosh(0.5 * x))) <= 1e-14 * lead
+
+    @pytest.mark.parametrize("coeffs", FIELDS.values(), ids=FIELDS.keys())
+    def test_array_equals_scalar(self, coeffs):
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        model = build_tail_model(eq, V, 40)
+        xs = eq.b + np.geomspace(1e-9, 1e3, 37)
+        for fn, args in ((eta, (eq, V)), (eta_prime, (eq, V)), (log_f_approx, (model,))):
+            batch = fn(*args, xs)
+            assert batch.shape == xs.shape
+            assert [fn(*args, x) for x in xs.tolist()] == batch.tolist(), fn.__name__
+
+    def test_cost_does_not_grow_with_x(self, gue_eq, gue):
+        tracemalloc.start()
+        try:
+            value = eta(gue_eq, gue, 1e12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(5e23, rel=1e-14)
+        assert peak < 1_000_000
+
+    def test_array_domain_error_names_the_point(self, gue_eq, gue):
+        with pytest.raises(ValueError, match="got 1.5"):
+            eta(gue_eq, gue, np.array([2.5, 1.5, 3.0]))
+        with pytest.raises(ValueError, match="got 2.0"):
+            eta_prime(gue_eq, gue, np.array([2.5, 2.0]))
+
+    def test_overflow_is_silent_and_not_finite(self, gue_eq, gue):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # eta(1e200) = 5e399 is past the double range
+            values = eta(gue_eq, gue, np.array([1e200, math.inf, math.nan]))
+            slopes = eta_prime(gue_eq, gue, np.array([math.inf, math.nan]))
+        assert not np.isfinite(values).any()
+        assert not np.isfinite(slopes).any()
 
 
 class TestEffectivePotential:

@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loggas import (alpha_threshold, build_tail_model, cramer_coefficients,
-                    deviation_statistics, eta, eta_prime, eta_tilde, f_approx,
-                    log_f_approx, moderate_leading, regime_classify, rescale,
+from loggas import (NumericalError, alpha_threshold, build_tail_model,
+                    cramer_coefficients, deviation_statistics, eta, eta_prime,
+                    eta_tilde, f_approx, log_f_approx, moderate_leading,
+                    regime_classify, rescale, tail_terms, tails,
                     tw_tail_asymptotic)
 from loggas.tails import K_MAX_SUPPORTED, LOG_UNDERFLOW
 
@@ -99,6 +100,30 @@ class TestLogF:
         m = build_tail_model(gue_eq, gue, 100)
         assert log_f_approx(m, 5.0) < LOG_UNDERFLOW
         assert f_approx(m, 5.0) is None
+
+    def test_array_rejects_any_point_at_or_below_edge(self, gue_eq, gue):
+        m = build_tail_model(gue_eq, gue, 20)
+        with pytest.raises(ValueError, match=r"^tail approximation needs t > b = 2\.0, got 1\.5$"):
+            log_f_approx(m, np.array([2.5, 1.5, 2.0]))
+
+
+class TestTailTerms:
+    def test_entries_match_scalar_functions(self, quartic_eq, quartic):
+        m = build_tail_model(quartic_eq, quartic, 50)
+        ts = quartic_eq.b + np.array([1e-6, 0.3, 2.0])
+        for t, (lf, e, ep) in zip(ts.tolist(), tail_terms(m, ts)):
+            assert (lf, e, ep) == (log_f_approx(m, t), eta(quartic_eq, quartic, t),
+                                   eta_prime(quartic_eq, quartic, t))
+
+    def test_each_threshold_fails_alone(self, gue_eq, gue):
+        m = build_tail_model(gue_eq, gue, 10)
+        out = tail_terms(m, [-math.inf, 1.0, 2.5, 1e12, math.inf, math.nan])
+        assert [type(o) for o in out] == [ValueError, ValueError, tuple, tuple,
+                                          NumericalError, NumericalError]
+        assert str(out[1]) == "tail approximation needs t > b = 2.0, got 1.0"
+        assert all(math.isfinite(v) for v in out[3])
+        assert out[3][1] == pytest.approx(5e23, rel=1e-14)
+        assert "at t = inf:" in str(out[4]) and "at t = nan:" in str(out[5])
 
 
 class TestScalingMap:
@@ -201,6 +226,17 @@ class TestDeviationStatistics:
         total = st.ldp_eta_term + st.ldp_logn_term + st.ldp_residual
         assert st.ldp_rate == pytest.approx(total, abs=5e-15)
         assert abs(st.ldp_residual) < 4.0 / 20.0
+
+    def test_one_eta_evaluation(self, gue_eq, gue, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return eta(*args)
+
+        monkeypatch.setattr(tails, "eta", counting)
+        deviation_statistics(build_tail_model(gue_eq, gue, 20), t=2.5)
+        assert calls == [2.5]
 
     def test_rate_split_at_fixed_s(self, gue_eq, gue):
         m20 = build_tail_model(gue_eq, gue, 20)
