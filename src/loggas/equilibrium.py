@@ -239,17 +239,19 @@ def g_factor(eq, V, x):
     return _points(_g, eq, x)
 
 
+def _density(eq, x):
+    out = np.zeros_like(x)
+    inside = (x >= eq.a) & (x <= eq.b)
+    xi = x[inside]
+    out[inside] = np.sqrt((eq.b - xi) * (xi - eq.a)) * _g(eq, xi) / (2.0 * np.pi)
+    return out
+
+
 def density(eq, V, x):
     """Equilibrium density at x: sqrt((b-x)(x-a)) G(x) / (2 pi) on the
-    support, zero outside."""
+    support, zero outside.  Accepts scalar or array x."""
     _require_field(eq, V)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x_arr)
-    inside = (x_arr >= eq.a) & (x_arr <= eq.b)
-    if inside.any():
-        xi = x_arr[inside]
-        out[inside] = np.sqrt((eq.b - xi) * (xi - eq.a)) * g_factor(eq, V, xi) / (2.0 * np.pi)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _points(_density, eq, x)
 
 
 def _eta(eq, x):
@@ -360,24 +362,33 @@ def _log_moment(V, a, b, x):
     Inside the support the kernel maps cos(m theta) to -pi T_m(p)/m and
     the constant to -pi log 2; outside, to -pi sign(p)^m e^{-m xi}/m and
     pi (xi - log 2), with p the affine image of x and xi = arccosh|p|.
+    A point's value does not depend on the other points evaluated with it.
     """
     am, c, r = _log_kernel_coeffs(V, a, b)
     m = np.arange(1, am.size)
     coeff = am[1:] / m
+
+    def sums(terms):
+        # coeff @ terms a column at a time, each as its own contiguous
+        # matrix: BLAS rounds a product over several columns unlike the
+        # product over one, which would tie a point's value to the others
+        return np.array([(coeff @ np.ascontiguousarray(terms[:, j:j + 1]))[0]
+                         for j in range(terms.shape[1])])
+
     x = np.asarray(x, dtype=float)
     p = (x - c) / r
     out = np.empty_like(p)
     inside = np.abs(p) <= 1.0
     if inside.any():
         ang = np.arccos(np.clip(p[inside], -1.0, 1.0))
-        out[inside] = am[0] * np.pi * math.log(r / 2.0) - np.pi * (
-            coeff @ np.cos(np.outer(m, ang)))
+        out[inside] = am[0] * np.pi * math.log(r / 2.0) - np.pi * sums(
+            np.cos(np.outer(m, ang)))
     if (~inside).any():
         q = p[~inside]
         xi = np.arccosh(np.abs(q))
         sign = np.where(q < 0, -1.0, 1.0)
         decay = np.exp(-np.outer(m, xi)) * sign[None, :] ** m[:, None]
-        out[~inside] = am[0] * np.pi * (math.log(r / 2.0) + xi) - np.pi * (coeff @ decay)
+        out[~inside] = am[0] * np.pi * (math.log(r / 2.0) + xi) - np.pi * sums(decay)
     return out
 
 
@@ -388,9 +399,7 @@ def effective_potential(eq, V, x):
     beyond the right edge.  Accepts scalar or array x.
     """
     _require_field(eq, V)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = V.eval(x_arr, 0) - 2.0 * _log_moment(V, eq.a, eq.b, x_arr)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _points(lambda eq, x: V.eval(x, 0) - 2.0 * _log_moment(V, eq.a, eq.b, x), eq, x)
 
 
 def equilibrium_measure(eq, V, n=DENSITY_DISCRETIZATION):

@@ -8,6 +8,10 @@ independent ground truth for their asymptotic formulas.
 The recurrence coefficients come from a discretized Stieltjes
 orthonormalization on the window N(V - Vmin) <= 1400, where
 phi_0 = exp(-N (V - Vmin) / 2) / sqrt(beta_0) stays a normal double.
+V is a polynomial, so the window edges are exact: the outermost real
+roots of N(V - Vmin) - 1400, as eigenvalues of its companion matrix.
+Vmin (from the real roots of V') and the far edge of the series box
+come from the same root finder, _real_roots.
 build_basis checks that the kernel diagonal at both window edges is
 negligible, which holds up to about N = 550 for x^2/2 and N = 800 for
 x^4.  All polynomial values are carried in weighted form
@@ -29,12 +33,12 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import UNDERFLOW_LIMIT, NumericalError
-from .quadrature import brentq, composite_gl, gl_rule
 
 WINDOW_LOG_CUTOFF = 1400.0         # N(V - Vmin) at the window edges, where phi_0 is about e^-700
 WINDOW_EDGE_TOL = 1e-30            # kernel share the window may cut off
@@ -103,16 +107,42 @@ class GapResult:
 _TailGrid = namedtuple("_TailGrid", "x w ends panel stop max_panels")
 
 
+@lru_cache(maxsize=32)
+def gl_rule(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def composite_gl(edges, n):
+    """n-point Gauss-Legendre rule on every panel [edges[i], edges[i+1]],
+    flattened panel by panel."""
+    xg, wg = gl_rule(n)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
+    return x, w
+
+
+def _real_roots(coeffs):
+    """Sorted real roots of the polynomial with coefficients coeffs
+    (lowest degree first): the companion-matrix eigenvalues whose
+    imaginary part is below 1e-9 (1 + |real part|)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    roots = npoly.polyroots(coeffs) if coeffs.size > 1 else np.array([])
+    return np.sort(roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real)
+
+
 def _potential_minimum(V):
-    """Location and value of the minimum of an admissible polynomial V."""
-    dcoef = npoly.polyder(np.asarray(V.coeffs, dtype=float))
-    roots = npoly.polyroots(dcoef) if dcoef.size > 1 else np.array([])
-    real = roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
+    """Minimum value of an admissible polynomial V."""
+    real = _real_roots(npoly.polyder(np.asarray(V.coeffs, dtype=float)))
     if not real.size:
         raise ValueError(f"V' has no real root: {V.coeffs!r} has no minimum")
-    vals = V.eval(real, 0)
-    i = int(np.argmin(vals))
-    return float(real[i]), float(vals[i])
+    return float(np.min(V.eval(real, 0)))
 
 
 def _excess(V, v_min, x):
@@ -123,26 +153,28 @@ def _excess(V, v_min, x):
     return npoly.polyval(x, c)
 
 
+def _level_roots(V, base, level):
+    """Outermost crossings (lo, hi) of V - base = level: the smallest and
+    largest real root of the polynomial, base and then level taken off
+    its constant term as in _excess.  Raises NumericalError unless V
+    crosses the level on two sides (never for a base or level that is
+    not finite)."""
+    c = np.array(V.coeffs, dtype=float)
+    c[0] -= base
+    c[0] -= level
+    roots = _real_roots(c) if np.isfinite(c).all() else np.array([])
+    if roots.size < 2:
+        raise NumericalError(
+            f"V - {float(base)!r} crosses {level!r} at {roots.tolist()!r}, not on two sides")
+    return float(roots[0]), float(roots[-1])
+
+
 def _support_window(V, N):
-    """Interval outside of which N(V - Vmin) exceeds the window cutoff."""
-    x_min, v_min = _potential_minimum(V)
-    target = WINDOW_LOG_CUTOFF / N
-
-    def f(x):
-        return _excess(V, v_min, x) - target
-
-    edges = []
-    for direction in (-1.0, 1.0):
-        d = max(1.0, V.scale())
-        for _ in range(200):
-            if f(x_min + direction * d) > 0.0:
-                break
-            d *= 2.0
-        else:
-            raise NumericalError("potential does not reach the window cutoff")
-        edges.append(brentq(f, x_min, x_min + direction * d) if direction > 0
-                     else brentq(f, x_min + direction * d, x_min))
-    return (edges[0], edges[1]), v_min
+    """Window outside of which N(V - Vmin) exceeds WINDOW_LOG_CUTOFF: the
+    outermost roots of the polynomial N(V - Vmin) - WINDOW_LOG_CUTOFF,
+    and Vmin."""
+    v_min = _potential_minimum(V)
+    return _level_roots(V, v_min, WINDOW_LOG_CUTOFF / N), v_min
 
 
 def _stieltjes(V, N, lo, hi, v_min, n_nodes):
@@ -207,9 +239,10 @@ def build_basis(V, N):
     ValueError
         If N is not positive, or V' has no real root.
     NumericalError
-        If orthonormalization loses positivity, the weight underflows
-        everywhere on the window, the node count does not converge in
-        BASIS_MAX_RULES rules, or the window cuts off kernel mass: the
+        If V does not reach the window cutoff on both sides of its
+        minimum (an odd degree), orthonormalization loses positivity,
+        the weight underflows everywhere on the window, the node count
+        does not converge in BASIS_MAX_RULES rules, or the window cuts off kernel mass: the
         kernel diagonal at a window edge times the window width exceeds
         WINDOW_EDGE_TOL N.  The last happens from about N = 600 for
         x^2/2 and N = 900 for x^4.
@@ -536,22 +569,10 @@ def gap_probability(basis, V, t):
 
 def _series_kernel(basis, V, t):
     """sqrt(w_i) K(x_i, x_j) sqrt(w_j) for one 24-point Gauss-Legendre
-    rule over a box from t whose far edge puts the weight 80 e-foldings
-    down."""
-    N = basis.N
-
-    def excess(x):
-        return N * (V.eval(x, 0) - V.eval(t, 0)) - SERIES_LOG_CUTOFF
-
-    d = max(1.0, V.scale())
-    for _ in range(60):
-        if excess(t + d) > 0.0:
-            break
-        d *= 2.0
-    else:
-        raise NumericalError("could not bracket the series integration box")
-    hi = brentq(excess, t, t + d)
-
+    rule over the box [t, hi], where hi is the largest root of
+    N(V - V(t)) = SERIES_LOG_CUTOFF: the weight is 80 e-foldings down
+    from its value at t."""
+    hi = _level_roots(V, V.eval(t, 0), SERIES_LOG_CUTOFF / basis.N)[1]
     xg, wg = gl_rule(24)
     xm = 0.5 * (t + hi) + 0.5 * (hi - t) * xg
     wm = 0.5 * (hi - t) * wg

@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
-from .equilibrium import _eta, _eta_prime, _require_field, eta, eta_prime
+from .equilibrium import _eta, _eta_prime, _points, _require_field, eta, eta_prime
 from .errors import UNDERFLOW_LIMIT, NumericalError
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
@@ -122,9 +122,7 @@ def log_f_approx(model, t):
     low = t_arr <= eq.b
     if low.any():
         raise _edge_error(eq, float(t_arr[low][0]))
-    t_flat = t_arr.reshape(-1)
-    out = _log_f(model, t_flat, _eta(eq, t_flat), _eta_prime(eq, t_flat)).reshape(t_arr.shape)
-    return float(out) if out.ndim == 0 else out
+    return _points(lambda eq, t: _log_f(model, t, _eta(eq, t), _eta_prime(eq, t)), eq, t_arr)
 
 
 def tail_terms(model, ts):

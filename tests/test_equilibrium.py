@@ -184,10 +184,14 @@ class TestEta:
         eq = solve_mrs(V)
         model = build_tail_model(eq, V, 40)
         xs = eq.b + np.geomspace(1e-9, 1e3, 37)
-        for fn, args in ((eta, (eq, V)), (eta_prime, (eq, V)), (log_f_approx, (model,))):
-            batch = fn(*args, xs)
-            assert batch.shape == xs.shape
-            assert [fn(*args, x) for x in xs.tolist()] == batch.tolist(), fn.__name__
+        # across both support edges: inside, at and outside
+        across = np.append(np.linspace(eq.a - 1.0, eq.b + 1.0, 36), eq.b)
+        for fn, args, points in ((eta, (eq, V), xs), (eta_prime, (eq, V), xs),
+                                 (log_f_approx, (model,), xs), (density, (eq, V), across),
+                                 (effective_potential, (eq, V), across)):
+            batch = fn(*args, points)
+            assert batch.shape == points.shape
+            assert [fn(*args, x) for x in points.tolist()] == batch.tolist(), fn.__name__
 
     def test_cost_does_not_grow_with_x(self, gue_eq, gue):
         tracemalloc.start()

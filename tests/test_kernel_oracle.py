@@ -9,12 +9,12 @@ import pytest
 
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
                     gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
-from loggas import kernel_oracle, quadrature
-from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, GapResult,
-                                  _phi_matrix, _series_kernel, _support_window,
-                                  _tail, _tail_grid, gap_probabilities)
+from loggas import kernel_oracle
+from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, WINDOW_LOG_CUTOFF,
+                                  GapResult, _level_roots, _phi_matrix, _series_kernel,
+                                  _support_window, _tail, _tail_grid, composite_gl,
+                                  gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
-from loggas.quadrature import brentq, gl_rule
 
 NEG_INF = float("-inf")
 ASYMMETRIC = (0.0, 0.5, 0.5, 0.2, 0.25)
@@ -545,47 +545,39 @@ class TestRule:
         assert len(calls) == len(set(calls))
 
 
-def polynomial_brackets():
-    """Seeded random polynomials with sign-changing brackets."""
-    rng = np.random.default_rng(20160314)
-    out = []
-    while len(out) < 200:
-        c = rng.standard_normal(rng.integers(2, 8))
-        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
-        fa, fb = np.polynomial.polynomial.polyval([a, b], c)
-        if fa * fb < 0.0:
-            out.append((tuple(c), float(a), float(b)))
-    return out
+class TestWindow:
+    def test_gue_and_quartic_edges(self, gue, quartic):
+        # N x^2 / 2 and N x^4 reach the cutoff 1400 at sqrt(2800 / N)
+        # and (1400 / N)^(1/4)
+        for N in range(5, 1001):
+            for V, edge in ((gue, math.sqrt(2800.0 / N)), (quartic, (1400.0 / N) ** 0.25)):
+                (lo, hi), _ = _support_window(V, N)
+                assert abs(hi - edge) <= 1e-14 * edge, (V.coeffs, N)
+                assert abs(lo + edge) <= 1e-14 * edge, (V.coeffs, N)
 
+    @pytest.mark.parametrize("N", [350, 400])
+    def test_tilted_double_well_takes_both_wells(self, N):
+        # the lower well is on the right; the window must still reach
+        # past the left one, where about 149 of 350 particles sit
+        V = Potential((0.0, -0.3, -4.0, 0.0, 1.0))
+        basis = build_basis(V, N)
+        lo, hi = basis.support_window
+        assert (lo, hi) == _level_roots(V, basis.v_min, WINDOW_LOG_CUTOFF / N)
+        if N == 350:
+            assert lo == pytest.approx(-1.9314, abs=1e-4)
+            assert hi == pytest.approx(2.0109, abs=1e-4)
+        x, w = composite_gl(np.linspace(lo, hi, 201), BASE_PANEL_NODES)
+        mass = w * kernel_diag(basis, V, x)
+        assert float(np.sum(mass)) == pytest.approx(N, rel=1e-10)
+        assert float(np.sum(mass[x < 0.0])) > 100.0
 
-class TestBrentq:
-    def test_sqrt_two(self):
-        root = brentq(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert abs(root - math.sqrt(2.0)) < 2e-12
-
-    def test_same_sign_bracket_raises(self):
-        with pytest.raises(ValueError):
-            brentq(lambda x: x * x - 2.0, 2.0, 3.0)
-
-    def test_no_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "BRENT_MAXITER", 2)
-        with pytest.raises(RuntimeError):
-            brentq(lambda x: x * x - 2.0, 0.0, 2.0)
-
-    @pytest.mark.parametrize("N", [10, 50, 200])
-    def test_gue_window_edges(self, gue, N):
-        # N x^2 / 2 reaches the cutoff 1400 at x = sqrt(2800 / N)
-        (lo, hi), _ = _support_window(gue, N)
-        edge = math.sqrt(2800.0 / N)
-        assert abs(hi - edge) < 2e-12
-        assert abs(lo + edge) < 2e-12
-
-    def test_matches_scipy_bit_for_bit(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        for c, a, b in polynomial_brackets():
-            def f(x, c=c):
-                return np.polynomial.polynomial.polyval(x, c)
-            assert brentq(f, a, b) == optimize.brentq(f, a, b), (c, a, b)
+    def test_level_not_crossed_on_two_sides(self, gue):
+        # x^3 reaches the cutoff on the right only
+        with pytest.raises(NumericalError, match="not on two sides"):
+            build_basis(Potential((0.0, 0.0, 0.0, 1.0)), 10)
+        # no box starts at -inf
+        with pytest.raises(NumericalError, match="not on two sides"):
+            brute_force_survival(build_basis(gue, 3), gue, NEG_INF)
 
 
 class TestGap:
