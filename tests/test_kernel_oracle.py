@@ -580,6 +580,18 @@ class TestWindow:
             brute_force_survival(build_basis(gue, 3), gue, NEG_INF)
 
 
+class TestBrentq:
+    """GUE window edges to absolute accuracy at a few sizes."""
+
+    @pytest.mark.parametrize("N", [10, 50, 200])
+    def test_gue_window_edges(self, gue, N):
+        # N x^2 / 2 reaches the cutoff 1400 at x = sqrt(2800 / N)
+        (lo, hi), _ = _support_window(gue, N)
+        edge = math.sqrt(2800.0 / N)
+        assert abs(hi - edge) < 2e-12
+        assert abs(lo + edge) < 2e-12
+
+
 class TestGap:
     def test_tail_probability_falls(self, gue):
         b = build_basis(gue, 10)
