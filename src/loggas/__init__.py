@@ -3,8 +3,7 @@ log-gases with polynomial fields, validated against an exact
 orthogonal-polynomial Fredholm oracle."""
 
 from .errors import NumericalError, SolverError
-from .potential import (Potential, ValidationReport, potential_from_json,
-                        potential_to_json, validate_ga)
+from .potential import Potential, potential_from_json, potential_to_json
 from .equilibrium import (DiscreteMeasure, EquilibriumData, density,
                           effective_potential, energy, equilibrium_measure,
                           eta, eta_prime, g_factor, solve_mrs)
@@ -21,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NumericalError", "SolverError",
-    "Potential", "ValidationReport", "potential_from_json",
-    "potential_to_json", "validate_ga",
+    "Potential", "potential_from_json", "potential_to_json",
     "DiscreteMeasure", "EquilibriumData", "density", "effective_potential",
     "energy", "equilibrium_measure", "eta", "eta_prime", "g_factor",
     "solve_mrs",

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .equilibrium import solve_mrs
 from .errors import NumericalError, SolverError
@@ -227,8 +227,10 @@ def cmd_tail(args, config):
     eq = solve_mrs(V)
     t_or_s = "t" if config.t_grid is not None else "s"
     rows, all_ok = [], True
+    # the Cramer coefficients depend on the field and k, not on N
+    base = build_tail_model(eq, V, config.n_list[0], k=config.k)
     for N in config.n_list:
-        model = build_tail_model(eq, V, N, k=config.k)
+        model = replace(base, N=N)
         thresholds = _thresholds(config, eq, N, t_or_s)
         terms = tail_terms(model, [t for t, _ in thresholds])
         for (t, s), term in zip(thresholds, terms):
@@ -265,8 +267,9 @@ def cmd_compare(args, config):
     eq = solve_mrs(V)
     t_or_s = "t" if config.t_grid is not None else "s"
     rows, all_ok, worst = [], True, None
+    base = build_tail_model(eq, V, config.n_list[0], k=config.k)
     for N in config.n_list:
-        model = build_tail_model(eq, V, N, k=config.k)
+        model = replace(base, N=N)
         basis = build_basis(V, N)
         thresholds = _thresholds(config, eq, N, t_or_s)
         ts = [t for t, _ in thresholds]

@@ -117,18 +117,19 @@ def _endpoint_system(V, c, r):
 
 def solve_mrs(V, tol=1e-12, max_iter=100):
     """Solve the endpoint equations for the support [a, b] of the
-    equilibrium measure of V.
+    equilibrium measure of V, and check that V is one-cut regular.
 
     Damped Newton iteration on the centre c and half-width r of the
     support, with the residuals and their Jacobian in exact Chebyshev
     form (see _endpoint_system).  On success also computes the
-    Chebyshev coefficients of G, checks that G is positive on [a, b],
-    and computes the edge constant gamma and the Lagrange constant ell.
+    Chebyshev coefficients of G, the edge constant gamma and the
+    Lagrange constant ell, and checks exactly that G > 0 on [a, b] and
+    that the effective potential L > ell off it; convex fields pass.
 
     Parameters
     ----------
     V : Potential
-        Must pass validate_ga.
+        Of even degree >= 2, with a positive leading coefficient.
     tol : float
         Bound required of both residuals at the solution.
     max_iter : int
@@ -141,26 +142,35 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
     Raises
     ------
     SolverError
-        If the residuals are not below tol after max_iter steps.
+        If V does not grow at infinity (checked first), or if the
+        residuals are not below tol after max_iter steps.
     NumericalError
-        If G is not positive on [a, b]: the one-cut density
-        sqrt((b-x)(x-a)) G(x) / (2 pi) is then not a measure, as for a
-        double well whose equilibrium support has two cuts.
+        If G is not positive on [a, b]: the one-cut density is then not
+        a measure, as for the double well x^4 - 4x^2.  If
+        L - ell < -1e-12 (1 + |ell|) at a real root of G off [a, b]: the
+        equilibrium measure then also charges a second well.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if V.degree < 2 or V.degree % 2 or V.leading_coefficient <= 0:
+        raise SolverError(f"field {V.coeffs!r} does not grow at infinity: it needs an "
+                          f"even degree >= 2 and a positive leading coefficient")
     c, r = 0.0, 2.0 * V.scale()
     F, J = _endpoint_system(V, c, r)
-    for it in range(max_iter):
+
+    def failure(message, it):
+        return SolverError(message, iterations=it, last_iterate=(c - r, c + r),
+                           residuals=tuple(F))
+
+    for it in range(max_iter + 1):
         if np.max(np.abs(F)) < tol:
             break
+        if it == max_iter:
+            raise failure(f"no convergence after {max_iter} iterations", it)
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            raise SolverError(
-                "singular Jacobian in endpoint solve",
-                iterations=it, last_iterate=(c - r, c + r), residuals=tuple(F),
-            ) from None
+            raise failure("singular Jacobian in endpoint solve", it) from None
         lam = 1.0
         norm0 = np.max(np.abs(F))
         while True:
@@ -171,17 +181,8 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
                     break
             lam *= 0.5
             if lam < 1e-12:
-                raise SolverError(
-                    "line search failed in endpoint solve",
-                    iterations=it, last_iterate=(c - r, c + r), residuals=tuple(F),
-                )
+                raise failure("line search failed in endpoint solve", it)
         c, r, F, J = c_new, r_new, F_new, J_new
-    else:
-        if np.max(np.abs(F)) >= tol:
-            raise SolverError(
-                f"no convergence after {max_iter} iterations",
-                iterations=max_iter, last_iterate=(c - r, c + r), residuals=tuple(F),
-            )
 
     a, b = float(c - r), float(c + r)
     # r G(c + r y) = sum_k w_k U_{k-1}(y) = d/dy sum_k (w_k / k) T_k(y)
@@ -200,6 +201,18 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
     # midpoint, the point least affected by edge behavior
     mid = 0.5 * (a + b)
     ell = float(V.eval(mid, 0) - 2.0 * _log_moment(V, a, b, np.array([mid]))[0])
+    # L > ell off [a, b]: there (L - ell)' = +-sqrt(|(x-a)(x-b)|) G(x) and
+    # L - ell = 0 at a and b, so its minima are real roots of G (taken
+    # with the imaginary-part test of kernel_oracle._real_roots)
+    y = cheb.chebroots(g)
+    y = y[(np.abs(y.imag) < 1e-9 * (1.0 + np.abs(y.real))) & (np.abs(y.real) > 1.0)].real
+    x = c + r * y
+    dip = V.eval(x, 0) - 2.0 * _log_moment(V, a, b, x) - ell
+    if (dip < -1e-12 * (1.0 + abs(ell))).any():
+        i = int(np.argmin(dip))
+        raise NumericalError(
+            f"effective potential L - ell = {float(dip[i])!r} at x = {float(x[i])!r}, "
+            f"off the support [{a!r}, {b!r}]: the field is not one-cut")
     return EquilibriumData(
         a=a, b=b, gamma=float(gamma), ell=ell,
         g_coeffs=tuple(float(v) for v in g), residuals=(float(F[0]), float(F[1])),

@@ -463,7 +463,7 @@ def _gap(basis, t, w, Phi, d):
     if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
         raise NumericalError(
             f"tail Gram eigenvalues outside [0, 1]: range "
-            f"[{kept[0]!r}, {kept[-1]!r}] at t = {t!r}")
+            f"[{float(kept[0])!r}, {float(kept[-1])!r}] at t = {t!r}")
     lam = np.zeros(basis.N)
     lam[basis.N - kept.size:] = np.clip(kept, 0.0, 1.0)
     with np.errstate(divide="ignore"):
@@ -581,6 +581,15 @@ def _series_kernel(basis, V, t):
     return sw[:, None] * (Phi.T @ Phi) * sw[None, :]
 
 
+@lru_cache(maxsize=None)
+def _subsets(n, k):
+    """Read-only C(n, k) x k array of the k-subsets of range(n), in
+    itertools.combinations order."""
+    idx = np.fromiter(itertools.combinations(range(n), k), (np.intp, k), math.comb(n, k))
+    idx.flags.writeable = False
+    return idx
+
+
 def brute_force_survival(basis, V, t, k_max=None):
     """Survival probability by the inclusion-exclusion series: the k-th
     term is (-1)^{k+1}/k! times the k-fold integral of the k x k kernel
@@ -600,7 +609,7 @@ def brute_force_survival(basis, V, t, k_max=None):
     M = _series_kernel(basis, V, t)
     total = 0.0
     for k in range(1, k_max + 1):
-        idx = np.array(list(itertools.combinations(range(len(M)), k)))
+        idx = _subsets(len(M), k)
         sub = M[idx[:, :, None], idx[:, None, :]]
         total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
     return total

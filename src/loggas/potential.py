@@ -1,10 +1,10 @@
-"""Polynomial external fields and their admissibility checks.
+"""Polynomial external fields and their JSON form.
 
 A field V enters every downstream formula only through its values and
 first two derivatives, so potentials are stored as plain polynomial
-coefficients and evaluated exactly.  Admissibility (convexity in the
-sense of a strictly increasing V', plus growth at infinity) is verified
-on a wide Chebyshev grid rather than symbolically.
+coefficients and evaluated exactly.  Admissibility (growth at infinity
+and a one-cut regular equilibrium measure) is checked exactly by
+equilibrium.solve_mrs, not here.
 """
 
 import json
@@ -25,8 +25,8 @@ class Potential:
         stripped so ``degree`` is meaningful.
     asserts_ga_infinity : bool
         Caller's assertion that V admits the required analytic growth
-        extension off the real axis.  Recorded verbatim; nothing here
-        attempts to verify it.
+        extension off the real axis.  Recorded and serialized; no
+        computation uses it.
     """
 
     coeffs: tuple
@@ -67,75 +67,12 @@ class Potential:
     def scale(self):
         """Characteristic length |leading coeff|^(-1/degree).
 
-        Used to size initial guesses and validation grids; 1.0 for
-        constant or degenerate input.
+        solve_mrs starts its Newton iteration from the support
+        [-2 scale, 2 scale]; 1.0 for constant or degenerate input.
         """
         if self.degree < 1 or self.leading_coefficient <= 0:
             return 1.0
         return float(self.leading_coefficient) ** (-1.0 / self.degree)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the grid admissibility check."""
-
-    ok: bool
-    convex_ok: bool
-    monotone_ok: bool
-    growth_ok: bool
-    first_violation: float  # NaN when no violation was found
-    grid_radius: float
-    grid_points: int
-
-
-def validate_ga(V, grid_radius=None, grid_points=2048):
-    """Check admissibility of V on a symmetric Chebyshev grid.
-
-    Verifies V'' >= 0 everywhere on the grid with at most isolated
-    zeros, V' strictly increasing across consecutive grid points, and
-    even degree with positive leading coefficient (growth at infinity).
-    The default radius is 10*(1 + 2*scale), wide enough that the support
-    of any downstream equilibrium problem sits deep inside.
-
-    Returns a ValidationReport; never raises on a failing V.
-    """
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    if grid_radius is None:
-        grid_radius = 10.0 * (1.0 + 2.0 * V.scale())
-    k = np.arange(1, grid_points + 1)
-    x = grid_radius * np.cos((2 * k - 1) * np.pi / (2 * grid_points))
-    x = np.sort(x)
-
-    vpp = V.eval(x, 2)
-    neg = vpp < 0.0
-    # isolated zeros of V'' are fine (x**4 at the origin); a whole flat
-    # stretch is not
-    zeros = np.count_nonzero(vpp == 0.0)
-    convex_ok = (not neg.any()) and zeros <= max(1, V.degree)
-
-    vp = V.eval(x, 1)
-    dvp = np.diff(vp)
-    monotone_ok = bool((dvp > 0.0).all())
-
-    growth_ok = V.degree >= 2 and V.degree % 2 == 0 and V.leading_coefficient > 0
-
-    first_violation = np.nan
-    if neg.any():
-        first_violation = float(x[np.argmax(neg)])
-    elif not monotone_ok:
-        first_violation = float(x[np.argmax(dvp <= 0.0)])
-
-    ok = convex_ok and monotone_ok and growth_ok
-    return ValidationReport(
-        ok=ok,
-        convex_ok=convex_ok,
-        monotone_ok=monotone_ok,
-        growth_ok=growth_ok,
-        first_violation=first_violation,
-        grid_radius=float(grid_radius),
-        grid_points=int(grid_points),
-    )
 
 
 def potential_from_json(source):

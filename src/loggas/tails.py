@@ -95,7 +95,7 @@ def cramer_coefficients(eq, V, k):
     c0_scaled = c[0] * eq.gamma ** (-1.5)
     if abs(c0_scaled - 4.0 / 3.0) > 1e-8:
         raise NumericalError(
-            f"edge-coefficient gate failed: c0*gamma^(-3/2) = {c0_scaled!r}, "
+            f"edge-coefficient gate failed: c0*gamma^(-3/2) = {float(c0_scaled)!r}, "
             f"expected 4/3 (gamma = {eq.gamma!r}, b = {b!r})")
     d = c[1:] * eq.gamma ** -(m[1:] + 1.5)
     return [float(v) for v in d]

@@ -364,6 +364,31 @@ class TestPlumbing:
         capsys.readouterr()
         assert sizes == [3, 3, 3]
 
+    @pytest.mark.parametrize("command", ["tail", "compare"])
+    def test_cramer_coefficients_once_per_run(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        core = tails.cramer_coefficients
+
+        def counting(eq, V, k):
+            calls.append(k)
+            return core(eq, V, k)
+
+        monkeypatch.setattr(tails, "cramer_coefficients", counting)
+        cfg = write_config(tmp_path, N_list=[4, 8, 16], t_grid=[2.2, 2.5, 3.0], k=5)
+        assert main([command, "--config", cfg]) == 0
+        capsys.readouterr()
+        assert calls == [5]
+
+    @pytest.mark.parametrize("command", ["equilibrium", "tail", "compare"])
+    def test_field_with_far_wells_fails(self, tmp_path, capsys, command):
+        # G > 0 on the one-cut support, but L - ell < 0 at x = +-10.938
+        cfg = write_config(tmp_path, potential={"coeffs": [0, 0, 0.5, 0, -0.02, 0, 1e-4]},
+                           N_list=[10], s_grid=[1.0])
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "not one-cut" in captured.err
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -1,14 +1,16 @@
 """Support solver, density data, rate integral, effective potential, energy."""
 
 import math
+import re
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from loggas import (DiscreteMeasure, NumericalError, Potential, SolverError,
-                    build_tail_model, cramer_coefficients, density,
+from loggas import (DiscreteMeasure, EquilibriumData, NumericalError, Potential,
+                    SolverError, build_tail_model, cramer_coefficients, density,
                     effective_potential, energy, equilibrium_measure, eta,
                     eta_prime, g_factor, log_f_approx, solve_mrs)
 
@@ -19,6 +21,13 @@ FIELDS = {
     "sextic": (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1),
     "asymmetric": (0.0, 0.5, 0.5, 0.2, 0.25),
 }
+
+
+# x^2/2 - x^4/50 + x^6/10^4: the one-cut solution on [-2.5015, 2.5015]
+# has G > 0 there, but L - ell = -60.81 in the far wells at x = +-10.938
+FAR_WELLS = (0.0, 0.0, 0.5, 0.0, -0.02, 0.0, 1e-4)
+DIP = re.compile(r"L - ell = ([-+\d.e]+) at x = ([-+\d.e]+), "
+                 r"off the support \[([-+\d.e]+), ([-+\d.e]+)\]")
 
 
 def eta_quadratic(x):
@@ -84,13 +93,78 @@ class TestSolveMRS:
             solve_mrs(Potential((0.0, 0.0, 0.0, 1.0)))
 
     def test_two_cut_field_raises(self):
-        # x^4 - 4x^2 is a double well: the one-cut G is negative at 0
-        with pytest.raises(NumericalError):
-            solve_mrs(Potential((0.0, 0.0, -4.0, 0.0, 1.0)))
+        # x^4 - 4x^2 and x^4 - 3x^2 are double wells: the one-cut G is
+        # negative at 0
+        for a2 in (-4.0, -3.0):
+            with pytest.raises(NumericalError, match="density factor G"):
+                solve_mrs(Potential((0.0, 0.0, a2, 0.0, 1.0)))
 
     def test_deterministic(self, gue):
         e1, e2 = solve_mrs(gue), solve_mrs(gue)
         assert (e1.a, e1.b, e1.gamma, e1.ell) == (e2.a, e2.b, e2.gamma, e2.ell)
+
+
+class TestAdmissibility:
+    """solve_mrs checks one-cut regularity exactly: growth at infinity
+    before the Newton loop, G > 0 on [a, b], and L > ell at the real
+    roots of G off [a, b], where L - ell has its minima."""
+
+    @staticmethod
+    def scan(V, a, b):
+        """Minimum of L - ell on a grid of 4,000 points out to 10 (b - a)
+        off [a, b], refined on 2,001 points around the least one."""
+        eq = EquilibriumData(a=a, b=b, gamma=math.nan, ell=math.nan, g_coeffs=(),
+                             residuals=(), coeffs=V.coeffs)
+        ell = effective_potential(eq, V, 0.5 * (a + b))
+        h = 10.0 * (b - a) / 2000
+        u = h * np.arange(1, 2001)
+        x = np.concatenate([a - u, b + u])
+        x0 = x[np.argmin(effective_potential(eq, V, x))]
+        x = np.linspace(x0 - h, x0 + h, 2001)
+        x = x[(x < a) | (x > b)]
+        excess = effective_potential(eq, V, x) - ell
+        i = np.argmin(excess)
+        return excess[i], x[i]
+
+    @pytest.mark.parametrize("coeffs, wells, depth", [
+        (FAR_WELLS, (-10.938, 10.938), 60.81),
+        # tilted: the deeper well lies left of a
+        ((0.0, 0.0, 0.5, 0.0, -0.02, 4e-5, 1e-4), (-11.127,), 67.35),
+    ])
+    def test_dip_off_the_support_raises(self, coeffs, wells, depth):
+        V = Potential(coeffs)
+        with pytest.raises(NumericalError, match="not one-cut") as info:
+            solve_mrs(V)
+        dip, x, a, b = map(float, DIP.search(str(info.value)).groups())
+        assert min(abs(x - well) for well in wells) < 1e-3
+        assert dip == pytest.approx(-depth, abs=0.01)
+        assert not a <= x <= b
+        # the reported dip is the minimum of L - ell off the support
+        scan_dip, scan_x = self.scan(V, a, b)
+        assert scan_dip >= dip - 1e-9 * abs(dip)
+        assert scan_dip == pytest.approx(dip, rel=1e-6)
+        assert abs(scan_x) == pytest.approx(abs(x), abs=1e-3)
+
+    @pytest.mark.parametrize("coeffs", [
+        *FIELDS.values(),
+        (0.0, 0.0, 0.25), (100.0, 0.0, 0.5), (0.5, -1.0, 0.5),
+        # not convex, but its far wells at x = +-5.138 sit 0.438 above ell
+        (0.0, 0.0, 0.5, 0.0, -0.02, 0.0, 2.85e-4),
+    ])
+    def test_one_cut_fields_pass(self, coeffs):
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        assert self.scan(V, eq.a, eq.b)[0] > -1e-12 * (1.0 + abs(eq.ell))
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 0.0, 0.0, 1.0), (0.0, 1.0), (5.0,), (0.0, 0.0, -0.5), (0.0, 0.0, 0.0, 0.0, -1.0),
+    ], ids=["x^3", "x", "constant", "-x^2/2", "-x^4"])
+    def test_no_growth_raises_before_newton(self, coeffs):
+        V = Potential(coeffs)
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="does not grow at infinity"):
+            solve_mrs(V)
+        assert time.perf_counter() - start < 0.01
 
 
 class TestDensity:

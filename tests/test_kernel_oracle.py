@@ -11,9 +11,10 @@ from loggas import (Potential, brute_force_survival, build_basis, gap_probabilit
                     gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
 from loggas import kernel_oracle
 from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, WINDOW_LOG_CUTOFF,
-                                  GapResult, _level_roots, _phi_matrix, _series_kernel,
-                                  _support_window, _tail, _tail_grid, composite_gl,
-                                  gap_probabilities, gl_rule)
+                                  GapResult, _gap, _level_roots, _phi_matrix,
+                                  _series_kernel, _settle, _subsets, _support_window,
+                                  _tail, _tail_grid, composite_gl, gap_probabilities,
+                                  gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -631,6 +632,23 @@ class TestGap:
                 ordered += (-1.0) ** (k + 1) / math.factorial(k) * float(dets.sum())
             assert brute_force_survival(b, V, t) == pytest.approx(ordered, abs=1e-14)
 
+    def test_subset_arrays_cached_and_read_only(self, gue, quartic):
+        # the series of the benchmark's det-vs-series pairs (t = b + 0.5)
+        # is bit for bit the one from subset arrays built per call
+        for V, b in ((gue, 2.0), (quartic, (4.0 / 3.0) ** 0.25)):
+            for N in (2, 3, 4, 5):
+                basis = build_basis(V, N)
+                M = _series_kernel(basis, V, b + 0.5)
+                total = 0.0
+                for k in range(1, N + 1):
+                    idx = np.array(list(itertools.combinations(range(len(M)), k)))
+                    sub = M[idx[:, :, None], idx[:, None, :]]
+                    total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
+                assert brute_force_survival(basis, V, b + 0.5) == total
+        assert _subsets(24, 3) is _subsets(24, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            _subsets(24, 3)[0, 0] = 5
+
     def test_series_size_cap(self, gue):
         b = build_basis(gue, 6)
         with pytest.raises(ValueError):
@@ -681,6 +699,15 @@ class TestGap:
         r = gap_probability(b, gue, -10.0)
         assert r.survival == pytest.approx(1.0, abs=1e-10)
         assert r.trace == pytest.approx(6.0, rel=1e-10)
+
+    def test_eigenvalue_error_prints_plain_floats(self, gue):
+        # weights scaled by 10 push the top eigenvalue past 1
+        b = build_basis(gue, 10)
+        grid = _tail_grid(b, gue, 0.0)
+        _, w, Phi, d = _settle(b, gue, grid, _phi_matrix(b, gue, grid.x))
+        with pytest.raises(NumericalError, match="outside") as info:
+            _gap(b, 0.0, 10.0 * w, Phi, d)
+        assert "np." not in str(info.value)
 
     def test_eigenvalues_sorted_in_unit_interval(self, gue):
         b = build_basis(gue, 9)

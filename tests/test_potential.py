@@ -1,4 +1,4 @@
-"""Field construction, evaluation, admissibility checks, JSON round-trips."""
+"""Field construction, evaluation, JSON round-trips."""
 
 import dataclasses
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from loggas import Potential, potential_from_json, potential_to_json, validate_ga
+from loggas import Potential, potential_from_json, potential_to_json
 
 
 def test_trailing_zeros_stripped():
@@ -52,41 +52,6 @@ def test_scale():
     assert Potential((0.0, 0.0, 0.5)).scale() == pytest.approx(math.sqrt(2.0))
     assert Potential((0.0, 0.0, 0.0, 0.0, 1.0)).scale() == 1.0
     assert Potential((5.0,)).scale() == 1.0  # constant: fallback
-
-
-def test_validate_ga_accepts_convex_even(gue, quartic):
-    for V in (gue, quartic):
-        report = validate_ga(V)
-        assert report.ok
-        assert report.convex_ok and report.monotone_ok and report.growth_ok
-        assert math.isnan(report.first_violation)
-
-
-def test_validate_ga_rejects_odd_degree():
-    report = validate_ga(Potential((0.0, 0.0, 0.0, 1.0)))
-    assert not report.ok
-    assert not report.growth_ok
-    assert not report.convex_ok  # V'' = 6x goes negative
-    assert report.first_violation < 0.0
-
-
-def test_validate_ga_rejects_double_well():
-    report = validate_ga(Potential((0.0, 0.0, -3.0, 0.0, 1.0)))
-    assert not report.ok
-    assert report.growth_ok  # even degree, positive leading coefficient
-    assert not report.convex_ok
-    assert abs(report.first_violation) < 1.0 / math.sqrt(2.0) + 1e-6
-
-
-def test_validate_ga_grid_too_small(gue):
-    with pytest.raises(ValueError):
-        validate_ga(gue, grid_points=50)
-
-
-def test_validate_ga_records_grid(gue):
-    report = validate_ga(gue, grid_radius=12.0, grid_points=512)
-    assert report.grid_radius == 12.0
-    assert report.grid_points == 512
 
 
 def test_json_round_trip(quartic):

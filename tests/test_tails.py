@@ -60,6 +60,11 @@ class TestCramerCoefficients:
         with pytest.raises(ValueError, match="solved for the field"):
             cramer_coefficients(gue_eq, quartic, 2)
 
+    def test_edge_gate_prints_plain_floats(self, gue_eq, gue):
+        with pytest.raises(NumericalError, match="edge-coefficient gate") as info:
+            cramer_coefficients(dataclasses.replace(gue_eq, gamma=2.0), gue, 2)
+        assert "np." not in str(info.value)
+
 
 class TestTailModel:
     def test_fields(self, gue_eq, gue):
