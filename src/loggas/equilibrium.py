@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
@@ -89,9 +88,13 @@ def _chebyshev_angles(n):
 
 def _cheb_derivative(V, order, c, r):
     """Chebyshev coefficients in y of the order-th derivative of V at
-    x = c + r y."""
-    p = Polynomial(npoly.polyder(V.coeffs, order))
-    return cheb.poly2cheb(p(Polynomial([c, r])).coef)
+    x = c + r y, composed by Horner's rule on coefficient arrays."""
+    d = npoly.polyder(V.coeffs, order)
+    acc = d[-1:]
+    for coef in d[-2::-1]:
+        acc = np.convolve(acc, (c, r))
+        acc[0] += coef
+    return cheb.poly2cheb(acc)
 
 
 def _endpoint_system(V, c, r):

@@ -19,19 +19,24 @@ phi_j = p_j exp(-N (V - Vmin) / 2), which stays of moderate size where
 the raw p_j would overflow.
 
 Per threshold t, the tail grid's nodes are placed beside those of
-neighbouring thresholds, one recurrence per chunk of thresholds
-evaluates every phi_j on them, and each threshold takes its own
-columns for the row masses d_j, the diagonal of the tail Gram matrix
-G.  The leading rows whose masses sum to at most DEFLATION_TOL of the
-trace are dropped before the eigenvalues are taken: that moves the
+neighbouring thresholds, and one streamed recurrence per chunk of
+thresholds runs over them in blocks of rows, on sqrt(w) phi_j for the
+quadrature weights w.  It records each threshold's row masses d_j, the
+diagonal of the tail Gram matrix G, panel by panel, and frees the
+leading blocks whose rows every threshold of the chunk will drop.  The
+leading rows whose masses sum to at most DEFLATION_TOL / 2 of the
+trace are dropped, then the nodes of least mass on the rows left, up
+to the same share, before the eigenvalues are taken: that moves the
 survival probability by at most the dropped mass (see
 gap_probability), and past the edge it leaves a block far smaller than
-N.
+N.  Past the Gershgorin edge of the Jacobi matrix |phi_{j+1}| >=
+|phi_j| (x - alpha_j >= 2 max sqrt(beta)), so the row masses grow with
+j there and a pass keeps about the kept rows plus one block alive.
 """
 
 import itertools
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,8 +61,9 @@ EDGE_GROWTH = 2.0                  # width ratio of consecutive edge panels
 EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may span
 EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may carry
 MAX_EDGE_PANELS = 12
-PHI_CHUNK_ENTRIES = 3 << 16        # phi values (1.5 MB) one gap_probabilities chunk holds
-DEFLATION_TOL = 1e-30              # tail-mass share of the rows gap_probability drops
+ROW_BLOCK = 8                      # rows of one block of the streamed recurrence
+PHI_CHUNK_ENTRIES = 3 << 13        # psi values (192 kB) in one row block of a streamed pass
+DEFLATION_TOL = 1e-30              # tail-mass share of the rows and nodes gap_probability drops
 TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the phi_j^2 sums lose precision
 SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
 SERIES_LOG_CUTOFF = 80.0
@@ -87,9 +93,10 @@ class GapResult:
     log_survival is always finite; survival is None when the value sits
     below 1e-300.  det_value is the gap probability det(I - G) for the
     tail Gram matrix G.  eigenvalues has length N in ascending order:
-    those gap_probability computes (the kept block of G, or its m x m
-    dual when the tail grid has fewer nodes m than kept rows), preceded
-    by 0.0 for every other row.  trace is the trace of the whole of G.
+    those gap_probability computes, preceded by 0.0 for every other row.
+    They are the eigenvalues of the kept block of G, the k kept rows on
+    the m kept nodes, taken from its m x m dual (the node-deflated
+    A^T A) when m < k.  trace is the trace of the whole of G.
     """
 
     t: float
@@ -273,29 +280,44 @@ def build_basis(V, N):
     return basis
 
 
-def _phi_matrix(basis, V, x, j_max=None):
-    """Weighted polynomial values phi_0..phi_{j_max} at the points x,
-    as a (j_max+1, len(x)) array.
+def _phi_blocks(basis, V, x, rows, block, scale=None):
+    """Weighted polynomial values phi_0..phi_{rows-1} at the points x,
+    times scale when it is given, by the three-term recurrence: a
+    generator of successive (block, len(x)) arrays of rows, the last
+    one shorter when block does not divide rows.
 
     Each value depends on its own point only, through element-wise IEEE
     operations, so evaluating at a concatenation of point sets gives
     the concatenation of the results bit for bit."""
+    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
+    term = np.empty_like(x)
+    prev = cur = None
+    for first in range(0, rows, block):
+        out = np.empty((min(block, rows - first), x.size))
+        for j, row in enumerate(out, first):
+            if j == 0:
+                np.divide(np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)), sqrt_beta[0],
+                          out=row)
+                if scale is not None:
+                    row *= scale
+            else:
+                np.subtract(x, alpha[j - 1], out=row)
+                row *= cur
+                if j > 1:
+                    np.multiply(prev, sqrt_beta[j - 1], out=term)
+                    row -= term
+                row /= sqrt_beta[j]
+            prev, cur = cur, row
+        yield out
+
+
+def _phi_matrix(basis, V, x, j_max=None):
+    """phi_0..phi_{j_max} at the points x as one (j_max+1, len(x))
+    array."""
     if j_max is None:
         j_max = basis.N - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
-    out = np.empty((j_max + 1, x.size))
-    out[0] = np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)) / sqrt_beta[0]
-    term = np.empty_like(x)
-    for j in range(j_max):
-        row = out[j + 1]
-        np.subtract(x, alpha[j], out=row)
-        row *= out[j]
-        if j:
-            np.multiply(out[j - 1], sqrt_beta[j], out=term)
-            row -= term
-        row /= sqrt_beta[j + 1]
-    return out
+    return next(_phi_blocks(basis, V, x, j_max + 1, j_max + 1))
 
 
 def phi(basis, V, j, x):
@@ -403,35 +425,112 @@ def _tail_grid(basis, V, t):
                      panel=panel, stop=stop, max_panels=max_panels)
 
 
-def _settle(basis, V, grid, Phi):
-    """Nodes, weights, phi values and row masses d_j = sum_i w_i
-    phi_j(x_i)^2 of the tail grid up to the first panel at which its
-    stopping rule fires, given Phi on the grid's first panels.  Panels
-    past those are added, with one phi evaluation each, while the rule
-    has not fired."""
-    x, w, ends = grid.x, grid.w, list(grid.ends)
-    d = np.zeros(basis.N)
-    total = 0.0
-    for p in range(grid.max_panels):
-        if p == len(ends):
-            xm, wm = grid.panel(p)
-            x, w = np.concatenate((x, xm)), np.concatenate((w, wm))
-            Phi = np.concatenate((Phi, _phi_matrix(basis, V, xm)), axis=1)
-            ends.append(x.size)
-        begin, end = (ends[p - 1] if p else 0), ends[p]
-        mass = np.square(Phi[:, begin:end]) @ w[begin:end]
-        contrib = float(np.sum(mass))
-        d += mass
-        total += contrib
-        if grid.stop(p, contrib, total):
-            return x[:end], w[:end], Phi[:, :end], d
-    raise NumericalError("tail quadrature did not terminate")
+def _pass(basis, V, grids):
+    """One streamed recurrence over the nodes of grids, laid side by
+    side; grids holds (x, w, ends) per tail grid, with ends its
+    cumulative panel node counts.
+
+    The recurrence runs on psi_j = sqrt(w) phi_j, in blocks of ROW_BLOCK
+    rows.  After each block it records the row masses of every panel,
+    the sums of psi_j^2 over the panel's nodes, and frees the oldest
+    kept block once, for every grid, the rows up to its end carry at
+    most half of DEFLATION_TOL of the grid's first-panel mass so far: a
+    lower bound on the trace of any leading run of the grid's panels,
+    so the row cut of gap_probability drops those rows wherever the
+    grid ends.  Returns the row masses, N x (all panels), and the list
+    of blocks with the freed ones set to None."""
+    x = np.concatenate([g[0] for g in grids])
+    sw = np.sqrt(np.concatenate([g[1] for g in grids]))
+    starts, owners, col = [], [], 0
+    for gx, _, ends in grids:
+        owners.append(len(starts))
+        starts.extend(col + e for e in (0,) + ends[:-1])
+        col += gx.size
+    masses = np.empty((basis.N, len(starts)))
+    square = np.empty((ROW_BLOCK, x.size))
+    blocks, prefix, low = [], [], 0
+    rows_mass = np.zeros(len(grids))
+    bound = np.zeros(len(grids))
+    share = 0.5 * DEFLATION_TOL * (1.0 - 1e-9)   # margin for the order of summation
+    for blk in _phi_blocks(basis, V, x, basis.N, ROW_BLOCK, sw):
+        rows = masses[len(blocks) * ROW_BLOCK:][:len(blk)]
+        np.add.reduceat(np.square(blk, out=square[:len(blk)]), starts, axis=1, out=rows)
+        panels = rows.sum(axis=0)
+        rows_mass = rows_mass + np.add.reduceat(panels, owners)
+        bound += panels[owners]
+        blocks.append(blk)
+        prefix.append(rows_mass)
+        while low < len(blocks) - 1 and (prefix[low] <= share * bound).all():
+            blocks[low] = None
+            low += 1
+    return masses, blocks
+
+
+def _tails(basis, V, ts):
+    """Settled tail grids of the thresholds ts, by streamed passes over
+    chunks of consecutive grids with at most PHI_CHUNK_ENTRIES //
+    ROW_BLOCK nodes (or a single grid).
+
+    A generator of (i, item) for the i-th threshold, in no fixed order:
+    item is the ValueError or NumericalError that threshold raised, or
+    (x, w, d, Psi): the nodes and weights of its grid up to the first
+    panel at which the stopping rule fires, the row masses
+    d_j = sum_i w_i phi_j(x_i)^2 there, and the last rows of
+    sqrt(w) phi_j at those nodes, at least the rows gap_probability
+    keeps.  A grid whose rule has not fired at its last panel gets one
+    panel more and goes through a later pass."""
+    pending = deque(enumerate(ts))   # (i, t), or (i, grid, x, w, ends) once built
+    budget = PHI_CHUNK_ENTRIES // ROW_BLOCK
+    while pending:
+        chunk, size = [], 0
+        while pending:
+            if len(pending[0]) == 2:
+                i, t = pending[0]
+                try:
+                    grid = _tail_grid(basis, V, t)
+                except (ValueError, NumericalError) as exc:
+                    pending.popleft()
+                    yield i, exc
+                    continue
+                pending[0] = (i, grid, grid.x, grid.w, grid.ends)
+            if chunk and size + pending[0][2].size > budget:
+                break
+            chunk.append(pending.popleft())
+            size += chunk[-1][2].size
+        if not chunk:
+            break
+        masses, blocks = _pass(basis, V, [item[2:] for item in chunk])
+        col = panel = 0
+        for i, grid, x, w, ends in chunk:
+            R = masses[:, panel:panel + len(ends)]
+            total = 0.0
+            for p, contrib in enumerate(R.sum(axis=0).tolist()):
+                total += contrib
+                if grid.stop(p, contrib, total):
+                    end = ends[p]
+                    Psi = np.concatenate([b[:, col:col + end] for b in blocks if b is not None])
+                    yield i, (x[:end], w[:end], R[:, :p + 1].sum(axis=1), Psi)
+                    break
+            else:
+                if len(ends) == grid.max_panels:
+                    yield i, NumericalError("tail quadrature did not terminate")
+                else:
+                    xm, wm = grid.panel(len(ends))
+                    pending.append((i, grid, np.concatenate((x, xm)), np.concatenate((w, wm)),
+                                    ends + (ends[-1] + xm.size,)))
+            col += x.size
+            panel += len(ends)
+        del masses, blocks, R   # before the next pass allocates its own
 
 
 def _tail(basis, V, t):
-    """_settle on the tail grid of one threshold."""
-    grid = _tail_grid(basis, V, t)
-    return _settle(basis, V, grid, _phi_matrix(basis, V, grid.x))
+    """Nodes, weights, phi values and row masses of the settled tail grid
+    of one threshold."""
+    ((_, item),) = _tails(basis, V, [t])
+    if isinstance(item, Exception):
+        raise item
+    x, w, d, _ = item
+    return x, w, _phi_matrix(basis, V, x), d
 
 
 def tail_trace(basis, V, t):
@@ -450,14 +549,24 @@ def gram(basis, V, t):
 
 
 def _gap(basis, t, w, Phi, d):
-    """GapResult from a settled tail grid (see gap_probability)."""
+    """GapResult from a settled tail grid (see gap_probability): its
+    weights w, the row masses d, and phi_j at its nodes in the last
+    len(Phi) rows, at least the rows the cut keeps (w = 1.0 when Phi
+    carries the factor sqrt(w) already)."""
     trace = float(np.sum(d))
     if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
         raise NumericalError(
             f"tail Gram trace {trace!r} at t = {t!r}: the kernel mass past the "
             f"threshold is not a finite normal double")
-    j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * trace, side="right"))
-    A = Phi[j0:] * np.sqrt(w)
+    cut = 0.5 * DEFLATION_TOL * trace
+    j0 = int(np.searchsorted(np.cumsum(d), cut, side="right"))
+    assert j0 >= basis.N - len(Phi), "the row cut keeps rows that were not passed"
+    A = Phi[j0 - basis.N + len(Phi):] * np.sqrt(w)
+    mass = np.einsum("ij,ij->j", A, A)
+    order = np.argsort(mass, kind="stable")
+    n0 = int(np.searchsorted(np.cumsum(mass[order]), cut, side="right"))
+    if n0:
+        A = A[:, np.sort(order[n0:])]
     k, m = A.shape
     kept = np.linalg.eigvalsh(A @ A.T if k <= m else A.T @ A)
     if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
@@ -499,36 +608,28 @@ def gap_probabilities(basis, V, ts):
     not stop the others.
 
     The first panels of consecutive thresholds' tail grids are placed
-    side by side and phi is evaluated on them in one recurrence per
-    chunk of thresholds; a chunk holds at most PHI_CHUNK_ENTRIES phi
-    values (or a single threshold), so memory does not grow with
-    len(ts).  Each threshold then takes its own columns; phi is
-    element-wise in x and every product is formed from fresh arrays, so
-    its result is the one gap_probability gives, bit for bit.
+    side by side, up to PHI_CHUNK_ENTRIES // ROW_BLOCK nodes L per chunk
+    (or a single grid), and one streamed recurrence per chunk runs over
+    all of them in blocks of ROW_BLOCK rows.  A chunk holds the row
+    masses of every panel (N x panels) and the blocks from the first
+    row some threshold keeps: O(k L + N panels) memory for the largest
+    kept row count k, which does not grow with len(ts).  A grid whose
+    stopping rule has not fired at its last panel gets one panel more
+    and goes through a later pass.  Each threshold takes its own
+    columns; phi is element-wise in x and every product is formed from
+    fresh arrays, so its result is the one gap_probability gives, bit
+    for bit.  Per threshold the cost is O(N m) in the recurrence for m
+    tail nodes, O(k m min(k, m)) for the Gram block and
+    O(min(k, m)^3) for its eigenvalues.
     """
     out = [None] * len(ts)
-    pending = []
-    for i, t in enumerate(ts):
-        try:
-            pending.append((i, float(t), _tail_grid(basis, V, t)))
-        except (ValueError, NumericalError) as exc:
-            out[i] = exc
-    budget = PHI_CHUNK_ENTRIES // basis.N
-    while pending:
-        n, size = 1, pending[0][2].x.size
-        while n < len(pending) and size + pending[n][2].x.size <= budget:
-            size += pending[n][2].x.size
-            n += 1
-        chunk, pending = pending[:n], pending[n:]
-        Phi = _phi_matrix(basis, V, np.concatenate([g.x for _, _, g in chunk]))
-        col = 0
-        for i, t, grid in chunk:
-            block = Phi[:, col:col + grid.x.size]
-            col += grid.x.size
+    for i, item in _tails(basis, V, ts):
+        if not isinstance(item, Exception):
             try:
-                out[i] = _gap(basis, t, *_settle(basis, V, grid, block)[1:])
+                item = _gap(basis, float(ts[i]), 1.0, item[3], item[2])
             except NumericalError as exc:
-                out[i] = exc
+                item = exc
+        out[i] = item
     return out
 
 
@@ -539,20 +640,25 @@ def gap_probability(basis, V, t):
     through the eigenvalues keeps log-space accuracy for survival values
     far below the linear floating-point range.
 
-    Only the rows that carry tail mass enter the eigenproblem.  With
-    d_j the diagonal of G and T = sum_j d_j its trace, the longest
-    prefix of rows 0..j0-1 whose mass eps = d_0 + ... + d_{j0-1} is at
-    most DEFLATION_TOL * T is dropped, and the eigenvalues are those of
-    the kept block G22 = A A^T, A = Phi[j0:] sqrt(w), of size
-    k = N - j0, taken from the m x m matrix A^T A when the grid has
-    m < k nodes (the same nonzero eigenvalues).  For the PSD G with
-    G <= I, det(I - G) = det(I - G22) det(I - S), where I - S is the
-    Schur complement of I - G22 in I - G, tr S <= eps / (1 -
-    lambda_max(G22)) and det(I - G22) <= 1 - lambda_max(G22), so
-    0 <= survival(G) - survival(G22) <= eps.  As survival(G) >=
-    (1 - e^-1) min(T, 1), that is a relative error of at most
-    2 DEFLATION_TOL max(T, 1).  Eigenvalues not computed are reported
-    as 0.0.
+    Only the rows and nodes that carry tail mass enter the eigenproblem.
+    With d_j the diagonal of G and T = sum_j d_j its trace, the longest
+    prefix of rows 0..j0-1 whose mass eps_rows = d_0 + ... + d_{j0-1} is
+    at most DEFLATION_TOL * T / 2 is dropped, leaving G22 = A A^T,
+    A = Phi[j0:] sqrt(w), k = N - j0 rows.  Then the nodes go, in
+    ascending order of their mass on those rows (the diagonal of the
+    dual A^T A), while the dropped mass eps_nodes stays at most
+    DEFLATION_TOL * T / 2, leaving A' with m columns.  The eigenvalues
+    are those of A' A'^T, or of the m x m A'^T A' when m < k (the same
+    nonzero eigenvalues).  For a PSD M with M <= I and a principal
+    block M22, det(I - M) = det(I - M22) det(I - S), where I - S is the
+    Schur complement of I - M22 in I - M, tr S <= eps / (1 -
+    lambda_max(M22)) for the dropped diagonal mass eps, and
+    det(I - M22) <= 1 - lambda_max(M22), so 0 <= survival(M) -
+    survival(M22) <= eps.  Applied to G and G22, then to A^T A and
+    A'^T A', 0 <= survival(G) - survival(kept) <= eps_rows + eps_nodes
+    <= DEFLATION_TOL * T.  As survival(G) >= (1 - e^-1) min(T, 1), that
+    is a relative error of at most 2 DEFLATION_TOL max(T, 1).
+    Eigenvalues not computed are reported as 0.0.
 
     Raises NumericalError if t lies past the window (phi_0 is not a
     normal double there), if the trace is not a finite normal double

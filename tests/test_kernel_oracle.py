@@ -3,6 +3,7 @@ series cross-checks, determinant bound."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ import pytest
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
                     gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
 from loggas import kernel_oracle
-from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, WINDOW_LOG_CUTOFF,
-                                  GapResult, _gap, _level_roots, _phi_matrix,
-                                  _series_kernel, _settle, _subsets, _support_window,
-                                  _tail, _tail_grid, composite_gl, gap_probabilities,
-                                  gl_rule)
+from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, PHI_CHUNK_ENTRIES,
+                                  ROW_BLOCK, WINDOW_LOG_CUTOFF, GapResult, _gap,
+                                  _level_roots, _phi_matrix, _series_kernel, _subsets,
+                                  _support_window, _tail, _tail_grid, composite_gl,
+                                  gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -116,6 +117,33 @@ def refined_log_survival(basis, V, t):
     xr, wr = np.concatenate(xs), np.concatenate(ws)
     Phi = _phi_matrix(basis, V, xr)
     return kernel_oracle._gap(basis, float(t), wr, Phi, np.square(Phi) @ wr).log_survival
+
+
+def deflated(basis, V, t):
+    """The cuts of gap_probability by their documented rule: rows, then
+    nodes in ascending order of mass on the rows left, each up to
+    DEFLATION_TOL / 2 of the trace.  Returns the (rows, nodes) shape of
+    the kept block and the dropped row and node masses."""
+    x, w, Phi, d = _tail(basis, V, t)
+    cut = 0.5 * DEFLATION_TOL * float(np.sum(d))
+    j0 = int(np.searchsorted(np.cumsum(d), cut, side="right"))
+    ranked = np.sort(np.sum(np.square(Phi[j0:]) * w, axis=0))
+    n0 = int(np.searchsorted(np.cumsum(ranked), cut, side="right"))
+    return (basis.N - j0, x.size - n0), float(np.sum(d[:j0])), float(np.sum(ranked[:n0]))
+
+
+def counting_passes(monkeypatch):
+    """Record the node count of every grid of every streamed pass, one
+    list per pass."""
+    passes = []
+    stream = kernel_oracle._pass
+
+    def counting(basis, V, grids):
+        passes.append([g[0].size for g in grids])
+        return stream(basis, V, grids)
+
+    monkeypatch.setattr(kernel_oracle, "_pass", counting)
+    return passes
 
 
 def full_survival(G):
@@ -296,7 +324,9 @@ class TestDeflation:
     @FIELDS
     @pytest.mark.parametrize("N", [3, 12, 50, 200])
     def test_dropped_rows_cost_at_most_their_mass(self, coeffs, N):
-        # 0 <= survival(G) - survival(G22) <= eps, eps the dropped mass
+        # 0 <= survival(G) - survival(kept) <= eps_rows + eps_nodes, the
+        # masses of the dropped rows and nodes, each at most
+        # DEFLATION_TOL / 2 of the trace
         V = Potential(coeffs)
         eq = solve_mrs(V)
         b = build_basis(V, N)
@@ -317,8 +347,9 @@ class TestDeflation:
                 with pytest.raises(NumericalError):
                     gap_probability(b, V, t)
                 continue
-            j0 = int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * T, side="right"))
-            eps = float(np.sum(d[:j0]))
+            _, eps_rows, eps_nodes = deflated(b, V, t)
+            eps = eps_rows + eps_nodes
+            assert eps <= DEFLATION_TOL * T
             sur_full, log_full = full_survival(G)
             r = gap_probability(b, V, t)
             sur = 0.0 if r.survival is None else r.survival
@@ -328,9 +359,10 @@ class TestDeflation:
 
     def test_eigenproblem_sized_by_tail_rows(self, gue, quartic, monkeypatch):
         # every threshold past the edge on the benchmark's s grid hands
-        # eigvalsh min(k, m) < N/2 rows, for k kept rows and m tail
-        # nodes; the m x m form (k > m, quartic N = 400) gives the
-        # survival of the full Gram matrix
+        # eigvalsh min(k, m) < N/2 rows, for the k rows and m nodes left
+        # by the two cuts; the node cut drops nodes on every threshold,
+        # and the m x m form (k > m) gives the survival of the full Gram
+        # matrix
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -348,21 +380,22 @@ class TestDeflation:
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                x, w, Phi, d = _tail(b, V, t)
-                assert x.size == 3 * BASE_PANEL_NODES
-                k = N - int(np.searchsorted(np.cumsum(d), DEFLATION_TOL * r.trace,
-                                            side="right"))
-                n = min(k, x.size)
+                assert _tail(b, V, t)[0].size == 3 * BASE_PANEL_NODES
+                (k, m), _, _ = deflated(b, V, t)
+                n = min(k, m)
+                assert m < 3 * BASE_PANEL_NODES, t
                 assert sizes == [(n, n)] and n < N // 2, (t, sizes)
                 assert r.eigenvalues.shape == (N,)
                 assert (r.eigenvalues[:N - n] == 0.0).all()
-                if k > x.size:
+                if k > m:
                     dual += 1
                     _, log_full = full_survival(gram(b, V, t))
                     assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
-            assert (dual > 0) == (N == 400)
+            assert dual > 0
 
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
+        # gap_probability runs one streamed pass over its grid's first
+        # panels and no other phi recurrence
         calls = []
 
         def counting(*args, **kwargs):
@@ -373,44 +406,73 @@ class TestDeflation:
             eq = solve_mrs(V)
             for N in (12, 50, 200):
                 b = build_basis(V, N)
+                passes = counting_passes(monkeypatch)
                 monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
                 for t in thresholds(eq, N):
                     calls.clear()
+                    passes.clear()
                     try:
                         gap_probability(b, V, t)
                     except NumericalError:
                         assert N == 12 and V is quartic  # s = 32: no normal-range mass
-                    assert len(calls) == 1, (N, t, calls)
+                    assert passes == [[_tail_grid(b, V, t).x.size]], (N, t, passes)
+                    assert calls == []
                 monkeypatch.undo()
 
     def test_one_phi_recurrence_per_chunk(self, gue, quartic, monkeypatch):
-        # consecutive thresholds share a phi call while their first
-        # panels hold at most PHI_CHUNK_ENTRIES values
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[2].size)
-            return _phi_matrix(*args, **kwargs)
-
+        # consecutive thresholds share a streamed pass while their first
+        # panels hold at most PHI_CHUNK_ENTRIES // ROW_BLOCK nodes
         for V in (gue, quartic):
             eq = solve_mrs(V)
             for N in (12, 50, 200):
                 b = build_basis(V, N)
                 ts = thresholds(eq, N) * 6
-                budget = kernel_oracle.PHI_CHUNK_ENTRIES // N
+                budget = PHI_CHUNK_ENTRIES // ROW_BLOCK
                 chunks, used = [], None
                 for size in (_tail_grid(b, V, t).x.size for t in ts):
                     if used is None or used + size > budget:
-                        chunks.append(0)
+                        chunks.append([])
                         used = 0
-                    chunks[-1] += size
+                    chunks[-1].append(size)
                     used += size
-                monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
-                calls.clear()
+                passes = counting_passes(monkeypatch)
                 gap_probabilities(b, V, ts)
                 monkeypatch.undo()
-                assert calls == chunks, (N, calls, chunks)
-                assert len(chunks) > 1 or N < 200
+                assert passes == chunks, (N, passes, chunks)
+                assert len(chunks) > 1
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC],
+                             ids=["gue", "quartic", "sextic", "asymmetric"])
+    @pytest.mark.parametrize("N", [3, 12, 50, 200, 400])
+    def test_phi_grows_past_the_gershgorin_edge(self, coeffs, N):
+        # past the edge x - alpha_j >= 2 max sqrt(beta), so by induction
+        # |phi_{j+1}(x)| >= |phi_j(x)|: row masses grow with j there, which
+        # is what lets a streamed pass free its leading rows
+        V = Potential(coeffs)
+        b = build_basis(V, N)
+        edge = kernel_oracle._bulk_estimate(b)[1]
+        x = np.linspace(edge, b.support_window[1], 257)
+        Phi = np.abs(_phi_matrix(b, V, x))
+        assert (Phi[0] > 0.0).all()
+        assert (Phi[1:] >= Phi[:-1]).all(), (N, np.argwhere(Phi[1:] < Phi[:-1])[:3])
+
+    def test_memory_flat_in_thresholds(self, gue, gue_eq):
+        # six copies of the benchmark's 32 thresholds at N = 200 need at
+        # most one row block of psi values more working memory than one
+        # copy (the results they return aside)
+        b = build_basis(gue, 200)
+        ts = [edge_point(gue_eq, 200, s) for s in np.geomspace(0.5, 32.0, 32)]
+        gap_probabilities(b, gue, ts)
+        working = []
+        for copies in (1, 6):
+            tracemalloc.start()
+            results = gap_probabilities(b, gue, ts * copies)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert all(isinstance(r, GapResult) for r in results)
+            working.append(peak - held)
+        assert working[1] <= working[0] + PHI_CHUNK_ENTRIES * 8, working
 
     def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
         # a ts that straddles chunk boundaries, with a failing threshold
@@ -454,25 +516,21 @@ class TestDeflation:
 
     def test_march_past_the_batch(self, gue, monkeypatch):
         # a stopping rule that has not fired at the last of the first
-        # panels grows the grid one panel and one phi call at a time:
-        # in the bulk (t = 1.5) and past the edge (t = 2.5)
+        # panels grows the grid by one panel per streamed pass: in the
+        # bulk (t = 1.5) and past the edge (t = 2.5)
         b = build_basis(gue, 12)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[2].size)
-            return _phi_matrix(*args, **kwargs)
-
         for t, cutoff in ((1.5, "PANEL_RELATIVE_CUTOFF"), (2.5, "EDGE_SHARE_TOL")):
-            first = _tail_grid(b, gue, t).x.size
-            monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
+            grid = _tail_grid(b, gue, t)
+            passes = counting_passes(monkeypatch)
             monkeypatch.setattr(kernel_oracle, cutoff, 1e-300)
-            calls.clear()
             x, w, Phi, d = _tail(b, gue, t)
-            assert len(calls) > 1 and calls[0] == first
-            assert x.size == sum(calls)
             ref_x, ref_w, ref_Phi = reference_march(b, gue, t)
             monkeypatch.undo()
+            assert len(passes) > 1 and passes[0] == [grid.x.size]
+            assert passes[-1] == [x.size]
+            first = len(grid.ends)
+            grown = [grid.panel(p)[0].size for p in range(first, first + len(passes) - 1)]
+            assert np.diff([size for size, in passes]).tolist() == grown
             assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
             assert np.array_equal(Phi, ref_Phi)
             assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
@@ -485,9 +543,9 @@ class TestDeflation:
 
     def test_non_finite_trace_raises(self, gue, monkeypatch):
         b = build_basis(gue, 6)
-        settle = kernel_oracle._settle
-        monkeypatch.setattr(kernel_oracle, "_settle",
-                            lambda *args: settle(*args)[:3] + (np.full(6, np.nan),))
+        tails = kernel_oracle._tails
+        monkeypatch.setattr(kernel_oracle, "_tails", lambda *args: (
+            (i, (x, w, np.full(6, np.nan), Psi)) for i, (x, w, _, Psi) in tails(*args)))
         with pytest.raises(NumericalError):
             gap_probability(b, gue, 1.0)
 
@@ -703,8 +761,7 @@ class TestGap:
     def test_eigenvalue_error_prints_plain_floats(self, gue):
         # weights scaled by 10 push the top eigenvalue past 1
         b = build_basis(gue, 10)
-        grid = _tail_grid(b, gue, 0.0)
-        _, w, Phi, d = _settle(b, gue, grid, _phi_matrix(b, gue, grid.x))
+        _, w, Phi, d = _tail(b, gue, 0.0)
         with pytest.raises(NumericalError, match="outside") as info:
             _gap(b, 0.0, 10.0 * w, Phi, d)
         assert "np." not in str(info.value)
