@@ -18,25 +18,25 @@ x^4.  All polynomial values are carried in weighted form
 phi_j = p_j exp(-N (V - Vmin) / 2), which stays of moderate size where
 the raw p_j would overflow.
 
-Per threshold t, the tail grid's nodes are placed beside those of
-neighbouring thresholds, and one streamed recurrence per chunk of
-thresholds runs over them in blocks of rows, on sqrt(w) phi_j for the
-quadrature weights w.  It records each threshold's row masses d_j, the
-diagonal of the tail Gram matrix G, panel by panel, and frees the
-leading blocks whose rows every threshold of the chunk will drop.  The
-leading rows whose masses sum to at most DEFLATION_TOL / 2 of the
-trace are dropped, then the nodes of least mass on the rows left, up
-to the same share, before the eigenvalues are taken: that moves the
-survival probability by at most the dropped mass (see
-gap_probability), and past the edge it leaves a block far smaller than
-N.  Past the Gershgorin edge of the Jacobi matrix |phi_{j+1}| >=
-|phi_j| (x - alpha_j >= 2 max sqrt(beta)), so the row masses grow with
-j there and a pass keeps about the kept rows plus one block alive.
+The survival probability past t is the Fredholm determinant of the
+projection kernel K on (t, infinity) at the nodes of a tail grid
+(Bornemann, Math. Comp. 79, 2010).  Past the Gershgorin edge of the
+Jacobi matrix, by Christoffel-Darboux,
+
+    K(x, y) = phi_{N-1}(x) phi_{N-1}(y) (q_N(x) - q_N(y)) / (x - y)
+
+for q_N = sqrt(beta_N) phi_N / phi_{N-1}: two functions per node, not
+N, from one ratio recurrence (_cd_values) that cannot underflow, over
+the nodes of all such thresholds, in O(N L) time and O(L) memory for L
+nodes.  Thresholds in the bulk take the dense phi_j and the N x N tail
+Gram matrix.  _gap drops the nodes (or rows) of least mass, up to
+DEFLATION_TOL of the trace, before the eigenvalues are taken (see
+gap_probability).
 """
 
 import itertools
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,10 +61,8 @@ EDGE_GROWTH = 2.0                  # width ratio of consecutive edge panels
 EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may span
 EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may carry
 MAX_EDGE_PANELS = 12
-ROW_BLOCK = 8                      # rows of one block of the streamed recurrence
-PHI_CHUNK_ENTRIES = 3 << 13        # psi values (192 kB) in one row block of a streamed pass
-DEFLATION_TOL = 1e-30              # tail-mass share of the rows and nodes gap_probability drops
-TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the phi_j^2 sums lose precision
+DEFLATION_TOL = 1e-30              # tail-mass share of the nodes (or rows) gap_probability drops
+TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the kernel mass sums lose precision
 SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
 SERIES_LOG_CUTOFF = 80.0
 
@@ -91,12 +89,12 @@ class GapResult:
     """Exact survival probability of the rightmost particle past t.
 
     log_survival is always finite; survival is None when the value sits
-    below 1e-300.  det_value is the gap probability det(I - G) for the
-    tail Gram matrix G.  eigenvalues has length N in ascending order:
-    those gap_probability computes, preceded by 0.0 for every other row.
-    They are the eigenvalues of the kept block of G, the k kept rows on
-    the m kept nodes, taken from its m x m dual (the node-deflated
-    A^T A) when m < k.  trace is the trace of the whole of G.
+    below 1e-300.  det_value is the gap probability det(I - M) for the
+    tail kernel matrix M (see gap_probability).  eigenvalues has length
+    N in ascending order: the largest min(k, N) eigenvalues of the block
+    of M that gap_probability keeps, k nodes (or rows), preceded by 0.0
+    for the rest; the kernel has rank N at most.  trace is the trace of
+    the whole of M, the kernel mass past t.
     """
 
     t: float
@@ -107,11 +105,12 @@ class GapResult:
     trace: float
 
 
-# Tail grid for (t, infinity): the nodes x and weights w of its first
-# panels, their ends (cumulative node counts), the rule panel(p) for
-# panels past those, stop(p, contrib, total), true once the grid may end
-# after panel p, and the panel count at which it gives up.
-_TailGrid = namedtuple("_TailGrid", "x w ends panel stop max_panels")
+# Tail grid for (t, infinity): whether t is past the Gershgorin edge, the
+# nodes x and weights w of its first panels, their ends (cumulative node
+# counts), the rule panel(p) for panels past those, stop(p, contrib,
+# total), true once the grid may end after panel p, and the panel count
+# at which it gives up.
+_TailGrid = namedtuple("_TailGrid", "t edge x w ends panel stop max_panels")
 
 
 @lru_cache(maxsize=32)
@@ -280,44 +279,25 @@ def build_basis(V, N):
     return basis
 
 
-def _phi_blocks(basis, V, x, rows, block, scale=None):
-    """Weighted polynomial values phi_0..phi_{rows-1} at the points x,
-    times scale when it is given, by the three-term recurrence: a
-    generator of successive (block, len(x)) arrays of rows, the last
-    one shorter when block does not divide rows.
-
-    Each value depends on its own point only, through element-wise IEEE
-    operations, so evaluating at a concatenation of point sets gives
-    the concatenation of the results bit for bit."""
-    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
-    term = np.empty_like(x)
-    prev = cur = None
-    for first in range(0, rows, block):
-        out = np.empty((min(block, rows - first), x.size))
-        for j, row in enumerate(out, first):
-            if j == 0:
-                np.divide(np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)), sqrt_beta[0],
-                          out=row)
-                if scale is not None:
-                    row *= scale
-            else:
-                np.subtract(x, alpha[j - 1], out=row)
-                row *= cur
-                if j > 1:
-                    np.multiply(prev, sqrt_beta[j - 1], out=term)
-                    row -= term
-                row /= sqrt_beta[j]
-            prev, cur = cur, row
-        yield out
-
-
 def _phi_matrix(basis, V, x, j_max=None):
     """phi_0..phi_{j_max} at the points x as one (j_max+1, len(x))
-    array."""
+    array, by the three-term recurrence."""
     if j_max is None:
         j_max = basis.N - 1
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return next(_phi_blocks(basis, V, x, j_max + 1, j_max + 1))
+    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
+    out = np.empty((j_max + 1, x.size))
+    np.divide(np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)), sqrt_beta[0], out=out[0])
+    term = np.empty_like(x)
+    for j in range(1, j_max + 1):
+        row = out[j]
+        np.subtract(x, alpha[j - 1], out=row)
+        row *= out[j - 1]
+        if j > 1:
+            np.multiply(out[j - 2], sqrt_beta[j - 1], out=term)
+            row -= term
+        row /= sqrt_beta[j]
+    return out
 
 
 def phi(basis, V, j, x):
@@ -334,6 +314,65 @@ def kernel_diag(basis, V, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
+def _cd_values(basis, V, x, w):
+    """Christoffel-Darboux data of the kernel at points x past the
+    Gershgorin edge, with quadrature weights w: the (3, len(x)) array of
+    u = sqrt(w) phi_{N-1}, q_N and q_N', for the scaled ratios
+    q_j = sqrt(beta_j) phi_j / phi_{j-1}, in terms of which
+
+        K(x, y) = phi_{N-1}(x) phi_{N-1}(y) (q_N(x) - q_N(y)) / (x - y),
+        K(x, x) = phi_{N-1}(x)^2 q_N'(x).
+
+    By the three-term recurrence, q_1 = x - alpha_0, q'_1 = 1 and
+
+        q_{j+1} = (x - alpha_j) - beta_j / q_j,
+        q'_{j+1} = 1 + beta_j q'_j / q_j^2,
+        phi_{N-1} = phi_0 prod_{0<j<N} q_j / sqrt(beta_j),
+
+    with the product carried as a mantissa in [1/2, 1) and an integer
+    exponent (np.frexp at every step), so it neither under- nor
+    overflows, and phi_{N-1} taken through its logarithm.  Past the
+    edge x - alpha_j >= 2 s for s = max_{0<k<N} sqrt(beta_k), so by
+    induction q_j >= s for 0 < j <= N: every factor of the product and
+    every term of the q' recurrence is positive.  Element-wise in x, so
+    a concatenation of point sets gives the concatenation of the
+    results bit for bit.  Where V overflows (x beyond about 1e150)
+    phi_{N-1} is 0, with no warning.
+    """
+    alpha, beta = basis.alpha, basis.beta
+    q = x - alpha[0]
+    dq = np.ones_like(x)
+    tmp, mantissa = np.empty_like(x), np.ones_like(x)
+    exponent, step = np.zeros(x.shape, dtype=np.intc), np.empty(x.shape, dtype=np.intc)
+    for j in range(1, basis.N):
+        mantissa *= q
+        np.frexp(mantissa, out=(mantissa, step))
+        exponent += step
+        np.divide(beta[j], q, out=tmp)
+        dq *= tmp
+        dq /= q
+        dq += 1.0
+        np.subtract(x, alpha[j], out=q)
+        q -= tmp
+    with np.errstate(over="ignore"):
+        log_phi = (np.log(mantissa) + math.log(2.0) * exponent
+                   - 0.5 * basis.N * _excess(V, basis.v_min, x)
+                   - 0.5 * math.fsum(np.log(beta).tolist()))
+    return np.stack((np.sqrt(w) * np.exp(log_phi), q, dq))
+
+
+def _cd_kernel(x, cd):
+    """sqrt(w_i) K(x_i, x_j) sqrt(w_j) at the nodes x from their
+    _cd_values cd: u_i u_j (q_N(x_i) - q_N(x_j)) / (x_i - x_j), and
+    u_i^2 q_N'(x_i) on the diagonal.  Exactly symmetric."""
+    u, q, dq = cd
+    dx = np.subtract.outer(x, x)
+    np.fill_diagonal(dx, 1.0)
+    C = np.subtract.outer(q, q) / dx
+    np.fill_diagonal(C, dq)
+    return (u[:, None] * u) * C
+
+
 def _bulk_estimate(basis):
     """Interval bounding the oscillatory region, from Gershgorin disks
     of the Jacobi matrix (recurrence coefficients only)."""
@@ -345,8 +384,9 @@ def _bulk_estimate(basis):
     return float(np.min(alpha)) - reach, float(np.max(alpha)) + reach
 
 
-def _tail_grid(basis, V, t):
-    """The tail grid for (t, infinity) as a _TailGrid.
+def _tail_grid(basis, V, t, bulk, slope):
+    """The tail grid for (t, infinity) as a _TailGrid, given the bulk
+    estimate and V'(t).
 
     Past the Gershgorin bulk edge the phi_j do not oscillate, and the
     grid is EDGE_PANELS Gauss-Legendre panels of BASE_PANEL_NODES
@@ -360,25 +400,17 @@ def _tail_grid(basis, V, t):
     From a threshold in the bulk, fixed-width panels run rightward.
     Panels touching the bulk carry extra nodes so the fastest
     oscillation of phi_{N-1} (about N half-waves across the bulk) stays
-    resolved; a panel ends the grid once its row masses sum to a
-    relatively negligible part of the total and its start lies right
-    of the minimum of V with the weight below the underflow gauge.  The
-    first panels run up to the first such start past the first panel.
+    resolved; a panel ends the grid once its mass is a relatively
+    negligible part of the total and its start lies right of the
+    minimum of V with the weight below the underflow gauge.  The first
+    panels run up to the first such start past the first panel.
     """
-    t = float(t)
-    if math.isnan(t) or t == math.inf:
-        raise ValueError(f"threshold must be a number below +inf, got {t!r}")
     lo, hi = basis.support_window
-    if t > hi:
-        raise NumericalError(
-            f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], where "
-            f"phi_0 is no longer a normal double")
     N = basis.N
-    blo, bhi = _bulk_estimate(basis)
+    blo, bhi = bulk
     span = max(bhi - blo, 1e-2 * (hi - lo))
     if t >= bhi:
         xg, wg = gl_rule(BASE_PANEL_NODES)
-        slope = float(V.eval(t, 1))
         width = span * N ** (-2.0 / 3.0)
         if slope > 0.0:
             width = min(width, EDGE_CAP_EFOLDS / (N * slope))
@@ -420,161 +452,138 @@ def _tail_grid(basis, V, t):
         first = 2 + int(settled[0]) if settled.size else n_pre + 1
         max_panels = MAX_PANELS
     xs, ws = zip(*(panel(p) for p in range(first)))
-    return _TailGrid(x=np.concatenate(xs), w=np.concatenate(ws),
+    return _TailGrid(t=t, edge=t >= bhi, x=np.concatenate(xs), w=np.concatenate(ws),
                      ends=tuple(np.cumsum([xm.size for xm in xs]).tolist()),
                      panel=panel, stop=stop, max_panels=max_panels)
 
 
-def _pass(basis, V, grids):
-    """One streamed recurrence over the nodes of grids, laid side by
-    side; grids holds (x, w, ends) per tail grid, with ends its
-    cumulative panel node counts.
+def _tail_grids(basis, V, ts):
+    """_tail_grid at every threshold of ts, as a list with the ValueError
+    of a threshold that is not a number below +inf in its place.  The
+    bulk estimate is taken once, and V'(t) once for all of ts; where it
+    overflows (t beyond about 1e150) the edge width is 0."""
+    ts = [float(t) for t in ts]
+    bulk = _bulk_estimate(basis)
+    with np.errstate(over="ignore"):
+        slopes = V.eval(np.array([t if math.isfinite(t) else 0.0 for t in ts]), 1).tolist()
+    return [ValueError(f"threshold must be a number below +inf, got {t!r}")
+            if math.isnan(t) or t == math.inf else _tail_grid(basis, V, t, bulk, slope)
+            for t, slope in zip(ts, slopes)]
 
-    The recurrence runs on psi_j = sqrt(w) phi_j, in blocks of ROW_BLOCK
-    rows.  After each block it records the row masses of every panel,
-    the sums of psi_j^2 over the panel's nodes, and frees the oldest
-    kept block once, for every grid, the rows up to its end carry at
-    most half of DEFLATION_TOL of the grid's first-panel mass so far: a
-    lower bound on the trace of any leading run of the grid's panels,
-    so the row cut of gap_probability drops those rows wherever the
-    grid ends.  Returns the row masses, N x (all panels), and the list
-    of blocks with the freed ones set to None."""
-    x = np.concatenate([g[0] for g in grids])
-    sw = np.sqrt(np.concatenate([g[1] for g in grids]))
-    starts, owners, col = [], [], 0
-    for gx, _, ends in grids:
-        owners.append(len(starts))
-        starts.extend(col + e for e in (0,) + ends[:-1])
-        col += gx.size
-    masses = np.empty((basis.N, len(starts)))
-    square = np.empty((ROW_BLOCK, x.size))
-    blocks, prefix, low = [], [], 0
-    rows_mass = np.zeros(len(grids))
-    bound = np.zeros(len(grids))
-    share = 0.5 * DEFLATION_TOL * (1.0 - 1e-9)   # margin for the order of summation
-    for blk in _phi_blocks(basis, V, x, basis.N, ROW_BLOCK, sw):
-        rows = masses[len(blocks) * ROW_BLOCK:][:len(blk)]
-        np.add.reduceat(np.square(blk, out=square[:len(blk)]), starts, axis=1, out=rows)
-        panels = rows.sum(axis=0)
-        rows_mass = rows_mass + np.add.reduceat(panels, owners)
-        bound += panels[owners]
-        blocks.append(blk)
-        prefix.append(rows_mass)
-        while low < len(blocks) - 1 and (prefix[low] <= share * bound).all():
-            blocks[low] = None
-            low += 1
-    return masses, blocks
+
+def _settle(basis, V, grid, cd=None):
+    """Nodes, weights, kernel matrix and trace of grid once its stopping
+    rule, fed the panel sums of the matrix diagonal, fires.
+
+    Given cd, the _cd_values at grid.x of an edge grid, the matrix is
+    the m x m kernel of _cd_kernel; otherwise the N x N tail Gram matrix
+    from _phi_matrix, symmetrized, refused past the window, where phi_0
+    is not a normal double.  A grid whose rule has not fired at its last
+    panel gets one panel more, evaluated on its own nodes.  Raises
+    NumericalError if the rule has not fired at grid.max_panels, or if
+    the trace (the sum of the panel sums) is not a finite normal double:
+    no representable kernel mass past t.
+    """
+    dense = cd is None
+    lo, hi = basis.support_window
+    if dense and grid.t > hi:
+        raise NumericalError(
+            f"threshold {grid.t!r} lies past the oracle window [{lo!r}, {hi!r}], where "
+            f"phi_0 is no longer a normal double")
+
+    def evaluate(x, w):
+        return _phi_matrix(basis, V, x) if dense else _cd_values(basis, V, x, w)
+
+    def mass(vals, w):
+        return w * np.sum(vals * vals, axis=0) if dense else np.square(vals[0]) * vals[2]
+
+    x, w, ends = grid.x, grid.w, list(grid.ends)
+    vals = evaluate(x, w) if dense else cd
+    masses = mass(vals, w)
+    total, start = 0.0, 0
+    for p in itertools.count():
+        if p == len(ends):
+            if p == grid.max_panels:
+                raise NumericalError("tail quadrature did not terminate")
+            xm, wm = grid.panel(p)
+            new = evaluate(xm, wm)
+            vals = np.concatenate((vals, new), axis=1)
+            masses = np.concatenate((masses, mass(new, wm)))
+            x, w = np.concatenate((x, xm)), np.concatenate((w, wm))
+            ends.append(x.size)
+        contrib = float(np.sum(masses[start:ends[p]]))
+        total += contrib
+        if grid.stop(p, contrib, total):
+            break
+        start = ends[p]
+    if not (math.isfinite(total) and total >= TRACE_FLOOR):
+        raise NumericalError(
+            f"threshold {grid.t!r}: the kernel mass past it, {total!r}, is not a finite "
+            f"normal double")
+    x, w, vals = x[:ends[p]], w[:ends[p]], vals[:, :ends[p]]
+    if dense:
+        G = (vals * w) @ vals.T
+        return x, w, 0.5 * (G + G.T), total
+    return x, w, _cd_kernel(x, vals), total
 
 
 def _tails(basis, V, ts):
-    """Settled tail grids of the thresholds ts, by streamed passes over
-    chunks of consecutive grids with at most PHI_CHUNK_ENTRIES //
-    ROW_BLOCK nodes (or a single grid).
-
-    A generator of (i, item) for the i-th threshold, in no fixed order:
-    item is the ValueError or NumericalError that threshold raised, or
-    (x, w, d, Psi): the nodes and weights of its grid up to the first
-    panel at which the stopping rule fires, the row masses
-    d_j = sum_i w_i phi_j(x_i)^2 there, and the last rows of
-    sqrt(w) phi_j at those nodes, at least the rows gap_probability
-    keeps.  A grid whose rule has not fired at its last panel gets one
-    panel more and goes through a later pass."""
-    pending = deque(enumerate(ts))   # (i, t), or (i, grid, x, w, ends) once built
-    budget = PHI_CHUNK_ENTRIES // ROW_BLOCK
-    while pending:
-        chunk, size = [], 0
-        while pending:
-            if len(pending[0]) == 2:
-                i, t = pending[0]
-                try:
-                    grid = _tail_grid(basis, V, t)
-                except (ValueError, NumericalError) as exc:
-                    pending.popleft()
-                    yield i, exc
-                    continue
-                pending[0] = (i, grid, grid.x, grid.w, grid.ends)
-            if chunk and size + pending[0][2].size > budget:
-                break
-            chunk.append(pending.popleft())
-            size += chunk[-1][2].size
-        if not chunk:
-            break
-        masses, blocks = _pass(basis, V, [item[2:] for item in chunk])
-        col = panel = 0
-        for i, grid, x, w, ends in chunk:
-            R = masses[:, panel:panel + len(ends)]
-            total = 0.0
-            for p, contrib in enumerate(R.sum(axis=0).tolist()):
-                total += contrib
-                if grid.stop(p, contrib, total):
-                    end = ends[p]
-                    Psi = np.concatenate([b[:, col:col + end] for b in blocks if b is not None])
-                    yield i, (x[:end], w[:end], R[:, :p + 1].sum(axis=1), Psi)
-                    break
-            else:
-                if len(ends) == grid.max_panels:
-                    yield i, NumericalError("tail quadrature did not terminate")
-                else:
-                    xm, wm = grid.panel(len(ends))
-                    pending.append((i, grid, np.concatenate((x, xm)), np.concatenate((w, wm)),
-                                    ends + (ends[-1] + xm.size,)))
-            col += x.size
-            panel += len(ends)
-        del masses, blocks, R   # before the next pass allocates its own
-
-
-def _tail(basis, V, t):
-    """Nodes, weights, phi values and row masses of the settled tail grid
-    of one threshold."""
-    ((_, item),) = _tails(basis, V, [t])
-    if isinstance(item, Exception):
-        raise item
-    x, w, d, _ = item
-    return x, w, _phi_matrix(basis, V, x), d
+    """_settle at every threshold of ts, in order, as a generator of
+    (x, w, M, trace), or of the ValueError or NumericalError a threshold
+    raised.  Edge grids take the Christoffel-Darboux path: one
+    _cd_values call runs over all their first panels, laid side by
+    side.  The others take the dense path."""
+    grids = _tail_grids(basis, V, ts)
+    edge = [g for g in grids if isinstance(g, _TailGrid) and g.edge]
+    if edge:
+        cd = _cd_values(basis, V, np.concatenate([g.x for g in edge]),
+                        np.concatenate([g.w for g in edge]))
+        cd = iter(np.split(cd, np.cumsum([g.x.size for g in edge[:-1]]), axis=1))
+    for grid in grids:
+        if isinstance(grid, _TailGrid):
+            try:
+                grid = _settle(basis, V, grid, next(cd) if grid.edge else None)
+            except NumericalError as exc:
+                grid = exc
+        yield grid
 
 
 def tail_trace(basis, V, t):
-    """Integral of the kernel diagonal over (t, infinity): the trace of
-    the tail Gram matrix as the sum of the tail grid's row masses, in
-    O(N m) for m tail nodes; the same float as gap_probability's trace."""
-    return float(np.sum(_tail(basis, V, t)[3]))
+    """Integral of the kernel diagonal over (t, infinity), on the tail
+    grid: the same float as gap_probability's trace, and it raises where
+    that trace check raises."""
+    (item,) = _tails(basis, V, [t])
+    if isinstance(item, Exception):
+        raise item
+    return item[3]
 
 
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
-    construction."""
-    _, w, Phi, _ = _tail(basis, V, t)
-    G = (Phi * w) @ Phi.T
-    return 0.5 * (G + G.T)
+    construction, on the tail grid.  Raises NumericalError for a
+    threshold past the window, or past which the kernel mass is not a
+    finite normal double."""
+    (grid,) = _tail_grids(basis, V, [t])
+    if isinstance(grid, Exception):
+        raise grid
+    return _settle(basis, V, grid)[2]
 
 
-def _gap(basis, t, w, Phi, d):
-    """GapResult from a settled tail grid (see gap_probability): its
-    weights w, the row masses d, and phi_j at its nodes in the last
-    len(Phi) rows, at least the rows the cut keeps (w = 1.0 when Phi
-    carries the factor sqrt(w) already)."""
-    trace = float(np.sum(d))
-    if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
-        raise NumericalError(
-            f"tail Gram trace {trace!r} at t = {t!r}: the kernel mass past the "
-            f"threshold is not a finite normal double")
-    cut = 0.5 * DEFLATION_TOL * trace
-    j0 = int(np.searchsorted(np.cumsum(d), cut, side="right"))
-    assert j0 >= basis.N - len(Phi), "the row cut keeps rows that were not passed"
-    A = Phi[j0 - basis.N + len(Phi):] * np.sqrt(w)
-    mass = np.einsum("ij,ij->j", A, A)
-    order = np.argsort(mass, kind="stable")
-    n0 = int(np.searchsorted(np.cumsum(mass[order]), cut, side="right"))
-    if n0:
-        A = A[:, np.sort(order[n0:])]
-    k, m = A.shape
-    kept = np.linalg.eigvalsh(A @ A.T if k <= m else A.T @ A)
+def _gap(basis, t, M, trace):
+    """GapResult from the tail kernel matrix M (see gap_probability)
+    and its trace."""
+    d = np.diagonal(M)
+    order = np.argsort(d, kind="stable")
+    n0 = int(np.searchsorted(np.cumsum(d[order]), DEFLATION_TOL * trace, side="right"))
+    keep = np.sort(order[n0:])
+    kept = np.linalg.eigvalsh(M[keep[:, None], keep])
     if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
         raise NumericalError(
-            f"tail Gram eigenvalues outside [0, 1]: range "
+            f"tail kernel eigenvalues outside [0, 1]: range "
             f"[{float(kept[0])!r}, {float(kept[-1])!r}] at t = {t!r}")
+    top = np.clip(kept[-basis.N:], 0.0, 1.0)
     lam = np.zeros(basis.N)
-    lam[basis.N - kept.size:] = np.clip(kept, 0.0, 1.0)
+    lam[basis.N - top.size:] = top
     with np.errstate(divide="ignore"):
         log_det = float(np.sum(np.log1p(-lam)))
     det_value = math.exp(log_det) if log_det > -745.0 else 0.0
@@ -589,7 +598,7 @@ def _gap(basis, t, w, Phi, d):
             survival, log_survival = None, math.log(-log_det)
     else:
         raise NumericalError(
-            f"tail Gram eigenvalues all round to 0 at t = {t!r} (trace {trace!r})")
+            f"tail kernel eigenvalues all round to 0 at t = {t!r} (trace {trace!r})")
     if survival is not None and trace < 1.0:
         slack = 1e-12
         if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
@@ -607,64 +616,53 @@ def gap_probabilities(basis, V, ts):
     NumericalError that threshold raised, so one failing threshold does
     not stop the others.
 
-    The first panels of consecutive thresholds' tail grids are placed
-    side by side, up to PHI_CHUNK_ENTRIES // ROW_BLOCK nodes L per chunk
-    (or a single grid), and one streamed recurrence per chunk runs over
-    all of them in blocks of ROW_BLOCK rows.  A chunk holds the row
-    masses of every panel (N x panels) and the blocks from the first
-    row some threshold keeps: O(k L + N panels) memory for the largest
-    kept row count k, which does not grow with len(ts).  A grid whose
-    stopping rule has not fired at its last panel gets one panel more
-    and goes through a later pass.  Each threshold takes its own
-    columns; phi is element-wise in x and every product is formed from
-    fresh arrays, so its result is the one gap_probability gives, bit
-    for bit.  Per threshold the cost is O(N m) in the recurrence for m
-    tail nodes, O(k m min(k, m)) for the Gram block and
-    O(min(k, m)^3) for its eigenvalues.
+    One ratio recurrence runs over the first panels of all the tail
+    grids past the Gershgorin edge, L nodes: O(N L) time and O(L)
+    memory, whatever N.  A grid that has not settled gets one panel
+    more, and the recurrence runs on that panel only.  The recurrence is
+    element-wise in x and every matrix is formed from fresh arrays, so
+    each result is the one gap_probability gives, bit for bit.  Per
+    threshold the kernel costs O(m^2) and its eigenvalues O(k^3) for m
+    nodes, k kept; in the bulk, O(N^2 m) and O(N^3) for the Gram matrix.
     """
-    out = [None] * len(ts)
-    for i, item in _tails(basis, V, ts):
+    out = []
+    for t, item in zip(ts, _tails(basis, V, ts)):
         if not isinstance(item, Exception):
             try:
-                item = _gap(basis, float(ts[i]), 1.0, item[3], item[2])
+                item = _gap(basis, float(t), item[2], item[3])
             except NumericalError as exc:
                 item = exc
-        out[i] = item
+        out.append(item)
     return out
 
 
 def gap_probability(basis, V, t):
     """Exact survival probability P(rightmost particle > t).
 
-    The gap probability is det(I - G) for the tail Gram matrix G; going
-    through the eigenvalues keeps log-space accuracy for survival values
-    far below the linear floating-point range.
+    The gap probability is det(I - K) for the projection kernel K on
+    (t, infinity), on the tail grid's nodes x_i and weights w_i: past
+    the Gershgorin edge the m x m matrix M = sqrt(w_i) K(x_i, x_j)
+    sqrt(w_j) in Christoffel-Darboux form, in the bulk the N x N tail
+    Gram matrix (the same nonzero eigenvalues).  The eigenvalues keep
+    log-space accuracy far below the linear floating-point range.
 
-    Only the rows and nodes that carry tail mass enter the eigenproblem.
-    With d_j the diagonal of G and T = sum_j d_j its trace, the longest
-    prefix of rows 0..j0-1 whose mass eps_rows = d_0 + ... + d_{j0-1} is
-    at most DEFLATION_TOL * T / 2 is dropped, leaving G22 = A A^T,
-    A = Phi[j0:] sqrt(w), k = N - j0 rows.  Then the nodes go, in
-    ascending order of their mass on those rows (the diagonal of the
-    dual A^T A), while the dropped mass eps_nodes stays at most
-    DEFLATION_TOL * T / 2, leaving A' with m columns.  The eigenvalues
-    are those of A' A'^T, or of the m x m A'^T A' when m < k (the same
-    nonzero eigenvalues).  For a PSD M with M <= I and a principal
-    block M22, det(I - M) = det(I - M22) det(I - S), where I - S is the
-    Schur complement of I - M22 in I - M, tr S <= eps / (1 -
+    Only the nodes (or rows) that carry tail mass enter the
+    eigenproblem: with T the trace of M, one cut drops its diagonal
+    entries in ascending order while their sum eps stays at most
+    DEFLATION_TOL * T.  For a PSD M with M <= I and a principal block
+    M22, det(I - M) = det(I - M22) det(I - S), where I - S is the Schur
+    complement of I - M22 in I - M, tr S <= eps / (1 -
     lambda_max(M22)) for the dropped diagonal mass eps, and
     det(I - M22) <= 1 - lambda_max(M22), so 0 <= survival(M) -
-    survival(M22) <= eps.  Applied to G and G22, then to A^T A and
-    A'^T A', 0 <= survival(G) - survival(kept) <= eps_rows + eps_nodes
-    <= DEFLATION_TOL * T.  As survival(G) >= (1 - e^-1) min(T, 1), that
-    is a relative error of at most 2 DEFLATION_TOL max(T, 1).
-    Eigenvalues not computed are reported as 0.0.
+    survival(M22) <= eps <= DEFLATION_TOL * T.  As survival(M) >=
+    (1 - e^-1) min(T, 1), that is a relative error of at most
+    2 DEFLATION_TOL max(T, 1).  K has rank N at most, so the largest N
+    eigenvalues of M22 are used and the rest are taken as 0.0.
 
-    Raises NumericalError if t lies past the window (phi_0 is not a
-    normal double there), if the trace is not a finite normal double
-    (no representable kernel mass past t), if the kept block has
-    eigenvalues outside [0, 1] beyond a 1e-10 tolerance band, or if the
-    result violates the first-order bracketing
+    Raises NumericalError if the trace is not a finite normal double (no
+    representable kernel mass past t), if the tail grid does not
+    terminate, if the kept block has eigenvalues outside [0, 1] beyond
+    1e-10, or if the result violates the first-order bracketing
     trace - trace^2/2 <= survival <= trace (trace < 1).
     """
     result = gap_probabilities(basis, V, [t])[0]

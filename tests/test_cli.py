@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +291,16 @@ class TestCompareCommand:
         scaled = abs(float(rows[ok_row]["ratio_minus_1"])) * 10 * (t - 2.0) ** 1.5
         assert float(summary["max_scaled_deviation"]) == pytest.approx(scaled, rel=1e-12)
 
+    def test_row_past_the_window(self, tmp_path, capsys):
+        # GUE N = 500 ends its oracle window at 2.366; past it, at t = 2.4,
+        # the survival is about e^-182.5 and the row is ok
+        cfg = write_config(tmp_path, N_list=[500], t_grid=[2.4], max_oracle_n=500)
+        assert main(["compare", "--config", cfg]) == 0
+        rows, _ = parse_csv(capsys.readouterr().out)
+        assert rows[0]["status"] == "ok"
+        assert float(rows[0]["log_survival_oracle"]) == pytest.approx(-182.54006053165756,
+                                                                      rel=1e-13)
+
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])
         assert main(["compare", "--config", cfg]) == 2
@@ -322,8 +333,8 @@ class TestPlumbing:
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")
         assert main(["compare", "--config", cfg, "--out", out1]) == 0
         assert main(["compare", "--config", cfg, "--out", out2]) == 0
-        b1 = open(out1, "rb").read()
-        assert b1 == open(out2, "rb").read()
+        b1 = Path(out1).read_bytes()
+        assert b1 == Path(out2).read_bytes()
         assert b1.startswith(b"N,t,log_survival_oracle")
 
     def test_import_loads_no_scipy(self):

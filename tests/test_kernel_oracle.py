@@ -11,10 +11,10 @@ import pytest
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
                     gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
 from loggas import kernel_oracle
-from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, PHI_CHUNK_ENTRIES,
-                                  ROW_BLOCK, WINDOW_LOG_CUTOFF, GapResult, _gap,
-                                  _level_roots, _phi_matrix, _series_kernel, _subsets,
-                                  _support_window, _tail, _tail_grid, composite_gl,
+from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, TRACE_FLOOR,
+                                  WINDOW_LOG_CUTOFF, GapResult, _cd_kernel, _cd_values, _gap,
+                                  _level_roots, _phi_matrix, _series_kernel, _settle, _subsets,
+                                  _support_window, _tail_grids, _tails, composite_gl,
                                   gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
@@ -98,11 +98,27 @@ def reference_march(basis, V, t):
     raise AssertionError("reference march did not terminate")
 
 
+def tail_grid(basis, V, t):
+    """The tail grid of one threshold."""
+    (grid,) = _tail_grids(basis, V, [t])
+    return grid
+
+
+def settled(basis, V, t):
+    """Nodes, weights, kernel matrix and trace of the settled tail grid
+    gap_probability takes."""
+    (item,) = _tails(basis, V, [t])
+    if isinstance(item, Exception):
+        raise item
+    return item
+
+
 def refined_log_survival(basis, V, t):
     """log survival on the tail grid with every panel split in two and
-    twice the nodes per half."""
-    x, w, _, _ = _tail(basis, V, t)
-    grid = _tail_grid(basis, V, t)
+    twice the nodes per half: from the dense Gram matrix within the
+    window, from the Christoffel-Darboux kernel past it."""
+    x = settled(basis, V, t)[0]
+    grid = tail_grid(basis, V, t)
     n_panels = x.size // BASE_PANEL_NODES
     assert n_panels * BASE_PANEL_NODES == x.size
     xg, wg = gl_rule(2 * BASE_PANEL_NODES)
@@ -115,34 +131,38 @@ def refined_log_survival(basis, V, t):
             xs.append(q0 + 0.5 * half * (1.0 + xg))
             ws.append(0.5 * half * wg)
     xr, wr = np.concatenate(xs), np.concatenate(ws)
-    Phi = _phi_matrix(basis, V, xr)
-    return kernel_oracle._gap(basis, float(t), wr, Phi, np.square(Phi) @ wr).log_survival
+    if t > basis.support_window[1]:
+        M = _cd_kernel(xr, _cd_values(basis, V, xr, wr))
+    else:
+        Phi = _phi_matrix(basis, V, xr)
+        M = (Phi * wr) @ Phi.T
+    trace = float(np.trace(M))
+    if not trace >= TRACE_FLOOR:
+        raise NumericalError(f"refined trace {trace!r}")
+    return _gap(basis, float(t), M, trace).log_survival
 
 
 def deflated(basis, V, t):
-    """The cuts of gap_probability by their documented rule: rows, then
-    nodes in ascending order of mass on the rows left, each up to
-    DEFLATION_TOL / 2 of the trace.  Returns the (rows, nodes) shape of
-    the kept block and the dropped row and node masses."""
-    x, w, Phi, d = _tail(basis, V, t)
-    cut = 0.5 * DEFLATION_TOL * float(np.sum(d))
-    j0 = int(np.searchsorted(np.cumsum(d), cut, side="right"))
-    ranked = np.sort(np.sum(np.square(Phi[j0:]) * w, axis=0))
-    n0 = int(np.searchsorted(np.cumsum(ranked), cut, side="right"))
-    return (basis.N - j0, x.size - n0), float(np.sum(d[:j0])), float(np.sum(ranked[:n0]))
+    """The cut of gap_probability by its documented rule: the diagonal
+    entries of the tail kernel matrix in ascending order, up to
+    DEFLATION_TOL of the trace.  Returns the number of kept entries and
+    the dropped mass."""
+    _, _, M, trace = settled(basis, V, t)
+    ranked = np.sort(np.diag(M))
+    n0 = int(np.searchsorted(np.cumsum(ranked), DEFLATION_TOL * trace, side="right"))
+    return ranked.size - n0, float(np.sum(ranked[:n0]))
 
 
 def counting_passes(monkeypatch):
-    """Record the node count of every grid of every streamed pass, one
-    list per pass."""
+    """Record the node count of every Christoffel-Darboux pass."""
     passes = []
-    stream = kernel_oracle._pass
+    cd_values = kernel_oracle._cd_values
 
-    def counting(basis, V, grids):
-        passes.append([g[0].size for g in grids])
-        return stream(basis, V, grids)
+    def counting(basis, V, x, w):
+        passes.append(x.size)
+        return cd_values(basis, V, x, w)
 
-    monkeypatch.setattr(kernel_oracle, "_pass", counting)
+    monkeypatch.setattr(kernel_oracle, "_cd_values", counting)
     return passes
 
 
@@ -302,11 +322,15 @@ class TestProjector:
             b = build_basis(V, N)
             for t in (NEG_INF, -0.5, 1.1, 2.3):
                 assert tail_trace(b, V, t) == gap_probability(b, V, t).trace
-            # past the window phi_0 underflows: both raise rather than
-            # return 0 and -inf
+            # no kernel mass in the normal double range past t = 40: both
+            # raise rather than return 0 and -inf
             for f in (tail_trace, gap_probability):
-                with pytest.raises(NumericalError, match="past the oracle window"):
+                with pytest.raises(NumericalError, match="normal double"):
                     f(b, V, 40.0)
+            # phi_0 underflows past the window, so the dense Gram matrix
+            # is refused there
+            with pytest.raises(NumericalError, match="past the oracle window"):
+                gram(b, V, 40.0)
 
     def test_gram_reuses_grid_phi(self, gue, quartic):
         # gram takes phi from the tail grid's panels; evaluating phi once
@@ -314,7 +338,7 @@ class TestProjector:
         for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (gue, 30, 2.1),
                         (quartic, 17, 0.9)):
             b = build_basis(V, N)
-            x, w, _, _ = _tail(b, V, t)
+            x, w, _, _ = _settle(b, V, tail_grid(b, V, t))
             Phi = _phi_matrix(b, V, x)
             G = (Phi * w) @ Phi.T
             assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
@@ -324,45 +348,36 @@ class TestDeflation:
     @FIELDS
     @pytest.mark.parametrize("N", [3, 12, 50, 200])
     def test_dropped_rows_cost_at_most_their_mass(self, coeffs, N):
-        # 0 <= survival(G) - survival(kept) <= eps_rows + eps_nodes, the
-        # masses of the dropped rows and nodes, each at most
-        # DEFLATION_TOL / 2 of the trace
+        # 0 <= survival(M) - survival(kept) <= eps, the mass of the nodes
+        # (or rows) the one cut drops, at most DEFLATION_TOL of the trace;
+        # past the edge the result is that of the dense Gram matrix
         V = Potential(coeffs)
         eq = solve_mrs(V)
         b = build_basis(V, N)
         for t in thresholds(eq, N):
-            if t > b.support_window[1]:
-                # s = 32 at N = 3 on the quartic fields
-                assert N == 3 and coeffs != (0.0, 0.0, 0.5)
+            try:
+                _, _, M, T = settled(b, V, t)
+            except NumericalError:
+                # s = 32 at N = 3 and 12 on the quartic fields: no
+                # normal-range mass past t
+                assert N in (3, 12) and coeffs != (0.0, 0.0, 0.5)
                 with pytest.raises(NumericalError):
                     gap_probability(b, V, t)
                 continue
-            G = gram(b, V, t)
-            d = np.diag(G)
-            T = float(np.sum(d))
-            if T < np.finfo(float).tiny:
-                # s = 32 at N = 12 on the quartic fields: no normal-range
-                # mass past t
-                assert N == 12 and coeffs != (0.0, 0.0, 0.5)
-                with pytest.raises(NumericalError):
-                    gap_probability(b, V, t)
-                continue
-            _, eps_rows, eps_nodes = deflated(b, V, t)
-            eps = eps_rows + eps_nodes
+            _, eps = deflated(b, V, t)
             assert eps <= DEFLATION_TOL * T
-            sur_full, log_full = full_survival(G)
             r = gap_probability(b, V, t)
             sur = 0.0 if r.survival is None else r.survival
+            sur_full, _ = full_survival(M)
             assert -1e-15 <= sur_full - sur <= eps + 1e-15, (t, sur_full, sur, eps)
             if t > eq.b:
+                _, log_full = full_survival(gram(b, V, t))
                 assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
 
     def test_eigenproblem_sized_by_tail_rows(self, gue, quartic, monkeypatch):
         # every threshold past the edge on the benchmark's s grid hands
-        # eigvalsh min(k, m) < N/2 rows, for the k rows and m nodes left
-        # by the two cuts; the node cut drops nodes on every threshold,
-        # and the m x m form (k > m) gives the survival of the full Gram
-        # matrix
+        # eigvalsh one m x m block, m < 96, for the m nodes the cut keeps,
+        # and gives the survival of the full dense Gram matrix
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -373,29 +388,24 @@ class TestDeflation:
         for V, N in ((gue, 200), (quartic, 400)):
             eq = solve_mrs(V)
             b = build_basis(V, N)
-            dual = 0
             for s in np.geomspace(0.5, 32.0, 32):
                 t = edge_point(eq, N, s)
                 monkeypatch.setattr(np.linalg, "eigvalsh", counting)
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                assert _tail(b, V, t)[0].size == 3 * BASE_PANEL_NODES
-                (k, m), _, _ = deflated(b, V, t)
-                n = min(k, m)
-                assert m < 3 * BASE_PANEL_NODES, t
-                assert sizes == [(n, n)] and n < N // 2, (t, sizes)
+                assert settled(b, V, t)[0].size == 3 * BASE_PANEL_NODES
+                m, _ = deflated(b, V, t)
+                assert sizes == [(m, m)] and m < 3 * BASE_PANEL_NODES, (t, sizes)
                 assert r.eigenvalues.shape == (N,)
-                assert (r.eigenvalues[:N - n] == 0.0).all()
-                if k > m:
-                    dual += 1
-                    _, log_full = full_survival(gram(b, V, t))
-                    assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
-            assert dual > 0
+                assert (r.eigenvalues[:N - min(m, N)] == 0.0).all()
+                _, log_full = full_survival(gram(b, V, t))
+                assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
 
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
-        # gap_probability runs one streamed pass over its grid's first
-        # panels and no other phi recurrence
+        # gap_probability runs one Christoffel-Darboux pass over an edge
+        # grid's first panels, one more per panel it adds, and no other
+        # recurrence; a grid in the bulk takes _phi_matrix the same way
         calls = []
 
         def counting(*args, **kwargs):
@@ -409,37 +419,33 @@ class TestDeflation:
                 passes = counting_passes(monkeypatch)
                 monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
                 for t in thresholds(eq, N):
+                    grid = tail_grid(b, V, t)
                     calls.clear()
                     passes.clear()
                     try:
                         gap_probability(b, V, t)
                     except NumericalError:
                         assert N == 12 and V is quartic  # s = 32: no normal-range mass
-                    assert passes == [[_tail_grid(b, V, t).x.size]], (N, t, passes)
-                    assert calls == []
+                    used, unused = (passes, calls) if grid.edge else (calls, passes)
+                    first = len(grid.ends)
+                    added = [grid.panel(p)[0].size for p in range(first, first + len(used) - 1)]
+                    assert used == [grid.x.size] + added and unused == [], (N, t, passes, calls)
                 monkeypatch.undo()
 
     def test_one_phi_recurrence_per_chunk(self, gue, quartic, monkeypatch):
-        # consecutive thresholds share a streamed pass while their first
-        # panels hold at most PHI_CHUNK_ENTRIES // ROW_BLOCK nodes
+        # one Christoffel-Darboux pass per call runs over the first panels
+        # of all the edge grids, laid side by side, however many there are
         for V in (gue, quartic):
             eq = solve_mrs(V)
             for N in (12, 50, 200):
                 b = build_basis(V, N)
                 ts = thresholds(eq, N) * 6
-                budget = PHI_CHUNK_ENTRIES // ROW_BLOCK
-                chunks, used = [], None
-                for size in (_tail_grid(b, V, t).x.size for t in ts):
-                    if used is None or used + size > budget:
-                        chunks.append([])
-                        used = 0
-                    chunks[-1].append(size)
-                    used += size
+                edge = [g.x.size for g in _tail_grids(b, V, ts) if g.edge]
                 passes = counting_passes(monkeypatch)
                 gap_probabilities(b, V, ts)
                 monkeypatch.undo()
-                assert passes == chunks, (N, passes, chunks)
-                assert len(chunks) > 1
+                assert passes == [sum(edge)], (N, passes, edge)
+                assert len(edge) >= 24
 
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
                                         (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC],
@@ -447,41 +453,75 @@ class TestDeflation:
     @pytest.mark.parametrize("N", [3, 12, 50, 200, 400])
     def test_phi_grows_past_the_gershgorin_edge(self, coeffs, N):
         # past the edge x - alpha_j >= 2 max sqrt(beta), so by induction
-        # |phi_{j+1}(x)| >= |phi_j(x)|: row masses grow with j there, which
-        # is what lets a streamed pass free its leading rows
+        # phi_{j+1}(x) >= phi_j(x) > 0: the ratios the Christoffel-Darboux
+        # kernel is built from are positive, and so are the terms of
+        # their derivative's recurrence
         V = Potential(coeffs)
         b = build_basis(V, N)
         edge = kernel_oracle._bulk_estimate(b)[1]
         x = np.linspace(edge, b.support_window[1], 257)
-        Phi = np.abs(_phi_matrix(b, V, x))
-        assert (Phi[0] > 0.0).all()
+        Phi = _phi_matrix(b, V, x)
+        assert (Phi > 0.0).all(), (N, np.argwhere(Phi <= 0.0)[:3])
         assert (Phi[1:] >= Phi[:-1]).all(), (N, np.argwhere(Phi[1:] < Phi[:-1])[:3])
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC],
+                             ids=["gue", "quartic", "sextic", "asymmetric"])
+    @pytest.mark.parametrize("N", [3, 12, 50, 200, 400])
+    def test_cd_kernel_matches_dense(self, coeffs, N):
+        # on the first panels of edge grids inside the window, the
+        # Christoffel-Darboux kernel is sqrt(w) Phi^T Phi sqrt(w) to 1e-12
+        # of its norm, and its diagonal is w kernel_diag to 2e-13 of the
+        # largest entry (measured: 4.1e-13 and 1.3e-13 at worst; divided
+        # differences of q_N between close nodes limit the first)
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        b = build_basis(V, N)
+        checked = 0
+        for s in (0.5, 4.0, 16.0, 32.0):
+            grid = tail_grid(b, V, edge_point(eq, N, s))
+            assert grid.edge
+            if grid.t > b.support_window[1]:
+                continue
+            x, w = grid.x, grid.w
+            M = _cd_kernel(x, _cd_values(b, V, x, w))
+            assert np.array_equal(M, M.T)
+            Phi = _phi_matrix(b, V, x)
+            sw = np.sqrt(w)
+            dense = sw[:, None] * (Phi.T @ Phi) * sw[None, :]
+            scale = np.abs(dense).max()
+            if not scale >= TRACE_FLOOR:
+                continue
+            assert np.linalg.norm((M - dense) / scale) <= 1e-12 * np.linalg.norm(dense / scale), s
+            diag = w * kernel_diag(b, V, x)
+            assert np.abs(np.diag(M) - diag).max() <= 2e-13 * diag.max(), s
+            checked += 1
+        assert checked >= 2
+
     def test_memory_flat_in_thresholds(self, gue, gue_eq):
-        # six copies of the benchmark's 32 thresholds at N = 200 need at
-        # most one row block of psi values more working memory than one
-        # copy (the results they return aside)
-        b = build_basis(gue, 200)
-        ts = [edge_point(gue_eq, 200, s) for s in np.geomspace(0.5, 32.0, 32)]
-        gap_probabilities(b, gue, ts)
+        # the benchmark's 32 thresholds need no more working memory at
+        # N = 400 than at N = 50, beyond the N-sized results: the
+        # Christoffel-Darboux pass carries a few vectors over the nodes,
+        # whatever N
         working = []
-        for copies in (1, 6):
+        for N in (50, 400):
+            b = build_basis(gue, N)
+            ts = [edge_point(gue_eq, N, s) for s in np.geomspace(0.5, 32.0, 32)]
+            gap_probabilities(b, gue, ts)
             tracemalloc.start()
-            results = gap_probabilities(b, gue, ts * copies)
+            results = gap_probabilities(b, gue, ts)
             held, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert all(isinstance(r, GapResult) for r in results)
             working.append(peak - held)
-        assert working[1] <= working[0] + PHI_CHUNK_ENTRIES * 8, working
+        assert working[1] <= working[0] + 8 * 400 * len(ts), working
 
     def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
-        # a ts that straddles chunk boundaries, with a failing threshold
+        # a ts with bulk and edge thresholds, and a failing one
         for V, eq, N in ((gue, gue_eq, 200), (quartic, quartic_eq, 120)):
             b = build_basis(V, N)
             ts = ([NEG_INF, eq.b - 0.3] + [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 24)]
                   + [eq.b + 10.0])
-            assert sum(_tail_grid(b, V, t).x.size for t in ts[:-1]) * N \
-                > kernel_oracle.PHI_CHUNK_ENTRIES
             batch = gap_probabilities(b, V, ts)
             assert len(batch) == len(ts)
             for t, r in zip(ts, batch):
@@ -498,42 +538,62 @@ class TestDeflation:
 
     @FIELDS
     def test_grid_matches_panel_march(self, coeffs):
-        # one phi call over the first panels gives the grid and the phi
-        # values of a march that calls phi panel by panel, bit for bit
+        # the first panels evaluated at once, then panel by panel, give
+        # the nodes, weights and Gram matrix of a march that calls phi
+        # panel by panel, bit for bit; the Christoffel-Darboux path
+        # settles on the same nodes
         V = Potential(coeffs)
         eq = solve_mrs(V)
         multi_panel = 0
         for N in (12, 30, 60):
             b = build_basis(V, N)
             for t in thresholds(eq, N):
-                x, w, Phi, d = _tail(b, V, t)
+                grid = tail_grid(b, V, t)
+                try:
+                    x, w, G, T = _settle(b, V, grid)
+                except NumericalError as exc:
+                    # s = 32 at N = 12 on the quartic fields
+                    assert "normal double" in str(exc) and N == 12, (N, t)
+                    continue
                 ref_x, ref_w, ref_Phi = reference_march(b, V, t)
                 assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), (N, t)
-                assert np.array_equal(Phi, ref_Phi), (N, t)
-                assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
+                ref_G = (ref_Phi * ref_w) @ ref_Phi.T
+                assert np.array_equal(G, 0.5 * (ref_G + ref_G.T)), (N, t)
+                assert T == pytest.approx(float(np.trace(G)), rel=1e-14)
+                if grid.edge:
+                    assert np.array_equal(settled(b, V, t)[0], x), (N, t)
                 multi_panel += x.size > BASE_PANEL_NODES + N
         assert multi_panel > 0
 
     def test_march_past_the_batch(self, gue, monkeypatch):
         # a stopping rule that has not fired at the last of the first
-        # panels grows the grid by one panel per streamed pass: in the
-        # bulk (t = 1.5) and past the edge (t = 2.5)
+        # panels grows the grid by one panel per pass over that panel's
+        # nodes: in the bulk (t = 1.5, dense) and past the edge (t = 2.5,
+        # Christoffel-Darboux)
         b = build_basis(gue, 12)
         for t, cutoff in ((1.5, "PANEL_RELATIVE_CUTOFF"), (2.5, "EDGE_SHARE_TOL")):
-            grid = _tail_grid(b, gue, t)
-            passes = counting_passes(monkeypatch)
+            grid = tail_grid(b, gue, t)
             monkeypatch.setattr(kernel_oracle, cutoff, 1e-300)
-            x, w, Phi, d = _tail(b, gue, t)
             ref_x, ref_w, ref_Phi = reference_march(b, gue, t)
+            evaluate = kernel_oracle._cd_values if grid.edge else _phi_matrix
+            calls = []
+
+            def counting(basis, V, x, *rest):
+                calls.append(x.size)
+                return evaluate(basis, V, x, *rest)
+
+            monkeypatch.setattr(kernel_oracle, evaluate.__name__, counting)
+            x, w, M, _ = settled(b, gue, t)
             monkeypatch.undo()
-            assert len(passes) > 1 and passes[0] == [grid.x.size]
-            assert passes[-1] == [x.size]
             first = len(grid.ends)
-            grown = [grid.panel(p)[0].size for p in range(first, first + len(passes) - 1)]
-            assert np.diff([size for size, in passes]).tolist() == grown
+            grown = [grid.panel(p)[0].size for p in range(first, first + len(calls) - 1)]
+            assert len(calls) > 1 and calls == [grid.x.size] + grown
             assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-            assert np.array_equal(Phi, ref_Phi)
-            assert np.allclose(d, np.square(Phi) @ w, rtol=1e-14, atol=0.0)
+            if grid.edge:
+                assert np.array_equal(M, _cd_kernel(x, _cd_values(b, gue, x, w)))
+            else:
+                G = (ref_Phi * ref_w) @ ref_Phi.T
+                assert np.array_equal(M, 0.5 * (G + G.T))
 
     def test_edge_grid_raises_when_it_does_not_settle(self, gue, monkeypatch):
         b = build_basis(gue, 12)
@@ -542,12 +602,16 @@ class TestDeflation:
             gap_probability(b, gue, 2.5)
 
     def test_non_finite_trace_raises(self, gue, monkeypatch):
+        # an infinite kernel mass stops the edge grid and fails the trace
+        # check; a NaN one never fires the stopping rule
         b = build_basis(gue, 6)
-        tails = kernel_oracle._tails
-        monkeypatch.setattr(kernel_oracle, "_tails", lambda *args: (
-            (i, (x, w, np.full(6, np.nan), Psi)) for i, (x, w, _, Psi) in tails(*args)))
-        with pytest.raises(NumericalError):
-            gap_probability(b, gue, 1.0)
+        cd_values = kernel_oracle._cd_values
+        for bad, message in ((np.inf, "normal double"), (np.nan, "did not terminate")):
+            monkeypatch.setattr(kernel_oracle, "_cd_values",
+                                lambda *args: cd_values(*args) * [[bad], [1.0], [1.0]])
+            with pytest.raises(NumericalError, match=message):
+                gap_probability(b, gue, 2.5)
+            monkeypatch.undo()
 
 
 class TestEdgeGrid:
@@ -565,15 +629,15 @@ class TestEdgeGrid:
             try:
                 ref = refined_log_survival(b, V, t)
             except NumericalError:
-                # s = 32 at N <= 12 on quartic fields: past the window, or
-                # no normal-range mass past t
+                # s = 32 at N <= 12 on quartic fields: no normal-range mass
+                # past t
                 assert N <= 12 and s == 32.0 and coeffs != (0.0, 0.0, 0.5)
                 with pytest.raises(NumericalError):
                     gap_probability(b, V, t)
                 continue
             r = gap_probability(b, V, t)
             assert r.log_survival == pytest.approx(ref, rel=1e-12, abs=1e-300), (N, s)
-            assert _tail(b, V, t)[0].size == 3 * BASE_PANEL_NODES
+            assert settled(b, V, t)[0].size == 3 * BASE_PANEL_NODES
 
 
 class TestRule:
@@ -743,14 +807,17 @@ class TestGap:
 
     def test_threshold_past_the_window(self, gue):
         # at N = 500 the window ends at sqrt(2800/500) = 2.366; past it
-        # phi_0 is subnormal and the survival (about e^-175 at t = 2.4)
-        # cannot be computed, so it raises instead of losing precision
+        # phi_0 is subnormal, but the Christoffel-Darboux kernel, in log
+        # form, still gives the survival (about e^-182.5 at t = 2.4),
+        # within 1e-12 of a grid with twice the panels and nodes
         b = build_basis(gue, 500)
         hi = b.support_window[1]
         assert hi == pytest.approx(math.sqrt(2800.0 / 500.0), rel=1e-9)
         assert gap_probability(b, gue, hi).log_survival < -100.0
-        with pytest.raises(NumericalError, match="past the oracle window"):
-            gap_probability(b, gue, 2.4)
+        for t, expected in ((2.4, -182.54006053165756), (2.6, -333.01035839272936)):
+            r = gap_probability(b, gue, t)
+            assert r.log_survival == pytest.approx(expected, rel=1e-13)
+            assert r.log_survival == pytest.approx(refined_log_survival(b, gue, t), rel=1e-12)
 
     def test_threshold_far_below_support(self, gue):
         b = build_basis(gue, 6)
@@ -761,9 +828,9 @@ class TestGap:
     def test_eigenvalue_error_prints_plain_floats(self, gue):
         # weights scaled by 10 push the top eigenvalue past 1
         b = build_basis(gue, 10)
-        _, w, Phi, d = _tail(b, gue, 0.0)
+        _, _, G, trace = settled(b, gue, 0.0)
         with pytest.raises(NumericalError, match="outside") as info:
-            _gap(b, 0.0, 10.0 * w, Phi, d)
+            _gap(b, 0.0, 10.0 * G, 10.0 * trace)
         assert "np." not in str(info.value)
 
     def test_eigenvalues_sorted_in_unit_interval(self, gue):
