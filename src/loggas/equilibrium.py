@@ -86,15 +86,18 @@ def _chebyshev_angles(n):
     return (2 * k - 1) * np.pi / (2 * n)
 
 
-def _cheb_derivative(V, order, c, r):
-    """Chebyshev coefficients in y of the order-th derivative of V at
-    x = c + r y, composed by Horner's rule on coefficient arrays."""
-    d = npoly.polyder(V.coeffs, order)
-    acc = d[-1:]
-    for coef in d[-2::-1]:
+def _compose(p, c, r):
+    """Power coefficients in y of the polynomial p at x = c + r y (Horner)."""
+    acc = p[-1:]
+    for coef in p[-2::-1]:
         acc = np.convolve(acc, (c, r))
         acc[0] += coef
-    return cheb.poly2cheb(acc)
+    return acc
+
+
+def _cheb_derivative(V, order, c, r):
+    """Chebyshev coefficients in y of the order-th derivative of V at c + r y."""
+    return cheb.poly2cheb(_compose(npoly.polyder(V.coeffs, order), c, r))
 
 
 def _endpoint_system(V, c, r):

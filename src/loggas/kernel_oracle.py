@@ -14,7 +14,8 @@ Vmin (from the real roots of V') and the far edge of the series box
 come from the same root finder, _real_roots.
 build_basis checks that the kernel diagonal at both window edges is
 negligible, which holds up to about N = 550 for x^2/2 and N = 800 for
-x^4.  All polynomial values are carried in weighted form
+x^4, and certifies its rule by the Freud equations (_freud_residual).
+All polynomial values are carried in weighted form
 phi_j = p_j exp(-N (V - Vmin) / 2), which stays of moderate size where
 the raw p_j would overflow.
 
@@ -29,9 +30,9 @@ for q_N = sqrt(beta_N) phi_N / phi_{N-1}: two functions per node, not
 N, from one ratio recurrence (_cd_values) that cannot underflow, over
 the nodes of all such thresholds, in O(N L) time and O(L) memory for L
 nodes.  Thresholds in the bulk take the dense phi_j and the N x N tail
-Gram matrix.  _gap drops the nodes (or rows) of least mass, up to
-DEFLATION_TOL of the trace, before the eigenvalues are taken (see
-gap_probability).
+Gram matrix, on fixed panels that end at the window edge.  _gap drops
+the nodes (or rows) of least mass, up to DEFLATION_TOL of the trace,
+before the eigenvalues are taken (see gap_probability).
 """
 
 import itertools
@@ -47,15 +48,12 @@ from .errors import UNDERFLOW_LIMIT, NumericalError
 
 WINDOW_LOG_CUTOFF = 1400.0         # N(V - Vmin) at the window edges, where phi_0 is about e^-700
 WINDOW_EDGE_TOL = 1e-30            # kernel share the window may cut off
-BASIS_NODES_PER_N = 8              # first basis rule; refined by BASIS_REFINE until two agree
+BASIS_NODES_PER_N = 8              # first basis rule; refined by BASIS_REFINE until certified
 BASIS_MIN_NODES = 256
 BASIS_REFINE = 1.5
-BASIS_TOL = 1e-13
 BASIS_MAX_RULES = 12
-PANEL_WEIGHT_CUTOFF = 250.0 * math.log(10.0)
-PANEL_RELATIVE_CUTOFF = 1e-3
+FREUD_TOL = 32.0                   # Freud residual accepted, in eps S (see _freud_residual)
 BASE_PANEL_NODES = 32
-MAX_PANELS = 20000
 EDGE_PANELS = 3                    # panels of an edge grid before its a-posteriori check
 EDGE_GROWTH = 2.0                  # width ratio of consecutive edge panels
 EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may span
@@ -71,10 +69,10 @@ SERIES_LOG_CUTOFF = 80.0
 class OrthoBasis:
     """Recurrence data of the polynomials orthonormal for exp(-N V).
 
-    beta[0] holds the weight normalizer, the integral of
-    exp(-N (V - v_min)); beta[1:] the squared off-diagonal recurrence
-    coefficients.  v_min is the minimum of V.  Shifting V by a constant
-    changes neither v_min - V nor any of these.
+    beta[0] holds the weight normalizer, the integral of exp(-N (V -
+    v_min)); beta[1:] the squared off-diagonal recurrence coefficients,
+    certified by freud_residual.  v_min is the minimum of V.  Shifting V
+    by a constant changes neither v_min - V nor any of these.
     """
 
     N: int
@@ -82,6 +80,7 @@ class OrthoBasis:
     beta: np.ndarray
     support_window: tuple
     v_min: float
+    freud_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +106,8 @@ class GapResult:
 
 # Tail grid for (t, infinity): whether t is past the Gershgorin edge, the
 # nodes x and weights w of its first panels, their ends (cumulative node
-# counts), the rule panel(p) for panels past those, stop(p, contrib,
-# total), true once the grid may end after panel p, and the panel count
-# at which it gives up.
-_TailGrid = namedtuple("_TailGrid", "t edge x w ends panel stop max_panels")
+# counts), and the rule panel(p) for the panels an edge grid adds.
+_TailGrid = namedtuple("_TailGrid", "t edge x w ends panel")
 
 
 @lru_cache(maxsize=32)
@@ -183,9 +180,10 @@ def _support_window(V, N):
     return _level_roots(V, v_min, WINDOW_LOG_CUTOFF / N), v_min
 
 
-def _stieltjes(V, N, lo, hi, v_min, n_nodes):
-    """alpha and beta by discretized Stieltjes orthonormalization on
-    panels of BASE_PANEL_NODES Gauss-Legendre nodes over [lo, hi].
+def _stieltjes(V, N, rows, lo, hi, v_min, n_nodes):
+    """alpha and beta of rows polynomials by discretized Stieltjes
+    orthonormalization on panels of BASE_PANEL_NODES Gauss-Legendre
+    nodes over [lo, hi].
 
     The recurrence runs on u_j = sqrt(w) phi_j for the quadrature
     weights w, so every discrete inner product is a dot product."""
@@ -196,16 +194,16 @@ def _stieltjes(V, N, lo, hi, v_min, n_nodes):
     if not beta0 > 0.0:
         raise NumericalError("weight exp(-N (V - Vmin)) underflows on the whole window")
 
-    alpha = np.zeros(N)
-    beta = np.zeros(N)
+    alpha = np.zeros(rows)
+    beta = np.zeros(rows)
     beta[0] = beta0
     u /= math.sqrt(beta0)
     u_prev = np.zeros_like(x)
     xu = np.empty_like(x)
-    for j in range(N):
+    for j in range(rows):
         np.multiply(x, u, out=xu)
         alpha[j] = float(xu @ u)
-        if j == N - 1:
+        if j == rows - 1:
             break
         # psi = (x - alpha_j) u_j - sqrt(beta_j) u_{j-1}, built in u_prev
         u_prev *= -math.sqrt(beta[j])
@@ -221,14 +219,36 @@ def _stieltjes(V, N, lo, hi, v_min, n_nodes):
     return alpha, beta
 
 
-def _rules_agree(coarse, fine):
-    """True when two Stieltjes results agree to BASIS_TOL: beta[0]
-    relative, alpha and beta[1:] against the scale of beta."""
-    (a1, b1), (a2, b2) = coarse, fine
-    scale = float(np.max(b2[1:], initial=0.0))
-    return (abs(b1[0] - b2[0]) <= BASIS_TOL * b2[0]
-            and float(np.max(np.abs(a1 - a2))) <= BASIS_TOL * max(math.sqrt(scale), 1.0)
-            and float(np.max(np.abs(b1[1:] - b2[1:]), initial=0.0)) <= BASIS_TOL * scale)
+def _freud_residual(V, N, alpha, beta):
+    """Residual of the Freud equations in the first N rows, and its tolerance.
+
+    Integrating (p_n p_m exp(-N V))' over the line gives V'(J)_{nn} = 0 and
+    sqrt(beta_n) V'(J)_{n,n-1} = n/N for the Jacobi matrix J.  The residual
+    is the largest of |V'(J)_{nn}| and |sqrt(beta_n) V'(J)_{n,n-1} - n/N| /
+    ||J||, n < N.  V'(J) has bandwidth w = deg V - 1, so N + floor(w/2) rows
+    make these entries exact; Horner's rule on its diagonals costs
+    O(rows deg^2).  ||J|| is the largest Gershgorin row sum, and at least
+    beta_0/sqrt(12), below which the weight's standard deviation
+    sqrt(beta_1) cannot lie (its density is at most 1/beta_0).  Entries of
+    J rounded to a few eps ||J|| move V'(J) = sum_k k v_k J^{k-1} by eps S,
+    S = sum_k k |v_k| ||J||^{k-1}, times a constant: at most 10.1 on rules
+    resolved to roundoff (five fields, N = 1 to 800).  The tolerance
+    FREUD_TOL eps S is 3 times that; the tilted well (0, -0.3, -4, 0, 1) at
+    N = 200 on 2400 nodes, coefficients off by 1e-13, shows 90 eps S.
+    """
+    dv = npoly.polyder(np.asarray(V.coeffs, dtype=float))
+    rows, w = alpha.size, dv.size - 1
+    # row k of a (s, P) holds J_{jj} (J_{j-1,j}, P_{ij}) at j = i + k - w - 1, zero off J
+    a, s = np.lib.stride_tricks.sliding_window_view(np.pad(
+        [alpha, np.sqrt(np.append(0.0, beta[1:]))], ((0, 0), (w + 1, w + 1))), rows, axis=1)
+    P = np.zeros((2 * w + 3, rows))
+    for coef in dv[::-1]:
+        P[1:-1] = P[:-2] * s[1:-1] + P[1:-1] * a[1:-1] + P[2:] * s[2:]
+        P[w + 1] += coef
+    norm = max(float(np.max(np.abs(alpha) + s[w + 1] + s[w + 2])), beta[0] / math.sqrt(12.0))
+    off = s[w + 1, :N] * P[w, :N] - np.arange(N) / N
+    residual = max(float(np.max(np.abs(P[w + 1, :N]))), float(np.max(np.abs(off))) / norm)
+    return residual, FREUD_TOL * float(np.finfo(float).eps * npoly.polyval(norm, np.abs(dv)))
 
 
 def build_basis(V, N):
@@ -236,9 +256,10 @@ def build_basis(V, N):
     for the weight exp(-N V), by discretized Stieltjes orthonormalization
     on the window N(V - Vmin) <= WINDOW_LOG_CUTOFF.
 
-    The node count starts at max(BASIS_MIN_NODES, BASIS_NODES_PER_N N)
-    and grows by BASIS_REFINE until two consecutive rules agree to
-    BASIS_TOL; the finer rule's coefficients are kept.
+    The first rule has max(BASIS_MIN_NODES, BASIS_NODES_PER_N N) nodes
+    and N + floor((deg V - 1)/2) rows, and the window-edge check runs on
+    it.  Rules grow by BASIS_REFINE until _freud_residual certifies one,
+    whose first N rows are kept, with the residual.
 
     Raises
     ------
@@ -247,36 +268,33 @@ def build_basis(V, N):
     NumericalError
         If V does not reach the window cutoff on both sides of its
         minimum (an odd degree), orthonormalization loses positivity,
-        the weight underflows everywhere on the window, the node count
-        does not converge in BASIS_MAX_RULES rules, or the window cuts off kernel mass: the
-        kernel diagonal at a window edge times the window width exceeds
-        WINDOW_EDGE_TOL N.  The last happens from about N = 600 for
-        x^2/2 and N = 900 for x^4.
+        the weight underflows everywhere on the window, the window cuts
+        off kernel mass (the kernel diagonal at a window edge times the
+        window width exceeds WINDOW_EDGE_TOL N, from about N = 600 for
+        x^2/2 and N = 900 for x^4), or no rule is certified in
+        BASIS_MAX_RULES rules.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     (lo, hi), v_min = _support_window(V, N)
     n_nodes = max(BASIS_MIN_NODES, BASIS_NODES_PER_N * N)
-    coeffs = _stieltjes(V, N, lo, hi, v_min, n_nodes)
-    for _ in range(BASIS_MAX_RULES - 1):
+    for rule in range(BASIS_MAX_RULES):
+        alpha, beta = _stieltjes(V, N, N + (V.degree - 1) // 2, lo, hi, v_min, n_nodes)
+        alpha.flags.writeable = beta.flags.writeable = False
+        residual, tol = _freud_residual(V, N, alpha, beta)
+        basis = OrthoBasis(N=N, alpha=alpha[:N], beta=beta[:N], freud_residual=residual,
+                           support_window=(float(lo), float(hi)), v_min=float(v_min))
+        edge = kernel_diag(basis, V, np.array([lo, hi])) * (hi - lo) if rule == 0 else 0.0
+        if not np.all(edge <= WINDOW_EDGE_TOL * N):
+            raise NumericalError(
+                f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge "
+                f"kernel share {float(np.max(edge)) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
+        if residual <= tol:
+            return basis
         n_nodes = math.ceil(BASIS_REFINE * n_nodes)
-        coarse, coeffs = coeffs, _stieltjes(V, N, lo, hi, v_min, n_nodes)
-        if _rules_agree(coarse, coeffs):
-            break
-    else:
-        raise NumericalError(f"basis quadrature did not converge at {n_nodes} nodes")
-    alpha, beta = coeffs
-    alpha.flags.writeable = False
-    beta.flags.writeable = False
-    basis = OrthoBasis(N=N, alpha=alpha, beta=beta,
-                       support_window=(float(lo), float(hi)), v_min=float(v_min))
-    edge = kernel_diag(basis, V, np.array([lo, hi])) * (hi - lo)
-    if not (edge <= WINDOW_EDGE_TOL * N).all():
-        raise NumericalError(
-            f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge "
-            f"kernel share {float(np.max(edge)) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
-    return basis
+    raise NumericalError(f"basis quadrature not certified: Freud residual {residual!r} "
+                         f"exceeds {tol!r} on the last of {BASIS_MAX_RULES} rules")
 
 
 def _phi_matrix(basis, V, x, j_max=None):
@@ -397,13 +415,11 @@ def _tail_grid(basis, V, t, bulk, slope):
     EDGE_SHARE_TOL of the tail mass, and further panels are added until
     it does.
 
-    From a threshold in the bulk, fixed-width panels run rightward.
-    Panels touching the bulk carry extra nodes so the fastest
-    oscillation of phi_{N-1} (about N half-waves across the bulk) stays
-    resolved; a panel ends the grid once its mass is a relatively
-    negligible part of the total and its start lies right of the
-    minimum of V with the weight below the underflow gauge.  The first
-    panels run up to the first such start past the first panel.
+    From a threshold in the bulk, fixed panels a quarter of the span
+    wide run from max(t, lo) to the first panel end at or past hi, where
+    build_basis certified the kernel negligible; panels touching the bulk
+    carry extra nodes so the fastest oscillation of phi_{N-1} (about N
+    half-waves across the bulk) stays resolved.
     """
     lo, hi = basis.support_window
     N = basis.N
@@ -420,10 +436,7 @@ def _tail_grid(basis, V, t, bulk, slope):
             h = 0.5 * width * EDGE_GROWTH ** p
             return p0 + h * (1.0 + xg), h * wg
 
-        def stop(p, contrib, total):
-            return p >= EDGE_PANELS - 1 and contrib <= EDGE_SHARE_TOL * total
-
-        first, max_panels = EDGE_PANELS, MAX_EDGE_PANELS
+        first = EDGE_PANELS
     else:
         start = max(t, lo)
         width = 0.25 * span
@@ -436,25 +449,10 @@ def _tail_grid(basis, V, t, bulk, slope):
             xb, wb = gl_rule(BASE_PANEL_NODES + (extra if in_bulk else 0))
             return 0.5 * (p0 + p1) + 0.5 * width * xb, 0.5 * width * wb
 
-        def stop(p, contrib, total):
-            p0 = start + p * width
-            settled = (N * _excess(V, basis.v_min, p0) > PANEL_WEIGHT_CUTOFF
-                       and V.eval(p0, 1) > 0.0)
-            return settled and (total == 0.0 or contrib < PANEL_RELATIVE_CUTOFF * total)
-
-        # the first panels run to the first start past panel 0 with a
-        # small weight and V increasing; for an admissible V the first
-        # start at or past hi qualifies
-        n_pre = max(1, math.ceil((hi - start) / width))
-        starts = start + width * np.arange(1, n_pre)
-        small = N * _excess(V, basis.v_min, starts) > PANEL_WEIGHT_CUTOFF
-        settled = np.flatnonzero(small & (V.eval(starts, 1) > 0.0))
-        first = 2 + int(settled[0]) if settled.size else n_pre + 1
-        max_panels = MAX_PANELS
+        first = max(1, math.ceil((hi - start) / width))
     xs, ws = zip(*(panel(p) for p in range(first)))
     return _TailGrid(t=t, edge=t >= bhi, x=np.concatenate(xs), w=np.concatenate(ws),
-                     ends=tuple(np.cumsum([xm.size for xm in xs]).tolist()),
-                     panel=panel, stop=stop, max_panels=max_panels)
+                     ends=tuple(np.cumsum([xm.size for xm in xs]).tolist()), panel=panel)
 
 
 def _tail_grids(basis, V, ts):
@@ -472,17 +470,14 @@ def _tail_grids(basis, V, ts):
 
 
 def _settle(basis, V, grid, cd=None):
-    """Nodes, weights, kernel matrix and trace of grid once its stopping
-    rule, fed the panel sums of the matrix diagonal, fires.
-
-    Given cd, the _cd_values at grid.x of an edge grid, the matrix is
-    the m x m kernel of _cd_kernel; otherwise the N x N tail Gram matrix
-    from _phi_matrix, symmetrized, refused past the window, where phi_0
-    is not a normal double.  A grid whose rule has not fired at its last
-    panel gets one panel more, evaluated on its own nodes.  Raises
-    NumericalError if the rule has not fired at grid.max_panels, or if
-    the trace (the sum of the panel sums) is not a finite normal double:
-    no representable kernel mass past t.
+    """Nodes, weights, values and trace (the sum of the panel sums of the
+    kernel diagonal) of grid once it has settled: given cd, the
+    _cd_values at grid.x of an edge grid, else the _phi_matrix, refused
+    past the window, where phi_0 is not a normal double.  A bulk grid is
+    final; an edge grid whose last panel carries more than EDGE_SHARE_TOL
+    of the trace gets one panel more, evaluated on its own nodes.  Raises
+    NumericalError if an edge grid has not settled at MAX_EDGE_PANELS
+    panels, or if the trace is not a finite normal double.
     """
     dense = cd is None
     lo, hi = basis.support_window
@@ -503,7 +498,7 @@ def _settle(basis, V, grid, cd=None):
     total, start = 0.0, 0
     for p in itertools.count():
         if p == len(ends):
-            if p == grid.max_panels:
+            if p == MAX_EDGE_PANELS:
                 raise NumericalError("tail quadrature did not terminate")
             xm, wm = grid.panel(p)
             new = evaluate(xm, wm)
@@ -513,18 +508,20 @@ def _settle(basis, V, grid, cd=None):
             ends.append(x.size)
         contrib = float(np.sum(masses[start:ends[p]]))
         total += contrib
-        if grid.stop(p, contrib, total):
+        if p >= len(grid.ends) - 1 and (not grid.edge or contrib <= EDGE_SHARE_TOL * total):
             break
         start = ends[p]
     if not (math.isfinite(total) and total >= TRACE_FLOOR):
         raise NumericalError(
             f"threshold {grid.t!r}: the kernel mass past it, {total!r}, is not a finite "
             f"normal double")
-    x, w, vals = x[:ends[p]], w[:ends[p]], vals[:, :ends[p]]
-    if dense:
-        G = (vals * w) @ vals.T
-        return x, w, 0.5 * (G + G.T), total
-    return x, w, _cd_kernel(x, vals), total
+    return x, w, vals, total
+
+
+def _gram_matrix(Phi, w):
+    """The N x N tail Gram matrix (Phi w) Phi^T, symmetrized."""
+    G = (Phi * w) @ Phi.T
+    return 0.5 * (G + G.T)
 
 
 def _tails(basis, V, ts):
@@ -542,7 +539,8 @@ def _tails(basis, V, ts):
     for grid in grids:
         if isinstance(grid, _TailGrid):
             try:
-                grid = _settle(basis, V, grid, next(cd) if grid.edge else None)
+                x, w, vals, trace = _settle(basis, V, grid, next(cd) if grid.edge else None)
+                grid = x, w, (_cd_kernel(x, vals) if grid.edge else _gram_matrix(vals, w)), trace
             except NumericalError as exc:
                 grid = exc
         yield grid
@@ -551,11 +549,11 @@ def _tails(basis, V, ts):
 def tail_trace(basis, V, t):
     """Integral of the kernel diagonal over (t, infinity), on the tail
     grid: the same float as gap_probability's trace, and it raises where
-    that trace check raises."""
-    (item,) = _tails(basis, V, [t])
-    if isinstance(item, Exception):
-        raise item
-    return item[3]
+    that trace check raises.  The tail kernel matrix is never formed."""
+    (grid,) = _tail_grids(basis, V, [t])
+    if isinstance(grid, Exception):
+        raise grid
+    return _settle(basis, V, grid, _cd_values(basis, V, grid.x, grid.w) if grid.edge else None)[3]
 
 
 def gram(basis, V, t):
@@ -566,7 +564,8 @@ def gram(basis, V, t):
     (grid,) = _tail_grids(basis, V, [t])
     if isinstance(grid, Exception):
         raise grid
-    return _settle(basis, V, grid)[2]
+    _, w, Phi, _ = _settle(basis, V, grid)
+    return _gram_matrix(Phi, w)
 
 
 def _gap(basis, t, M, trace):
@@ -677,9 +676,7 @@ def _series_kernel(basis, V, t):
     N(V - V(t)) = SERIES_LOG_CUTOFF: the weight is 80 e-foldings down
     from its value at t."""
     hi = _level_roots(V, V.eval(t, 0), SERIES_LOG_CUTOFF / basis.N)[1]
-    xg, wg = gl_rule(24)
-    xm = 0.5 * (t + hi) + 0.5 * (hi - t) * xg
-    wm = 0.5 * (hi - t) * wg
+    xm, wm = composite_gl(np.array([t, hi]), 24)
     Phi = _phi_matrix(basis, V, xm)
     sw = np.sqrt(wm)
     return sw[:, None] * (Phi.T @ Phi) * sw[None, :]

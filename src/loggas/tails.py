@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
-from .equilibrium import _eta, _eta_prime, _points, _require_field, eta, eta_prime
+from .equilibrium import _compose, _eta, _eta_prime, _points, _require_field, eta, eta_prime
 from .errors import UNDERFLOW_LIMIT, NumericalError
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
@@ -86,7 +85,7 @@ def cramer_coefficients(eq, V, k):
     a, b = eq.a, eq.b
     r = 0.5 * (b - a)
     # G(b + v) = G(c + r y) at y = 1 + v/r
-    g = Polynomial(cheb.cheb2poly(eq.g_coeffs))(Polynomial([1.0, 1.0 / r])).coef
+    g = _compose(cheb.cheb2poly(eq.g_coeffs), 1.0, 1.0 / r)
     m = np.arange(k + 1)
     binom = np.cumprod(np.append(1.0, (1.5 - m[1:]) / m[1:]))     # binom(1/2, m)
     root = math.sqrt(b - a) * binom / (b - a) ** m                # sqrt(b - a + v)

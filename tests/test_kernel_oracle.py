@@ -20,6 +20,7 @@ from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
 ASYMMETRIC = (0.0, 0.5, 0.5, 0.2, 0.25)
+TILTED = Potential((0.0, -0.3, -4.0, 0.0, 1.0))
 FIELDS = pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
                                             ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
 
@@ -39,7 +40,8 @@ def thresholds(eq, N):
 def reference_panels(basis, V, t):
     """The tail grid's panels from their definitions in _tail_grid, as
     a generator of (node count, left end, half width), and its stopping
-    rule stop(p, p0, contrib, total)."""
+    rule stop(p, p0, contrib, total): a posteriori past the edge, the
+    first panel end at or past the window edge in the bulk."""
     N = basis.N
     lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
@@ -65,14 +67,10 @@ def reference_panels(basis, V, t):
             return BASE_PANEL_NODES + (extra if in_bulk else 0)
 
         panels = ((node_count(start + p * width), start + p * width, 0.5 * width)
-                  for p in range(kernel_oracle.MAX_PANELS))
+                  for p in itertools.count())
 
         def stop(p, p0, contrib, total):
-            settled = (N * kernel_oracle._excess(V, basis.v_min, p0)
-                       > kernel_oracle.PANEL_WEIGHT_CUTOFF
-                       and V.eval(p0, 1) > 0.0)
-            return settled and (total == 0.0
-                                or contrib < kernel_oracle.PANEL_RELATIVE_CUTOFF * total)
+            return p0 + width >= hi
     return panels, stop
 
 
@@ -166,6 +164,19 @@ def counting_passes(monkeypatch):
     return passes
 
 
+def counting_rules(monkeypatch):
+    """Record the (rows, nodes) of every Stieltjes rule."""
+    calls = []
+    stieltjes = kernel_oracle._stieltjes
+
+    def counting(V, N, rows, lo, hi, v_min, n_nodes):
+        calls.append((rows, n_nodes))
+        return stieltjes(V, N, rows, lo, hi, v_min, n_nodes)
+
+    monkeypatch.setattr(kernel_oracle, "_stieltjes", counting)
+    return calls
+
+
 def full_survival(G):
     """Survival and log-survival from every eigenvalue of G, by the rule
     gap_probability applies to its kept block."""
@@ -185,35 +196,116 @@ class TestBasis:
         # V' without a real root has no minimum to centre the window on
         with pytest.raises(ValueError):
             build_basis(Potential((0.0, 1.0)), 5)
-        # a node rule that never agrees with its refinement
-        monkeypatch.setattr(kernel_oracle, "BASIS_TOL", 0.0)
-        with pytest.raises(NumericalError):
+        # a node rule that is never certified
+        monkeypatch.setattr(kernel_oracle, "FREUD_TOL", 0.0)
+        with pytest.raises(NumericalError, match="not certified"):
             build_basis(gue, 10)
 
-    def test_node_rule_by_convergence(self, gue, quartic, monkeypatch):
-        # rules of 8 N (at least 256) nodes, each 1.5 times the last,
-        # until two in a row agree; the finer one is kept
-        counts = []
-        stieltjes = kernel_oracle._stieltjes
-
-        def counting(V, N, lo, hi, v_min, n_nodes):
-            counts.append(n_nodes)
-            return stieltjes(V, N, lo, hi, v_min, n_nodes)
-
-        monkeypatch.setattr(kernel_oracle, "_stieltjes", counting)
-        for V, N in ((gue, 4), (gue, 50), (gue, 400), (quartic, 200)):
-            counts.clear()
+    def test_node_rule_by_certificate(self, gue, quartic, monkeypatch):
+        # rules of 8 N (at least 256) nodes over N + floor((deg V - 1)/2)
+        # rows, each 1.5 times the last, until the Freud residual is
+        # within its tolerance; the first N rows of that rule are kept
+        # and agree with a finer rule to 1e-13
+        calls = counting_rules(monkeypatch)
+        for V, N in ((gue, 4), (gue, 50), (gue, 400), (quartic, 200), (TILTED, 200)):
+            calls.clear()
             b = build_basis(V, N)
+            rows = N + (V.degree - 1) // 2
+            assert {r for r, _ in calls} == {rows}
+            counts = [n for _, n in calls]
             assert counts[0] == max(256, 8 * N)
             assert counts[1:] == [math.ceil(1.5 * n) for n in counts[:-1]]
             lo, hi = b.support_window
-            rules = [stieltjes(V, N, lo, hi, b.v_min, n) for n in counts]
-            assert np.array_equal(b.alpha, rules[-1][0])
-            assert np.array_equal(b.beta, rules[-1][1])
-            agree = [kernel_oracle._rules_agree(c, f) for c, f in zip(rules, rules[1:])]
-            assert agree == [False] * (len(agree) - 1) + [True], (N, counts)
-        # measured: N = 50 needs more than 12 N nodes, N = 400 does not
-        assert len(counts) == 2
+            rules = [kernel_oracle._stieltjes(V, N, rows, lo, hi, b.v_min, n)
+                     for n in counts + [math.ceil(1.5 * counts[-1])]]
+            certified = [res <= tol for res, tol in
+                         (kernel_oracle._freud_residual(V, N, *r) for r in rules[:-1])]
+            assert certified == [False] * (len(counts) - 1) + [True], (N, counts)
+            assert np.array_equal(b.alpha, rules[-2][0][:N])
+            assert np.array_equal(b.beta, rules[-2][1][:N])
+            assert b.freud_residual == kernel_oracle._freud_residual(V, N, *rules[-2])[0]
+            fine_alpha, fine_beta = rules[-1][0][:N], rules[-1][1][:N]
+            scale = float(np.max(fine_beta[1:], initial=0.0))
+            assert abs(b.beta[0] - fine_beta[0]) <= 1e-13 * fine_beta[0]
+            assert np.abs(b.alpha - fine_alpha).max() <= 1e-13 * max(math.sqrt(scale), 1.0)
+            assert np.abs(b.beta[1:] - fine_beta[1:]).max(initial=0.0) <= 1e-13 * scale
+        # measured: N = 400 needs one rule, N = 200 on the tilted well three
+        assert len(counts) == 3
+
+    def test_under_resolved_rule_is_refined(self, gue, monkeypatch):
+        # a first rule of 64 nodes fails the certificate at N = 50 and is
+        # refined to the basis of the default rule; with one rule allowed
+        # it raises
+        ref = build_basis(gue, 50)
+        monkeypatch.setattr(kernel_oracle, "BASIS_MIN_NODES", 64)
+        monkeypatch.setattr(kernel_oracle, "BASIS_NODES_PER_N", 1)
+        calls = counting_rules(monkeypatch)
+        b = build_basis(gue, 50)
+        assert calls[0][1] == 64 and len(calls) > 1
+        assert b.freud_residual <= kernel_oracle._freud_residual(gue, 50, b.alpha, b.beta)[1]
+        assert np.abs(b.alpha - ref.alpha).max() <= 1e-13
+        assert np.abs(b.beta - ref.beta).max() <= 1e-13 * ref.beta[0]
+        monkeypatch.setattr(kernel_oracle, "BASIS_MAX_RULES", 1)
+        with pytest.raises(NumericalError, match="last of 1 rules"):
+            build_basis(gue, 50)
+
+    @pytest.mark.parametrize("N", [1, 2, 12, 50, 400])
+    def test_gue_freud_residual_closed_form(self, gue, N):
+        # for V = x^2/2, V'(J) = J: the residual is the distance to the
+        # closed form alpha_n = 0, beta_n = n/N, the second part over the
+        # Jacobi matrix's infinity norm (one row at N = 1, where the
+        # tolerance rests on the floor beta_0 / sqrt(12) of that norm)
+        b = build_basis(gue, N)
+        s = np.sqrt(b.beta[1:])
+        J = np.diag(b.alpha) + np.diag(s, 1) + np.diag(s, -1)
+        norm = np.abs(J).sum(axis=1).max()
+        expected = max(np.abs(b.alpha).max(),
+                       np.abs(b.beta[1:] - np.arange(1, N) / N).max(initial=0.0) / norm)
+        assert b.freud_residual == pytest.approx(expected, rel=1e-12)
+        assert b.freud_residual < 1e-14
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.0, 0.0, 1.0), ASYMMETRIC, TILTED.coeffs,
+                                        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1)],
+                             ids=["quartic", "asymmetric", "tilted", "sextic"])
+    def test_freud_residual_is_dense_and_exact(self, coeffs):
+        # on an under-resolved rule, the banded residual over
+        # N + floor((deg V - 1)/2) rows is that of the dense V'(J) over
+        # three rows more: the extra rows make the first N exact
+        V, N = Potential(coeffs), 40
+        (lo, hi), v_min = _support_window(V, N)
+        rows = N + (V.degree - 1) // 2
+        alpha, beta = kernel_oracle._stieltjes(V, N, rows + 3, lo, hi, v_min, 2 * N)
+        residual, tol = kernel_oracle._freud_residual(V, N, alpha[:rows], beta[:rows])
+        s = np.sqrt(beta[1:])
+        J = np.diag(alpha) + np.diag(s, 1) + np.diag(s, -1)
+        dv = np.polynomial.polynomial.polyder(V.coeffs)
+        P = sum(c * np.linalg.matrix_power(J, k) for k, c in enumerate(dv))
+        norm = np.abs(J[:rows, :rows]).sum(axis=1).max()
+        off = s[:N - 1] * np.diag(P, -1)[:N - 1] - np.arange(1, N) / N
+        expected = max(np.abs(np.diag(P)[:N]).max(), np.abs(off).max() / norm)
+        assert residual > 1e3 * tol
+        assert residual == pytest.approx(expected, rel=1e-9)
+
+    def test_tolerance_between_floor_and_quadrature_error(self):
+        # the tilted well at N = 200 on 2400 nodes: residual 1.5e-12,
+        # coefficients off by 1e-13, refused; at N = 400 the certified
+        # rule sits at the roundoff floor, 1.1e-13
+        for N, nodes, accepted in ((200, 2400, False), (400, 4800, True)):
+            (lo, hi), v_min = _support_window(TILTED, N)
+            rule = kernel_oracle._stieltjes(TILTED, N, N + 1, lo, hi, v_min, nodes)
+            residual, tol = kernel_oracle._freud_residual(TILTED, N, *rule)
+            assert (residual <= tol) == accepted, (N, residual, tol)
+            assert 1e-13 <= residual <= 2e-12
+        assert build_basis(TILTED, 400).freud_residual == pytest.approx(residual, rel=1e-15)
+
+    def test_window_fails_fast(self, gue, quartic, monkeypatch):
+        # past the valid range the window check runs on the first rule
+        calls = counting_rules(monkeypatch)
+        for V, N in ((gue, 800), (gue, 900), (quartic, 1000)):
+            calls.clear()
+            with pytest.raises(NumericalError, match="cuts off kernel mass"):
+                build_basis(V, N)
+            assert len(calls) == 1, (N, calls)
 
     @pytest.mark.parametrize("N", [50, 200, 400, 500])
     def test_gue_recurrence_closed_form(self, gue, N):
@@ -331,6 +423,24 @@ class TestProjector:
             # is refused there
             with pytest.raises(NumericalError, match="past the oracle window"):
                 gram(b, V, 40.0)
+
+    def test_tail_trace_forms_no_matrix(self, gue, quartic, monkeypatch):
+        # tail_trace stops at the settled trace: in the bulk and past the
+        # edge it returns gap_probability's trace with the matrix-forming
+        # steps made to raise
+        cases = [(V, build_basis(V, N), t) for V, N, edge in ((gue, 400, 2.1), (quartic, 50, 1.2))
+                 for t in (NEG_INF, 0.5, edge)]
+        traces = [gap_probability(b, V, t).trace for V, b, t in cases]
+
+        def refuse(*args):
+            raise AssertionError("tail matrix formed")
+
+        monkeypatch.setattr(kernel_oracle, "_gram_matrix", refuse)
+        monkeypatch.setattr(kernel_oracle, "_cd_kernel", refuse)
+        assert [tail_trace(b, V, t) for V, b, t in cases] == traces
+        for t in (0.5, 2.1):
+            with pytest.raises(AssertionError, match="tail matrix formed"):
+                gap_probability(cases[0][1], gue, t)
 
     def test_gram_reuses_grid_phi(self, gue, quartic):
         # gram takes phi from the tail grid's panels; evaluating phi once
@@ -539,9 +649,9 @@ class TestDeflation:
     @FIELDS
     def test_grid_matches_panel_march(self, coeffs):
         # the first panels evaluated at once, then panel by panel, give
-        # the nodes, weights and Gram matrix of a march that calls phi
-        # panel by panel, bit for bit; the Christoffel-Darboux path
-        # settles on the same nodes
+        # the nodes, weights and phi values of a march that calls phi
+        # panel by panel, bit for bit, and its trace; the
+        # Christoffel-Darboux path settles on the same nodes
         V = Potential(coeffs)
         eq = solve_mrs(V)
         multi_panel = 0
@@ -550,30 +660,30 @@ class TestDeflation:
             for t in thresholds(eq, N):
                 grid = tail_grid(b, V, t)
                 try:
-                    x, w, G, T = _settle(b, V, grid)
+                    x, w, Phi, T = _settle(b, V, grid)
                 except NumericalError as exc:
                     # s = 32 at N = 12 on the quartic fields
                     assert "normal double" in str(exc) and N == 12, (N, t)
                     continue
                 ref_x, ref_w, ref_Phi = reference_march(b, V, t)
                 assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), (N, t)
-                ref_G = (ref_Phi * ref_w) @ ref_Phi.T
-                assert np.array_equal(G, 0.5 * (ref_G + ref_G.T)), (N, t)
-                assert T == pytest.approx(float(np.trace(G)), rel=1e-14)
+                assert np.array_equal(Phi, ref_Phi), (N, t)
+                assert T == pytest.approx(float(np.sum(ref_w * np.sum(ref_Phi ** 2, axis=0))),
+                                          rel=1e-14)
                 if grid.edge:
                     assert np.array_equal(settled(b, V, t)[0], x), (N, t)
                 multi_panel += x.size > BASE_PANEL_NODES + N
         assert multi_panel > 0
 
     def test_march_past_the_batch(self, gue, monkeypatch):
-        # a stopping rule that has not fired at the last of the first
-        # panels grows the grid by one panel per pass over that panel's
-        # nodes: in the bulk (t = 1.5, dense) and past the edge (t = 2.5,
-        # Christoffel-Darboux)
+        # an edge grid whose stopping rule has not fired at the last of
+        # its first panels grows by one panel per pass over that panel's
+        # nodes (t = 2.5, Christoffel-Darboux); a bulk grid is final, one
+        # pass over its panels (t = 1.5, dense)
         b = build_basis(gue, 12)
-        for t, cutoff in ((1.5, "PANEL_RELATIVE_CUTOFF"), (2.5, "EDGE_SHARE_TOL")):
+        monkeypatch.setattr(kernel_oracle, "EDGE_SHARE_TOL", 1e-300)
+        for t in (1.5, 2.5):
             grid = tail_grid(b, gue, t)
-            monkeypatch.setattr(kernel_oracle, cutoff, 1e-300)
             ref_x, ref_w, ref_Phi = reference_march(b, gue, t)
             evaluate = kernel_oracle._cd_values if grid.edge else _phi_matrix
             calls = []
@@ -582,12 +692,12 @@ class TestDeflation:
                 calls.append(x.size)
                 return evaluate(basis, V, x, *rest)
 
-            monkeypatch.setattr(kernel_oracle, evaluate.__name__, counting)
-            x, w, M, _ = settled(b, gue, t)
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel_oracle, evaluate.__name__, counting)
+                x, w, M, _ = settled(b, gue, t)
             first = len(grid.ends)
             grown = [grid.panel(p)[0].size for p in range(first, first + len(calls) - 1)]
-            assert len(calls) > 1 and calls == [grid.x.size] + grown
+            assert calls == [grid.x.size] + grown and (len(calls) > 1) == grid.edge
             assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
             if grid.edge:
                 assert np.array_equal(M, _cd_kernel(x, _cd_values(b, gue, x, w)))
