@@ -33,6 +33,10 @@ nodes.  Thresholds in the bulk take the dense phi_j and the N x N tail
 Gram matrix, on fixed panels that end at the window edge.  _gap drops
 the nodes (or rows) of least mass, up to DEFLATION_TOL of the trace,
 before the eigenvalues are taken (see gap_probability).
+
+brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
+by the series on a 24-node box rule, from tr(M^i) by Newton's
+identities: N - 1 small matrix products, no eigenvalue routine.
 """
 
 import itertools
@@ -61,7 +65,7 @@ EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may car
 MAX_EDGE_PANELS = 12
 DEFLATION_TOL = 1e-30              # tail-mass share of the nodes (or rows) gap_probability drops
 TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the kernel mass sums lose precision
-SERIES_SIZE_LIMIT = 5              # series term k costs C(24, k) determinants
+SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 up to here; past it the box rule fails
 SERIES_LOG_CUTOFF = 80.0
 
 
@@ -350,12 +354,13 @@ def _cd_values(basis, V, x, w):
     with the product carried as a mantissa in [1/2, 1) and an integer
     exponent (np.frexp at every step), so it neither under- nor
     overflows, and phi_{N-1} taken through its logarithm.  Past the
-    edge x - alpha_j >= 2 s for s = max_{0<k<N} sqrt(beta_k), so by
-    induction q_j >= s for 0 < j <= N: every factor of the product and
-    every term of the q' recurrence is positive.  Element-wise in x, so
-    a concatenation of point sets gives the concatenation of the
-    results bit for bit.  Where V overflows (x beyond about 1e150)
-    phi_{N-1} is 0, with no warning.
+    edge x - alpha_j >= sqrt(beta_j) + sqrt(beta_{j+1}) (_bulk_estimate),
+    so q_1 >= sqrt(beta_1) and by induction q_{j+1} >= x - alpha_j -
+    sqrt(beta_j) >= sqrt(beta_{j+1}) for 0 < j < N - 1: every factor of
+    the product and every term of the q' recurrence is positive.
+    Element-wise in x, so a concatenation of point sets gives the
+    concatenation of the results bit for bit.  Where V overflows (x
+    beyond about 1e150) phi_{N-1} is 0, with no warning.
     """
     alpha, beta = basis.alpha, basis.beta
     q = x - alpha[0]
@@ -392,14 +397,13 @@ def _cd_kernel(x, cd):
 
 
 def _bulk_estimate(basis):
-    """Interval bounding the oscillatory region, from Gershgorin disks
-    of the Jacobi matrix (recurrence coefficients only)."""
+    """Interval bounding the oscillatory region: the union of the
+    Gershgorin disks alpha_j +- (sqrt(beta_j) + sqrt(beta_{j+1})) of the
+    N x N Jacobi matrix, sqrt(beta_0) and sqrt(beta_N) taken as 0."""
     alpha = basis.alpha
-    if basis.N == 1:
-        return float(alpha[0]) - 1.0, float(alpha[0]) + 1.0
-    srb = np.sqrt(basis.beta[1:])
-    reach = 2.0 * float(np.max(srb))
-    return float(np.min(alpha)) - reach, float(np.max(alpha)) + reach
+    s = np.pad(np.sqrt(basis.beta[1:]), 1)
+    reach = s[:-1] + s[1:]
+    return float(np.min(alpha - reach)), float(np.max(alpha + reach))
 
 
 def _tail_grid(basis, V, t, bulk, slope):
@@ -682,23 +686,18 @@ def _series_kernel(basis, V, t):
     return sw[:, None] * (Phi.T @ Phi) * sw[None, :]
 
 
-@lru_cache(maxsize=None)
-def _subsets(n, k):
-    """Read-only C(n, k) x k array of the k-subsets of range(n), in
-    itertools.combinations order."""
-    idx = np.fromiter(itertools.combinations(range(n), k), (np.intp, k), math.comb(n, k))
-    idx.flags.writeable = False
-    return idx
-
-
 def brute_force_survival(basis, V, t, k_max=None):
-    """Survival probability by the inclusion-exclusion series: the k-th
-    term is (-1)^{k+1}/k! times the k-fold integral of the k x k kernel
-    determinant over (t, infinity)^k, on the rule of _series_kernel.
+    """Survival probability by the inclusion-exclusion series on the rule
+    of _series_kernel, summed to term k_max (default N).
 
-    Determinants with a repeated node vanish and the rest are symmetric,
-    so term k sums the C(24, k) node subsets in place of the 24**k
-    ordered tuples over k!: a desk-scale check only (N at most 5).
+    Term k is (-1)^{k+1}/k! times the k-fold integral of the k x k kernel
+    determinant: on the rule's matrix M, the sum e_k of its k x k
+    principal minors (Plemelj-Smithies; Bornemann, Math. Comp. 79, 2010).
+    Newton's identities give e_k = (1/k) sum_{i<=k} (-1)^{i-1} e_{k-i}
+    tr(M^i) from k_max - 1 products of 24 x 24 matrices; no eigenvalue or
+    determinant routine enters.  N is capped at SERIES_SIZE_LIMIT, past
+    which the box rule, not the series, misses 1e-10 (quartic at b - 2:
+    1.1e-10 at N = 17, 6e-7 at N = 24).
     """
     N = basis.N
     if N > SERIES_SIZE_LIMIT:
@@ -708,12 +707,12 @@ def brute_force_survival(basis, V, t, k_max=None):
     if not 1 <= k_max <= N:
         raise ValueError(f"k_max must be in [1, {N}], got {k_max!r}")
     M = _series_kernel(basis, V, t)
-    total = 0.0
+    p, e = [], [1.0]  # p[i] = tr(M^{i+1}), e[k] = e_k
     for k in range(1, k_max + 1):
-        idx = _subsets(len(M), k)
-        sub = M[idx[:, :, None], idx[:, None, :]]
-        total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
-    return total
+        P = M if k == 1 else P @ M
+        p.append(float(np.trace(P)))
+        e.append(sum((-1.0) ** i * e[k - 1 - i] * p[i] for i in range(k)) / k)
+    return sum((-1.0) ** (k + 1) * e[k] for k in range(1, k_max + 1))
 
 
 def hadamard_check(A, slack=1e-12):

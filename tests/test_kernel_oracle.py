@@ -11,10 +11,10 @@ import pytest
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
                     gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
 from loggas import kernel_oracle
-from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, TRACE_FLOOR,
-                                  WINDOW_LOG_CUTOFF, GapResult, _cd_kernel, _cd_values, _gap,
-                                  _level_roots, _phi_matrix, _series_kernel, _settle, _subsets,
-                                  _support_window, _tail_grids, _tails, composite_gl,
+from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
+                                  TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
+                                  _cd_values, _gap, _level_roots, _phi_matrix, _series_kernel,
+                                  _settle, _support_window, _tail_grids, _tails, composite_gl,
                                   gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
@@ -562,7 +562,7 @@ class TestDeflation:
                              ids=["gue", "quartic", "sextic", "asymmetric"])
     @pytest.mark.parametrize("N", [3, 12, 50, 200, 400])
     def test_phi_grows_past_the_gershgorin_edge(self, coeffs, N):
-        # past the edge x - alpha_j >= 2 max sqrt(beta), so by induction
+        # past the edge q_j >= sqrt(beta_j) (see _cd_values), so
         # phi_{j+1}(x) >= phi_j(x) > 0: the ratios the Christoffel-Darboux
         # kernel is built from are positive, and so are the terms of
         # their derivative's recurrence
@@ -864,30 +864,81 @@ class TestGap:
                 ordered += (-1.0) ** (k + 1) / math.factorial(k) * float(dets.sum())
             assert brute_force_survival(b, V, t) == pytest.approx(ordered, abs=1e-14)
 
-    def test_subset_arrays_cached_and_read_only(self, gue, quartic):
-        # the series of the benchmark's det-vs-series pairs (t = b + 0.5)
-        # is bit for bit the one from subset arrays built per call
-        for V, b in ((gue, 2.0), (quartic, (4.0 / 3.0) ** 0.25)):
-            for N in (2, 3, 4, 5):
-                basis = build_basis(V, N)
-                M = _series_kernel(basis, V, b + 0.5)
-                total = 0.0
-                for k in range(1, N + 1):
-                    idx = np.array(list(itertools.combinations(range(len(M)), k)))
-                    sub = M[idx[:, :, None], idx[:, None, :]]
-                    total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
-                assert brute_force_survival(basis, V, b + 0.5) == total
-        assert _subsets(24, 3) is _subsets(24, 3)
-        with pytest.raises(ValueError, match="read-only"):
-            _subsets(24, 3)[0, 0] = 5
+    def test_power_traces_match_subset_determinants(self, gue, quartic):
+        # the benchmark's det-vs-series pairs (t = b + 0.5) and quartic
+        # t = b + 1: Newton's identities on tr(M^i) give the sum of the
+        # k x k principal minors of M, built here subset by subset
+        b_quartic = (4.0 / 3.0) ** 0.25
+        cases = [(V, N, b + 0.5) for V, b in ((gue, 2.0), (quartic, b_quartic))
+                 for N in (2, 3, 4, 5)] + [(quartic, 5, b_quartic + 1.0)]
+        for V, N, t in cases:
+            basis = build_basis(V, N)
+            M = _series_kernel(basis, V, t)
+            total = 0.0
+            for k in range(1, N + 1):
+                idx = np.array(list(itertools.combinations(range(len(M)), k)))
+                sub = M[idx[:, :, None], idx[:, None, :]]
+                total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
+            assert brute_force_survival(basis, V, t) == pytest.approx(total, rel=1e-14), (N, t)
+
+    def test_series_calls_no_eigen_or_determinant_routine(self, quartic, monkeypatch):
+        # the kernel matrix is taken as given: its box edge is a root of
+        # V, a companion-matrix eigenvalue the kernel plays no part in
+        basis = build_basis(quartic, 5)
+        expected = brute_force_survival(basis, quartic, 1.5)
+        M = _series_kernel(basis, quartic, 1.5)
+        monkeypatch.setattr(kernel_oracle, "_series_kernel", lambda *args: M)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series must not call an eigenvalue or determinant routine")
+
+        for name in ("eigvalsh", "eigvals", "eigh", "eig", "det", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert brute_force_survival(basis, quartic, 1.5) == expected
+
+    def test_series_at_the_size_cap(self):
+        # |det - series| <= 1e-10 at the cap, on four fields from deep in
+        # the bulk to past the edge; rows with no normal-range kernel mass
+        # (quartic and sextic at b + 2) are skipped
+        N, checked = SERIES_SIZE_LIMIT, 0
+        for coeffs in ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0), ASYMMETRIC,
+                       (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1)):
+            V = Potential(coeffs)
+            b, basis = solve_mrs(V).b, build_basis(V, N)
+            for dt in (-2.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0):
+                try:
+                    r = gap_probability(basis, V, b + dt)
+                except NumericalError as exc:
+                    assert dt == 2.0 and "normal double" in str(exc)
+                    continue
+                assert r.survival is not None
+                series = brute_force_survival(basis, V, b + dt)
+                assert abs(r.survival - series) <= 1e-10, (coeffs, dt)
+                checked += 1
+        assert checked >= 26
 
     def test_series_size_cap(self, gue):
-        b = build_basis(gue, 6)
+        b = build_basis(gue, SERIES_SIZE_LIMIT + 1)
         with pytest.raises(ValueError):
             brute_force_survival(b, gue, 2.5)
         b3 = build_basis(gue, 3)
         with pytest.raises(ValueError):
             brute_force_survival(b3, gue, 2.5, k_max=0)
+
+    def test_tilted_well_threshold_between_the_edges(self):
+        # t = 2.45 lies past the Gershgorin row sums (2.397), inside the
+        # window (2.707) and below the looser bound max(alpha) + 2 max
+        # sqrt(beta) = 4.19, which would route it to a bulk grid too
+        # coarse for it (1.2e-5 relative off): the Christoffel-Darboux
+        # path gives the survival of a 128-panel dense Gram matrix
+        basis = build_basis(TILTED, 50)
+        t, hi = 2.45, basis.support_window[1]
+        assert tail_grid(basis, TILTED, t).edge
+        x, w = composite_gl(np.linspace(t, hi, 129), BASE_PANEL_NODES)
+        Phi = _phi_matrix(basis, TILTED, x)
+        lam = np.clip(np.linalg.eigvalsh((Phi * w) @ Phi.T), 0.0, 1.0)
+        ref = math.log(-math.expm1(float(np.sum(np.log1p(-lam)))))
+        assert gap_probability(basis, TILTED, t).log_survival == pytest.approx(ref, rel=1e-13)
 
     def test_log_space_far_tail(self, gue):
         # survival around e^-176: linear value still representable
