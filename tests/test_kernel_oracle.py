@@ -14,7 +14,7 @@ from loggas import kernel_oracle
 from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
                                   TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
                                   _cd_values, _gap, _level_roots, _phi_matrix, _series_kernel,
-                                  _settle, _support_window, _tail_grids, _tails, composite_gl,
+                                  _dense, _support_window, _tail_grids, _tails, composite_gl,
                                   gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
@@ -39,38 +39,37 @@ def thresholds(eq, N):
 
 def reference_panels(basis, V, t):
     """The tail grid's panels from their definitions in _tail_grid, as
-    a generator of (node count, left end, half width), and its stopping
-    rule stop(p, p0, contrib, total): a posteriori past the edge, the
-    first panel end at or past the window edge in the bulk."""
+    a generator of (nodes, weights), and its stopping rule
+    stop(p, contrib, total): a posteriori past the edge; in the bulk,
+    at the last panel of the basis rule cut at t."""
     N = basis.N
     lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
-    span = max(bhi - blo, 1e-2 * (hi - lo))
+    xg, wg = gl_rule(BASE_PANEL_NODES)
     if t >= bhi:
-        width = span * N ** (-2.0 / 3.0)
+        width = max(bhi - blo, 1e-2 * (hi - lo)) * N ** (-2.0 / 3.0)
         if V.eval(t, 1) > 0.0:
             width = min(width, kernel_oracle.EDGE_CAP_EFOLDS / (N * float(V.eval(t, 1))))
         growth = kernel_oracle.EDGE_GROWTH
-        panels = ((BASE_PANEL_NODES, t + width * (growth ** p - 1.0) / (growth - 1.0),
-                   0.5 * width * growth ** p) for p in range(kernel_oracle.MAX_EDGE_PANELS))
 
-        def stop(p, p0, contrib, total):
+        def panel(p):
+            p0 = t + width * (growth ** p - 1.0) / (growth - 1.0)
+            h = 0.5 * width * growth ** p
+            return p0 + h * (1.0 + xg), h * wg
+
+        panels = (panel(p) for p in range(kernel_oracle.MAX_EDGE_PANELS))
+
+        def stop(p, contrib, total):
             return (p >= kernel_oracle.EDGE_PANELS - 1
                     and contrib <= kernel_oracle.EDGE_SHARE_TOL * total)
     else:
-        start = max(t, lo)
-        width = 0.25 * span
-        extra = math.ceil(4.0 * N * width / span)
+        # the basis rule's panels [a, b] with b > t, the one holding t from t
+        edges = np.linspace(lo, hi, basis.panels + 1)
+        cut = [(max(t, a), b) for a, b in zip(edges[:-1], edges[1:]) if b > t]
+        panels = ((0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg) for a, b in cut)
 
-        def node_count(p0):
-            in_bulk = (p0 < bhi + 0.5 * width) and (p0 + width > blo - 0.5 * width)
-            return BASE_PANEL_NODES + (extra if in_bulk else 0)
-
-        panels = ((node_count(start + p * width), start + p * width, 0.5 * width)
-                  for p in itertools.count())
-
-        def stop(p, p0, contrib, total):
-            return p0 + width >= hi
+        def stop(p, contrib, total):
+            return p == len(cut) - 1
     return panels, stop
 
 
@@ -80,18 +79,14 @@ def reference_march(basis, V, t):
     panels, stop = reference_panels(basis, V, t)
     total = 0.0
     xs, ws, phis = [], [], []
-    edge = t >= kernel_oracle._bulk_estimate(basis)[1]
-    for p, (n, p0, h) in enumerate(panels):
-        xg, wg = gl_rule(n)
-        xm = p0 + h * (1.0 + xg) if edge else 0.5 * (p0 + (p0 + 2.0 * h)) + h * xg
-        wm = h * wg
+    for p, (xm, wm) in enumerate(panels):
         Phi = _phi_matrix(basis, V, xm)
         contrib = float(np.sum(wm * np.sum(Phi * Phi, axis=0)))
         xs.append(xm)
         ws.append(wm)
         phis.append(Phi)
         total += contrib
-        if stop(p, p0, contrib, total):
+        if stop(p, contrib, total):
             return np.concatenate(xs), np.concatenate(ws), np.concatenate(phis, axis=1)
     raise AssertionError("reference march did not terminate")
 
@@ -443,12 +438,13 @@ class TestProjector:
                 gap_probability(cases[0][1], gue, t)
 
     def test_gram_reuses_grid_phi(self, gue, quartic):
-        # gram takes phi from the tail grid's panels; evaluating phi once
-        # on all the grid's nodes gives the same matrix bit for bit
+        # gram is on gap_probability's settled nodes, in the bulk and past
+        # the edge; evaluating phi once on them gives the same matrix bit
+        # for bit
         for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (gue, 30, 2.1),
                         (quartic, 17, 0.9)):
             b = build_basis(V, N)
-            x, w, _, _ = _settle(b, V, tail_grid(b, V, t))
+            x, w, _, _ = settled(b, V, t)
             Phi = _phi_matrix(b, V, x)
             G = (Phi * w) @ Phi.T
             assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
@@ -537,7 +533,7 @@ class TestDeflation:
                     except NumericalError:
                         assert N == 12 and V is quartic  # s = 32: no normal-range mass
                     used, unused = (passes, calls) if grid.edge else (calls, passes)
-                    first = len(grid.ends)
+                    first = kernel_oracle.EDGE_PANELS
                     added = [grid.panel(p)[0].size for p in range(first, first + len(used) - 1)]
                     assert used == [grid.x.size] + added and unused == [], (N, t, passes, calls)
                 monkeypatch.undo()
@@ -648,19 +644,19 @@ class TestDeflation:
 
     @FIELDS
     def test_grid_matches_panel_march(self, coeffs):
-        # the first panels evaluated at once, then panel by panel, give
-        # the nodes, weights and phi values of a march that calls phi
-        # panel by panel, bit for bit, and its trace; the
+        # the dense path, on a bulk grid or an edge grid settled panel by
+        # panel, gives the nodes, weights and phi values of a march that
+        # calls phi panel by panel, bit for bit, and its trace; the
         # Christoffel-Darboux path settles on the same nodes
         V = Potential(coeffs)
         eq = solve_mrs(V)
-        multi_panel = 0
+        cut = 0
         for N in (12, 30, 60):
             b = build_basis(V, N)
             for t in thresholds(eq, N):
                 grid = tail_grid(b, V, t)
                 try:
-                    x, w, Phi, T = _settle(b, V, grid)
+                    x, w, Phi, T = _dense(b, V, grid)
                 except NumericalError as exc:
                     # s = 32 at N = 12 on the quartic fields
                     assert "normal double" in str(exc) and N == 12, (N, t)
@@ -672,8 +668,8 @@ class TestDeflation:
                                           rel=1e-14)
                 if grid.edge:
                     assert np.array_equal(settled(b, V, t)[0], x), (N, t)
-                multi_panel += x.size > BASE_PANEL_NODES + N
-        assert multi_panel > 0
+                cut += not grid.edge and x[0] > b.support_window[0]
+        assert cut > 0
 
     def test_march_past_the_batch(self, gue, monkeypatch):
         # an edge grid whose stopping rule has not fired at the last of
@@ -695,7 +691,7 @@ class TestDeflation:
             with monkeypatch.context() as patch:
                 patch.setattr(kernel_oracle, evaluate.__name__, counting)
                 x, w, M, _ = settled(b, gue, t)
-            first = len(grid.ends)
+            first = kernel_oracle.EDGE_PANELS
             grown = [grid.panel(p)[0].size for p in range(first, first + len(calls) - 1)]
             assert calls == [grid.x.size] + grown and (len(calls) > 1) == grid.edge
             assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
@@ -748,6 +744,55 @@ class TestEdgeGrid:
             r = gap_probability(b, V, t)
             assert r.log_survival == pytest.approx(ref, rel=1e-12, abs=1e-300), (N, s)
             assert settled(b, V, t)[0].size == 3 * BASE_PANEL_NODES
+
+
+class TestBulkGrid:
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC,
+                                        TILTED.coeffs],
+                             ids=["gue", "quartic", "sextic", "asymmetric", "tilted"])
+    @pytest.mark.parametrize("N", [1, 12, 50, 200])
+    def test_whole_line_is_the_certified_rule(self, coeffs, N, monkeypatch):
+        # at t <= lo the bulk grid is the rule build_basis certified, node
+        # for node, and the tail Gram matrix is the identity to 1e-13; at
+        # N = 1 no bulk grid has more nodes than that rule
+        V, rules = Potential(coeffs), []
+
+        def recording(edges, n):
+            rules.append(composite_gl(edges, n))
+            return rules[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_oracle, "composite_gl", recording)
+            b = build_basis(V, N)
+        x, w = rules[-1]
+        assert x.size == b.panels * BASE_PANEL_NODES
+        lo, hi = b.support_window
+        for t in (NEG_INF, lo - 1.0, lo):
+            grid = tail_grid(b, V, t)
+            assert not grid.edge
+            assert np.array_equal(grid.x, x) and np.array_equal(grid.w, w), t
+        assert np.abs(gram(b, V, NEG_INF) - np.eye(N)).max() <= 1e-13
+        if N == 1:
+            edge = kernel_oracle._bulk_estimate(b)[1]
+            for t in np.linspace(lo, min(hi, edge), 24, endpoint=False):
+                assert 0 < tail_grid(b, V, t).x.size <= x.size, t
+
+    def test_tilted_well_sweep(self):
+        # 24 bulk thresholds of the tilted well at N = 50, from -inf to
+        # the row-sum edge: every row is a result, within 1e-11 of a
+        # 256-panel dense Gram matrix (relative in log survival, or in
+        # survival where that is near 1)
+        b = build_basis(TILTED, 50)
+        lo, hi = b.support_window
+        edge = kernel_oracle._bulk_estimate(b)[1]
+        ts = [NEG_INF] + list(np.linspace(lo, min(hi, edge), 23, endpoint=False))
+        for t, r in zip(ts, gap_probabilities(b, TILTED, ts)):
+            assert isinstance(r, GapResult), (t, r)
+            x, w = composite_gl(np.linspace(max(t, lo), hi, 257), BASE_PANEL_NODES)
+            Phi = _phi_matrix(b, TILTED, x)
+            _, ref = full_survival((Phi * w) @ Phi.T)
+            assert abs(r.log_survival - ref) <= 1e-11 * max(abs(ref), 1.0), t
 
 
 class TestRule:
@@ -867,17 +912,25 @@ class TestGap:
     def test_power_traces_match_subset_determinants(self, gue, quartic):
         # the benchmark's det-vs-series pairs (t = b + 0.5) and quartic
         # t = b + 1: Newton's identities on tr(M^i) give the sum of the
-        # k x k principal minors of M, built here subset by subset
+        # k x k principal minors of M = A^T A, for A = Phi sqrt(w) on the
+        # box rule; by Cauchy-Binet that is the sum of the k x k
+        # principal minors of the N x N matrix A A^T, built here subset
+        # by subset
         b_quartic = (4.0 / 3.0) ** 0.25
         cases = [(V, N, b + 0.5) for V, b in ((gue, 2.0), (quartic, b_quartic))
                  for N in (2, 3, 4, 5)] + [(quartic, 5, b_quartic + 1.0)]
         for V, N, t in cases:
             basis = build_basis(V, N)
+            hi = _level_roots(V, V.eval(t, 0), kernel_oracle.SERIES_LOG_CUTOFF / N)[1]
+            x, w = composite_gl(np.linspace(t, hi, 3), 24)
+            A = _phi_matrix(basis, V, x) * np.sqrt(w)
             M = _series_kernel(basis, V, t)
+            assert np.abs(A.T @ A - M).max() <= 1e-15 * np.abs(M).max()
+            G = A @ A.T
             total = 0.0
             for k in range(1, N + 1):
-                idx = np.array(list(itertools.combinations(range(len(M)), k)))
-                sub = M[idx[:, :, None], idx[:, None, :]]
+                idx = np.array(list(itertools.combinations(range(N), k)))
+                sub = G[idx[:, :, None], idx[:, None, :]]
                 total += (-1.0) ** (k + 1) * float(np.linalg.det(sub).sum())
             assert brute_force_survival(basis, V, t) == pytest.approx(total, rel=1e-14), (N, t)
 
@@ -897,25 +950,30 @@ class TestGap:
         assert brute_force_survival(basis, quartic, 1.5) == expected
 
     def test_series_at_the_size_cap(self):
-        # |det - series| <= 1e-10 at the cap, on four fields from deep in
-        # the bulk to past the edge; rows with no normal-range kernel mass
-        # (quartic and sextic at b + 2) are skipped
-        N, checked = SERIES_SIZE_LIMIT, 0
+        # |det - series| <= 1e-10 at every N up to the cap, on four fields
+        # from deep in the bulk to past the edge; rows with no
+        # normal-range kernel mass or survival (quartic and sextic at
+        # b + 2, large N) are skipped
+        checked = 0
         for coeffs in ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0), ASYMMETRIC,
                        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1)):
             V = Potential(coeffs)
-            b, basis = solve_mrs(V).b, build_basis(V, N)
-            for dt in (-2.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0):
-                try:
-                    r = gap_probability(basis, V, b + dt)
-                except NumericalError as exc:
-                    assert dt == 2.0 and "normal double" in str(exc)
-                    continue
-                assert r.survival is not None
-                series = brute_force_survival(basis, V, b + dt)
-                assert abs(r.survival - series) <= 1e-10, (coeffs, dt)
-                checked += 1
-        assert checked >= 26
+            b = solve_mrs(V).b
+            for N in range(2, SERIES_SIZE_LIMIT + 1):
+                basis = build_basis(V, N)
+                for dt in (-2.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0):
+                    try:
+                        r = gap_probability(basis, V, b + dt)
+                    except NumericalError as exc:
+                        assert dt == 2.0 and "normal double" in str(exc)
+                        continue
+                    if r.survival is None:
+                        assert dt == 2.0
+                        continue
+                    series = brute_force_survival(basis, V, b + dt)
+                    assert abs(r.survival - series) <= 1e-10, (coeffs, N, dt)
+                    checked += 1
+        assert checked >= 26 * (SERIES_SIZE_LIMIT - 1)
 
     def test_series_size_cap(self, gue):
         b = build_basis(gue, SERIES_SIZE_LIMIT + 1)
