@@ -27,12 +27,16 @@ Jacobi matrix, by Christoffel-Darboux,
     K(x, y) = phi_{N-1}(x) phi_{N-1}(y) (q_N(x) - q_N(y)) / (x - y)
 
 for q_N = sqrt(beta_N) phi_N / phi_{N-1}: two functions per node, not
-N, from one ratio recurrence (_cd_values) that cannot underflow, over
-the nodes of all such thresholds, in O(N L) time and O(L) memory for L
-nodes.  Thresholds in the bulk take the dense phi_j and the N x N tail
-Gram matrix, on the certified basis rule cut at t.  _gap drops
-the nodes (or rows) of least mass, up to DEFLATION_TOL of the trace,
-before the eigenvalues are taken (see gap_probability).
+N, from one ratio recurrence (_cd_values) that cannot underflow.  It
+runs once per block of EDGE_BLOCK such thresholds, over their grids as
+one (T, m) array, in O(N T m) time and O(T m) memory.  The nodes of
+least mass, up to DEFLATION_TOL of the trace, are dropped by the kernel
+diagonal before any matrix is formed (see gap_probability), the
+kernels are formed on the kept nodes only, and one stacked eigvalsh
+call per kept size takes their eigenvalues (see gap_probabilities).
+Thresholds in the bulk take the dense phi_j and the N x N tail Gram
+matrix, on the certified basis rule cut at t, with the same cut on its
+rows (_gap).
 
 brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
 by the series on a two-panel 24-node box rule, from tr(M^i) by Newton's
@@ -40,7 +44,6 @@ identities: N - 1 small matrix products, no eigenvalue routine.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,6 +65,8 @@ EDGE_GROWTH = 2.0                  # width ratio of consecutive edge panels
 EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may span
 EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may carry
 MAX_EDGE_PANELS = 12
+EDGE_BLOCK = 32                    # edge thresholds per array pass; bounds its working memory
+RENORM_MAX_STEPS = 64              # most recurrence steps between two renormalisations in _cd_values
 DEFLATION_TOL = 1e-30              # tail-mass share of the nodes (or rows) gap_probability drops
 TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the kernel mass sums lose precision
 SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 is checked for every N up to here
@@ -107,12 +112,6 @@ class GapResult:
     det_value: float
     eigenvalues: np.ndarray
     trace: float
-
-
-# Tail grid for (t, infinity): whether t is past the Gershgorin edge, the
-# nodes x and weights w of its first panels, and the rule panel(p) for the
-# panels an edge grid adds (None for a bulk grid).
-_TailGrid = namedtuple("_TailGrid", "t edge x w panel")
 
 
 @lru_cache(maxsize=32)
@@ -346,11 +345,27 @@ def kernel_diag(basis, V, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
+def _renormalisation_period(basis, x):
+    """Steps between two renormalisations of the product in _cd_values at
+    the points x: at most RENORM_MAX_STEPS, and few enough that R factors
+    q_j after a mantissa in [1/2, 1) stay normal doubles.  The factors lie
+    in [sqrt(beta_j), max|x| + max|alpha|] (see _cd_values), so
+    R log2(max|x| + max|alpha|) <= 1022 and R log2(1 / min sqrt(beta_j))
+    <= 1020 suffice, with a binade to spare for rounding.  1 where a bound
+    is not a finite double."""
+    top = float(np.max(np.abs(x), initial=0.0)) + float(np.max(np.abs(basis.alpha)))
+    low = math.sqrt(float(np.min(basis.beta[1:], initial=1.0)))
+    if not (math.isfinite(top) and low > 0.0):
+        return 1
+    return max(1, min(RENORM_MAX_STEPS, int(1022.0 / math.log2(max(top, 2.0))),
+                      int(1020.0 / math.log2(max(1.0 / low, 2.0)))))
+
+
 def _cd_values(basis, V, x, w):
     """Christoffel-Darboux data of the kernel at points x past the
-    Gershgorin edge, with quadrature weights w: the (3, len(x)) array of
-    u = sqrt(w) phi_{N-1}, q_N and q_N', for the scaled ratios
-    q_j = sqrt(beta_j) phi_j / phi_{j-1}, in terms of which
+    Gershgorin edge, with quadrature weights w of the same shape: the
+    (3,) + x.shape array of u = sqrt(w) phi_{N-1}, q_N and q_N', for the
+    scaled ratios q_j = sqrt(beta_j) phi_j / phi_{j-1}, in terms of which
 
         K(x, y) = phi_{N-1}(x) phi_{N-1}(y) (q_N(x) - q_N(y)) / (x - y),
         K(x, x) = phi_{N-1}(x)^2 q_N'(x).
@@ -361,26 +376,32 @@ def _cd_values(basis, V, x, w):
         q'_{j+1} = 1 + beta_j q'_j / q_j^2,
         phi_{N-1} = phi_0 prod_{0<j<N} q_j / sqrt(beta_j),
 
-    with the product carried as a mantissa in [1/2, 1) and an integer
-    exponent (np.frexp at every step), so it neither under- nor
-    overflows, and phi_{N-1} taken through its logarithm.  Past the
-    edge x - alpha_j >= sqrt(beta_j) + sqrt(beta_{j+1}) (_bulk_estimate),
-    so q_1 >= sqrt(beta_1) and by induction q_{j+1} >= x - alpha_j -
-    sqrt(beta_j) >= sqrt(beta_{j+1}) for 0 < j < N - 1: every factor of
-    the product and every term of the q' recurrence is positive.
-    Element-wise in x, so a concatenation of point sets gives the
-    concatenation of the results bit for bit.  Where V overflows (x
+    with phi_{N-1} taken through its logarithm.  Past the edge x -
+    alpha_j >= sqrt(beta_j) + sqrt(beta_{j+1}) (_bulk_estimate), so q_1 >=
+    sqrt(beta_1) and by induction q_{j+1} >= x - alpha_j - sqrt(beta_j) >=
+    sqrt(beta_{j+1}) for 0 < j < N - 1: every factor of the product and
+    every term of the q' recurrence is positive, and q_{j+1} <= x -
+    alpha_j bounds each factor above by max|x| + max|alpha|.  The product
+    is carried as a mantissa and an integer exponent: np.frexp
+    renormalises it every _renormalisation_period steps, few enough by
+    these bounds that it stays a normal double in between, and once more
+    at the end.  Scaling a normal double by a power of two changes no
+    rounding, so every value is the one a renormalisation at every step
+    gives, bit for bit, and the results are element-wise in x: a block of
+    point sets gives the results of each set alone.  Where V overflows (x
     beyond about 1e150) phi_{N-1} is 0, with no warning.
     """
     alpha, beta = basis.alpha, basis.beta
+    period = _renormalisation_period(basis, x)
     q = x - alpha[0]
     dq = np.ones_like(x)
     tmp, mantissa = np.empty_like(x), np.ones_like(x)
     exponent, step = np.zeros(x.shape, dtype=np.intc), np.empty(x.shape, dtype=np.intc)
     for j in range(1, basis.N):
         mantissa *= q
-        np.frexp(mantissa, out=(mantissa, step))
-        exponent += step
+        if j % period == 0 or j == basis.N - 1:
+            np.frexp(mantissa, out=(mantissa, step))
+            exponent += step
         np.divide(beta[j], q, out=tmp)
         dq *= tmp
         dq /= q
@@ -395,15 +416,19 @@ def _cd_values(basis, V, x, w):
 
 
 def _cd_kernel(x, cd):
-    """sqrt(w_i) K(x_i, x_j) sqrt(w_j) at the nodes x from their
+    """sqrt(w_i) K(x_i, x_j) sqrt(w_j) at the nodes x, along the last
+    axis (leading axes stack independent node sets), from their
     _cd_values cd: u_i u_j (q_N(x_i) - q_N(x_j)) / (x_i - x_j), and
     u_i^2 q_N'(x_i) on the diagonal.  Exactly symmetric."""
     u, q, dq = cd
-    dx = np.subtract.outer(x, x)
-    np.fill_diagonal(dx, 1.0)
-    C = np.subtract.outer(q, q) / dx
-    np.fill_diagonal(C, dq)
-    return (u[:, None] * u) * C
+    i = np.arange(x.shape[-1])
+    M = q[..., :, None] - q[..., None, :]
+    buf = x[..., :, None] - x[..., None, :]
+    buf[..., i, i] = 1.0
+    M /= buf
+    M[..., i, i] = dq
+    M *= np.multiply(u[..., :, None], u[..., None, :], out=buf)
+    return M
 
 
 def _bulk_estimate(basis):
@@ -416,103 +441,136 @@ def _bulk_estimate(basis):
     return float(np.min(alpha - reach)), float(np.max(alpha + reach))
 
 
-def _tail_grid(basis, V, t, bulk, slope):
-    """The tail grid for (t, infinity) as a _TailGrid, given the bulk
-    estimate and V'(t).
+def _threshold(t):
+    """t as a float; raises ValueError unless it is a number below +inf."""
+    t = float(t)
+    if math.isnan(t) or t == math.inf:
+        raise ValueError(f"threshold must be a number below +inf, got {t!r}")
+    return t
 
-    From a threshold in the bulk the grid is the basis rule that
-    build_basis certified, cut at t (_basis_rule): it resolves every
-    phi_j phi_k on its panels, so also on the part of a panel past t.
-    It ends at the window edge hi, where build_basis certified the
-    kernel negligible, and it is final.
 
-    Past the Gershgorin bulk edge the phi_j do not oscillate, and the
-    grid is EDGE_PANELS Gauss-Legendre panels of BASE_PANEL_NODES
-    nodes whose widths grow by EDGE_GROWTH.  The first width is the
-    edge scale, the Jacobi span times N^{-2/3}, capped by
-    EDGE_CAP_EFOLDS decay lengths 1/(N V'(t)) of the weight.  The grid
-    is checked a posteriori: its last panel must carry at most
-    EDGE_SHARE_TOL of the tail mass, and further panels are added until
-    it does.
-    """
+def _trace_error(t, trace):
+    """The NumericalError of a threshold past which the kernel mass is not
+    a finite normal double."""
+    return NumericalError(f"threshold {t!r}: the kernel mass past it, {trace!r}, is not "
+                          f"a finite normal double")
+
+
+def _edge_widths(basis, V, t, bulk):
+    """First-panel widths of the edge grids at the thresholds t (an
+    array), given the bulk estimate: the edge scale, the Jacobi span times
+    N^{-2/3}, capped by EDGE_CAP_EFOLDS decay lengths 1/(N V'(t)) of the
+    weight where V'(t) > 0.  Where V'(t) overflows (t beyond about 1e150)
+    the width is 0."""
     lo, hi = basis.support_window
     blo, bhi = bulk
-    if t < bhi:
-        x, w = _basis_rule(lo, hi, basis.panels, t)
-        return _TailGrid(t=t, edge=False, x=x, w=w, panel=None)
     N = basis.N
-    xg, wg = gl_rule(BASE_PANEL_NODES)
     width = max(bhi - blo, 1e-2 * (hi - lo)) * N ** (-2.0 / 3.0)
-    if slope > 0.0:
-        width = min(width, EDGE_CAP_EFOLDS / (N * slope))
-
-    def panel(p):
-        p0 = t + width * (EDGE_GROWTH ** p - 1.0) / (EDGE_GROWTH - 1.0)
-        h = 0.5 * width * EDGE_GROWTH ** p
-        return p0 + h * (1.0 + xg), h * wg
-
-    xs, ws = zip(*(panel(p) for p in range(EDGE_PANELS)))
-    return _TailGrid(t=t, edge=True, x=np.concatenate(xs), w=np.concatenate(ws), panel=panel)
+    with np.errstate(over="ignore", divide="ignore"):
+        slope = V.eval(t, 1)
+        cap = EDGE_CAP_EFOLDS / (N * slope)
+    return np.where(slope > 0.0, np.minimum(width, cap), width)
 
 
-def _tail_grids(basis, V, ts):
-    """_tail_grid at every threshold of ts, as a list with the ValueError
-    of a threshold that is not a number below +inf in its place.  The
-    bulk estimate is taken once, and V'(t) once for all of ts; where it
-    overflows (t beyond about 1e150) the edge width is 0."""
-    ts = [float(t) for t in ts]
-    bulk = _bulk_estimate(basis)
-    with np.errstate(over="ignore"):
-        slopes = V.eval(np.array([t if math.isfinite(t) else 0.0 for t in ts]), 1).tolist()
-    return [ValueError(f"threshold must be a number below +inf, got {t!r}")
-            if math.isnan(t) or t == math.inf else _tail_grid(basis, V, t, bulk, slope)
-            for t, slope in zip(ts, slopes)]
+def _edge_panels(t, width, panels):
+    """Nodes and weights of the given panels of the edge grids at the
+    thresholds t (an array) with first-panel widths width, as (len(t),
+    len(panels) BASE_PANEL_NODES) arrays, panel after panel: panel p is
+    the BASE_PANEL_NODES-point Gauss-Legendre rule on the interval of
+    width width EDGE_GROWTH^p where panel p - 1 ends (panel 0 at t)."""
+    xg, wg = gl_rule(BASE_PANEL_NODES)
+    growth = np.array([EDGE_GROWTH ** p for p in panels])
+    start = t[:, None] + width[:, None] * (growth - 1.0) / (EDGE_GROWTH - 1.0)
+    h = (0.5 * width[:, None] * growth)[:, :, None]
+    return ((start[:, :, None] + h * (1.0 + xg)).reshape(t.size, -1),
+            (h * wg).reshape(t.size, -1))
 
 
-def _checked_trace(t, trace):
-    """trace, the kernel mass past t, if it is a finite normal double."""
-    if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
-        raise NumericalError(f"threshold {t!r}: the kernel mass past it, {trace!r}, is not "
-                             f"a finite normal double")
-    return trace
+def _panel_sums(cd):
+    """Sums of the kernel diagonal u^2 q_N' over each panel of the rows of
+    the _cd_values cd of edge panels, as a (rows, panels) array."""
+    d = np.square(cd[0]) * cd[2]
+    return np.sum(d.reshape(d.shape[0], -1, BASE_PANEL_NODES), axis=2)
 
 
-def _settle(basis, V, grid, cd):
-    """Nodes, weights, _cd_values and trace (the sum of the panel sums of
-    the kernel diagonal) of an edge grid, given cd, the _cd_values at
-    grid.x, once its last panel carries at most EDGE_SHARE_TOL of the
-    trace; panels are added one at a time, each evaluated on its own
-    nodes.  Raises NumericalError if it has not settled at
-    MAX_EDGE_PANELS panels, or if the trace is not a finite normal double.
+def _settle(basis, V, t, width):
+    """The edge grids at the thresholds t (an array, all past the
+    Gershgorin edge) with first-panel widths width, settled.
+
+    A grid starts with EDGE_PANELS panels and gets one more panel until
+    its last panel carries at most EDGE_SHARE_TOL of its trace, the sum of
+    its panel sums taken in panel order.  One _cd_values call runs over
+    the first panels of all the grids, a (len(t), m) array, and one per
+    added panel over the grids that have not settled, on that panel's
+    nodes only.  Returns the groups (rows, x, w, cd, trace) of the
+    settled grids with equal panel counts, rows indexing t, and a dict
+    {row: NumericalError} for the grids that have not settled at
+    MAX_EDGE_PANELS panels or whose trace is not a finite normal double.
     """
-    x, w, total = grid.x, grid.w, 0.0
-    for p in range(MAX_EDGE_PANELS):
-        if p >= EDGE_PANELS:
-            xm, wm = grid.panel(p)
-            cd = np.concatenate((cd, _cd_values(basis, V, xm, wm)), axis=1)
-            x, w = np.concatenate((x, xm)), np.concatenate((w, wm))
-        u, _, dq = cd[:, p * BASE_PANEL_NODES:(p + 1) * BASE_PANEL_NODES]
-        contrib = float(np.sum(np.square(u) * dq))
-        total += contrib
-        if p >= EDGE_PANELS - 1 and contrib <= EDGE_SHARE_TOL * total:
-            return x, w, cd, _checked_trace(grid.t, total)
-    raise NumericalError("tail quadrature did not terminate")
+    rows = np.arange(t.size)
+    x, w = _edge_panels(t, width, range(EDGE_PANELS))
+    cd = _cd_values(basis, V, x, w)
+    sums = _panel_sums(cd)
+    last, trace = sums[:, -1], np.cumsum(sums, axis=1)[:, -1]
+    groups, errors = [], {}
+    for p in range(EDGE_PANELS, MAX_EDGE_PANELS + 1):
+        done = last <= EDGE_SHARE_TOL * trace
+        ok = done & np.isfinite(trace) & (trace >= TRACE_FLOOR)
+        for i in np.flatnonzero(done & ~ok):
+            errors[int(rows[i])] = _trace_error(float(t[rows[i]]), float(trace[i]))
+        if ok.any():
+            groups.append((rows[ok], x[ok], w[ok], cd[:, ok], trace[ok]))
+        rows, x, w, cd, trace = rows[~done], x[~done], w[~done], cd[:, ~done], trace[~done]
+        if not rows.size or p == MAX_EDGE_PANELS:
+            break
+        xp, wp = _edge_panels(t[rows], width[rows], [p])
+        cdp = _cd_values(basis, V, xp, wp)
+        last = _panel_sums(cdp)[:, 0]
+        trace = trace + last
+        x, w, cd = np.hstack((x, xp)), np.hstack((w, wp)), np.concatenate((cd, cdp), axis=2)
+    for row in rows:
+        errors[int(row)] = NumericalError("tail quadrature did not terminate")
+    return groups, errors
 
 
-def _dense(basis, V, grid):
-    """Nodes, weights, _phi_matrix and trace of grid, refused past the window,
-    where phi_0 is not a normal double; an edge grid settles by _settle
-    first.  Raises NumericalError if the trace is not a finite normal double."""
+def _edge_grid(basis, V, t):
+    """Nodes, weights, _cd_values and trace of the settled edge grid at one
+    threshold t past the Gershgorin edge (_settle on a block of one);
+    raises its NumericalError."""
+    t = np.array([t])
+    groups, errors = _settle(basis, V, t, _edge_widths(basis, V, t, _bulk_estimate(basis)))
+    if errors:
+        raise errors[0]
+    ((_, x, w, cd, trace),) = groups
+    return x[0], w[0], cd[:, 0], float(trace[0])
+
+
+def _dense(basis, V, t):
+    """Nodes, weights, _phi_matrix and trace of the tail grid at t: the
+    basis rule build_basis certified, cut at t (_basis_rule), or past the
+    Gershgorin edge the settled edge grid (_edge_grid).
+
+    From a threshold in the bulk the cut rule resolves every phi_j phi_k
+    on its panels, so also on the part of a panel past t.  It ends at the
+    window edge hi, where build_basis certified the kernel negligible, and
+    it is final.  Refused past the window, where phi_0 is not a normal
+    double.  Raises NumericalError if the trace is not a finite normal
+    double.
+    """
     lo, hi = basis.support_window
-    if grid.t > hi:
+    if t > hi:
         raise NumericalError(
-            f"threshold {grid.t!r} lies past the oracle window [{lo!r}, {hi!r}], where "
+            f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], where "
             f"phi_0 is no longer a normal double")
-    x, w = grid.x, grid.w
-    if grid.edge:
-        x, w, _, _ = _settle(basis, V, grid, _cd_values(basis, V, x, w))
+    if t >= _bulk_estimate(basis)[1]:
+        x, w = _edge_grid(basis, V, t)[:2]
+    else:
+        x, w = _basis_rule(lo, hi, basis.panels, t)
     Phi = _phi_matrix(basis, V, x)
-    return x, w, Phi, _checked_trace(grid.t, float(np.sum(w * np.sum(Phi * Phi, axis=0))))
+    trace = float(np.sum(w * np.sum(Phi * Phi, axis=0)))
+    if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
+        raise _trace_error(t, trace)
+    return x, w, Phi, trace
 
 
 def _gram_matrix(Phi, w):
@@ -521,38 +579,14 @@ def _gram_matrix(Phi, w):
     return 0.5 * (G + G.T)
 
 
-def _tails(basis, V, ts):
-    """The settled tail grid of every threshold of ts, in order, as a
-    generator of (x, w, M, trace), or of the ValueError or NumericalError
-    a threshold raised.  Edge grids take the Christoffel-Darboux path
-    (_settle): one _cd_values call runs over all their first panels, laid
-    side by side.  Bulk grids take _dense."""
-    grids = _tail_grids(basis, V, ts)
-    edge = [g for g in grids if isinstance(g, _TailGrid) and g.edge]
-    if edge:
-        cd = _cd_values(basis, V, np.concatenate([g.x for g in edge]),
-                        np.concatenate([g.w for g in edge]))
-        cd = iter(np.split(cd, np.cumsum([g.x.size for g in edge[:-1]]), axis=1))
-    for grid in grids:
-        if isinstance(grid, _TailGrid):
-            try:
-                x, w, vals, trace = (_settle(basis, V, grid, next(cd)) if grid.edge
-                                     else _dense(basis, V, grid))
-                grid = x, w, (_cd_kernel(x, vals) if grid.edge else _gram_matrix(vals, w)), trace
-            except NumericalError as exc:
-                grid = exc
-        yield grid
-
-
 def tail_trace(basis, V, t):
     """Integral of the kernel diagonal over (t, infinity), on the tail
     grid: the same float as gap_probability's trace, and it raises where
     that trace check raises.  The tail kernel matrix is never formed."""
-    (grid,) = _tail_grids(basis, V, [t])
-    if isinstance(grid, Exception):
-        raise grid
-    return (_settle(basis, V, grid, _cd_values(basis, V, grid.x, grid.w)) if grid.edge
-            else _dense(basis, V, grid))[3]
+    t = _threshold(t)
+    if t >= _bulk_estimate(basis)[1]:
+        return _edge_grid(basis, V, t)[3]
+    return _dense(basis, V, t)[3]
 
 
 def gram(basis, V, t):
@@ -560,52 +594,102 @@ def gram(basis, V, t):
     construction, on the nodes of gap_probability's tail grid (_dense).
     Raises NumericalError for a threshold past the window, or past which
     the kernel mass is not a finite normal double."""
-    (grid,) = _tail_grids(basis, V, [t])
-    if isinstance(grid, Exception):
-        raise grid
-    _, w, Phi, _ = _dense(basis, V, grid)
+    _, w, Phi, _ = _dense(basis, V, _threshold(t))
     return _gram_matrix(Phi, w)
+
+
+def _kept(d, trace):
+    """The deflation cut (see gap_probability) of every row of d, the
+    diagonals of tail kernel matrices with traces trace: the ascending
+    indices of the entries kept once the smallest, taken in stable
+    ascending order, are dropped while their sum stays at most
+    DEFLATION_TOL trace."""
+    order = np.argsort(d, axis=1, kind="stable")
+    mass = np.cumsum(np.take_along_axis(d, order, axis=1), axis=1)
+    dropped = np.sum(mass <= DEFLATION_TOL * trace[:, None], axis=1)
+    return [np.sort(o[n:]) for o, n in zip(order, dropped)]
+
+
+def _survival(basis, ts, kept, traces):
+    """GapResult, or the NumericalError it fails with, at every threshold
+    of ts: from kept, the ascending eigenvalues of the block of its tail
+    kernel matrix that the deflation cut keeps, and traces, the traces of
+    the whole matrices (see gap_probability).  The log determinants are
+    summed as one array."""
+    N = basis.N
+    lam = np.zeros((len(kept), N))
+    for row, block in zip(lam, kept):
+        row[N - min(block.size, N):] = block[-N:]
+    np.clip(lam, 0.0, 1.0, out=lam)
+    with np.errstate(divide="ignore"):
+        log_dets = np.sum(np.log1p(-lam), axis=1).tolist()
+    lam.flags.writeable = False
+    out = []
+    for t, block, eigenvalues, log_det, trace in zip(ts, kept, lam, log_dets, traces):
+        low, high = float(block[0]), float(block[-1])
+        try:
+            if low < -1e-10 or high > 1.0 + 1e-10:
+                raise NumericalError(
+                    f"tail kernel eigenvalues outside [0, 1]: range "
+                    f"[{low!r}, {high!r}] at t = {t!r}")
+            det_value = math.exp(log_det) if log_det > -745.0 else 0.0
+            if log_det == -np.inf:
+                survival, log_survival = 1.0, 0.0
+            elif log_det < 0.0:
+                sur = -math.expm1(log_det)
+                if sur >= UNDERFLOW_LIMIT:
+                    survival, log_survival = sur, math.log(sur)
+                else:
+                    # -expm1(u) = -u to better than |u|/2 relative here
+                    survival, log_survival = None, math.log(-log_det)
+            else:
+                raise NumericalError(
+                    f"tail kernel eigenvalues all round to 0 at t = {t!r} (trace {trace!r})")
+            if survival is not None and trace < 1.0:
+                slack = 1e-12
+                if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
+                    raise NumericalError(
+                        f"survival {survival!r} violates first-order bracketing "
+                        f"against trace {trace!r} at t = {t!r}")
+            out.append(GapResult(t=t, log_survival=log_survival, survival=survival,
+                                 det_value=det_value, eigenvalues=eigenvalues, trace=trace))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
 
 
 def _gap(basis, t, M, trace):
     """GapResult from the tail kernel matrix M (see gap_probability)
-    and its trace."""
-    d = np.diagonal(M)
-    order = np.argsort(d, kind="stable")
-    n0 = int(np.searchsorted(np.cumsum(d[order]), DEFLATION_TOL * trace, side="right"))
-    keep = np.sort(order[n0:])
-    kept = np.linalg.eigvalsh(M[keep[:, None], keep])
-    if kept[0] < -1e-10 or kept[-1] > 1.0 + 1e-10:
-        raise NumericalError(
-            f"tail kernel eigenvalues outside [0, 1]: range "
-            f"[{float(kept[0])!r}, {float(kept[-1])!r}] at t = {t!r}")
-    top = np.clip(kept[-basis.N:], 0.0, 1.0)
-    lam = np.zeros(basis.N)
-    lam[basis.N - top.size:] = top
-    with np.errstate(divide="ignore"):
-        log_det = float(np.sum(np.log1p(-lam)))
-    det_value = math.exp(log_det) if log_det > -745.0 else 0.0
-    if log_det == -np.inf:
-        survival, log_survival = 1.0, 0.0
-    elif log_det < 0.0:
-        sur = -math.expm1(log_det)
-        if sur >= UNDERFLOW_LIMIT:
-            survival, log_survival = sur, math.log(sur)
-        else:
-            # -expm1(u) = -u to better than |u|/2 relative here
-            survival, log_survival = None, math.log(-log_det)
-    else:
-        raise NumericalError(
-            f"tail kernel eigenvalues all round to 0 at t = {t!r} (trace {trace!r})")
-    if survival is not None and trace < 1.0:
-        slack = 1e-12
-        if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
-            raise NumericalError(
-                f"survival {survival!r} violates first-order bracketing "
-                f"against trace {trace!r} at t = {t!r}")
-    lam.flags.writeable = False
-    return GapResult(t=t, log_survival=log_survival, survival=survival,
-                     det_value=det_value, eigenvalues=lam, trace=trace)
+    and its trace: the deflation cut on its diagonal, then eigvalsh on
+    the kept block.  Raises its NumericalError."""
+    (keep,) = _kept(np.diagonal(M)[None], np.array([trace]))
+    (result,) = _survival(basis, [t], [np.linalg.eigvalsh(M[keep[:, None], keep])], [trace])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _edge_gaps(basis, V, t, bulk):
+    """gap_probability at the thresholds t (an array, all past the
+    Gershgorin edge) as a dict {row: GapResult or NumericalError}, rows
+    indexing t.  The grids settle together (_settle); on each group of
+    equal panel count the deflation cut runs on the diagonals u^2 q_N'
+    before any matrix is formed, the kernels are formed on the kept
+    nodes only, one stacked eigvalsh call takes all the kernels of one
+    kept size, and one _survival call the results of the group."""
+    groups, out = _settle(basis, V, t, _edge_widths(basis, V, t, bulk))
+    for rows, x, _, cd, trace in groups:
+        keep = _kept(np.square(cd[0]) * cd[2], trace)
+        sizes = np.array([k.size for k in keep])
+        kept = [None] * rows.size
+        for size in sorted(set(sizes.tolist())):
+            sel = np.flatnonzero(sizes == size)
+            nodes = np.array([keep[i] for i in sel])
+            M = _cd_kernel(x[sel[:, None], nodes], cd[:, sel[:, None], nodes])
+            for i, eigenvalues in zip(sel, np.linalg.eigvalsh(M)):
+                kept[i] = eigenvalues
+        out.update(zip(rows.tolist(), _survival(basis, t[rows].tolist(), kept, trace.tolist())))
+    return out
 
 
 def gap_probabilities(basis, V, ts):
@@ -614,23 +698,38 @@ def gap_probabilities(basis, V, ts):
     NumericalError that threshold raised, so one failing threshold does
     not stop the others.
 
-    One ratio recurrence runs over the first panels of all the tail
-    grids past the Gershgorin edge, L nodes: O(N L) time and O(L)
-    memory, whatever N.  A grid that has not settled gets one panel
-    more, and the recurrence runs on that panel only.  The recurrence is
-    element-wise in x and every matrix is formed from fresh arrays, so
-    each result is the one gap_probability gives, bit for bit.  Per
-    threshold the kernel costs O(m^2) and its eigenvalues O(k^3) for m
-    nodes, k kept; in the bulk, O(N^2 m) and O(N^3) for the Gram matrix.
+    The thresholds past the Gershgorin edge take one array pass per block
+    of EDGE_BLOCK (_edge_gaps): the first panels of the block's tail
+    grids as one (T, m) array and one ratio recurrence over it, O(N T m)
+    time and O(T m) memory whatever N; a grid that has not settled gets
+    one panel more, and the recurrence runs on that panel only.  The
+    deflation cut is taken from the kernel diagonal before any matrix is
+    formed, each kernel costs O(k^2) for its k kept nodes and its
+    eigenvalues O(k^3), in one stacked eigvalsh call per kept size.  The
+    working memory is one block's, whatever len(ts).  Every step is
+    element-wise in the nodes, or per matrix, or per row, so each result
+    is the one gap_probability gives, bit for bit.  A threshold in the
+    bulk costs O(N^2 m) for the tail Gram matrix on m nodes and O(N^3)
+    for its eigenvalues.
     """
-    out = []
-    for t, item in zip(ts, _tails(basis, V, ts)):
-        if not isinstance(item, Exception):
-            try:
-                item = _gap(basis, float(t), item[2], item[3])
-            except NumericalError as exc:
-                item = exc
+    ts = [float(t) for t in ts]
+    bulk = _bulk_estimate(basis)
+    out, edge = [], []
+    for t in ts:
+        item = None
+        try:
+            if _threshold(t) >= bulk[1]:
+                edge.append(len(out))
+            else:
+                _, w, Phi, trace = _dense(basis, V, t)
+                item = _gap(basis, t, _gram_matrix(Phi, w), trace)
+        except (ValueError, NumericalError) as exc:
+            item = exc
         out.append(item)
+    for start in range(0, len(edge), EDGE_BLOCK):
+        block = edge[start:start + EDGE_BLOCK]
+        for row, item in _edge_gaps(basis, V, np.array([ts[i] for i in block]), bulk).items():
+            out[block[row]] = item
     return out
 
 

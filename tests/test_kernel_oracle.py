@@ -4,6 +4,7 @@ series cross-checks, determinant bound."""
 import itertools
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from loggas import (Potential, brute_force_survival, build_basis, gap_probabilit
 from loggas import kernel_oracle
 from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
                                   TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
-                                  _cd_values, _gap, _level_roots, _phi_matrix, _series_kernel,
-                                  _dense, _support_window, _tail_grids, _tails, composite_gl,
-                                  gap_probabilities, gl_rule)
+                                  _cd_values, _dense, _edge_grid, _gap, _gram_matrix,
+                                  _level_roots, _phi_matrix, _series_kernel, _support_window,
+                                  composite_gl, gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -38,10 +39,10 @@ def thresholds(eq, N):
 
 
 def reference_panels(basis, V, t):
-    """The tail grid's panels from their definitions in _tail_grid, as
-    a generator of (nodes, weights), and its stopping rule
-    stop(p, contrib, total): a posteriori past the edge; in the bulk,
-    at the last panel of the basis rule cut at t."""
+    """The tail grid's panels from their definitions (_edge_widths and
+    _edge_panels, _basis_rule), as a generator of (nodes, weights), and
+    its stopping rule stop(p, contrib, total): a posteriori past the
+    edge; in the bulk, at the last panel of the basis rule cut at t."""
     N = basis.N
     lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
@@ -75,7 +76,7 @@ def reference_panels(basis, V, t):
 
 def reference_march(basis, V, t):
     """Reference tail grid: panels marched one at a time, each with its
-    own phi call, under the stopping rules _tail_grid documents."""
+    own phi call, under the stopping rules _settle and _dense document."""
     panels, stop = reference_panels(basis, V, t)
     total = 0.0
     xs, ws, phis = [], [], []
@@ -91,19 +92,39 @@ def reference_march(basis, V, t):
     raise AssertionError("reference march did not terminate")
 
 
+# The first panels of a tail grid: whether t is past the Gershgorin edge,
+# the nodes x and weights w, and the rule panel(p) for the panels an edge
+# grid adds (None for a bulk grid).
+TailGrid = namedtuple("TailGrid", "t edge x w panel")
+
+
 def tail_grid(basis, V, t):
-    """The tail grid of one threshold."""
-    (grid,) = _tail_grids(basis, V, [t])
-    return grid
+    """The tail grid of one threshold: the certified rule cut at t in the
+    bulk, the first edge panels past the edge."""
+    bulk = kernel_oracle._bulk_estimate(basis)
+    if t < bulk[1]:
+        lo, hi = basis.support_window
+        x, w = kernel_oracle._basis_rule(lo, hi, basis.panels, t)
+        return TailGrid(t, False, x, w, None)
+    ta = np.array([float(t)])
+    width = kernel_oracle._edge_widths(basis, V, ta, bulk)
+
+    def panel(p):
+        xm, wm = kernel_oracle._edge_panels(ta, width, [p])
+        return xm[0], wm[0]
+
+    x, w = kernel_oracle._edge_panels(ta, width, range(kernel_oracle.EDGE_PANELS))
+    return TailGrid(t, True, x[0], w[0], panel)
 
 
 def settled(basis, V, t):
-    """Nodes, weights, kernel matrix and trace of the settled tail grid
-    gap_probability takes."""
-    (item,) = _tails(basis, V, [t])
-    if isinstance(item, Exception):
-        raise item
-    return item
+    """Nodes, weights, whole tail kernel matrix and trace of the settled
+    tail grid gap_probability takes."""
+    if t >= kernel_oracle._bulk_estimate(basis)[1]:
+        x, w, cd, trace = _edge_grid(basis, V, t)
+        return x, w, _cd_kernel(x, cd), trace
+    x, w, Phi, trace = _dense(basis, V, t)
+    return x, w, _gram_matrix(Phi, w), trace
 
 
 def refined_log_survival(basis, V, t):
@@ -483,17 +504,20 @@ class TestDeflation:
     def test_eigenproblem_sized_by_tail_rows(self, gue, quartic, monkeypatch):
         # every threshold past the edge on the benchmark's s grid hands
         # eigvalsh one m x m block, m < 96, for the m nodes the cut keeps,
-        # and gives the survival of the full dense Gram matrix
-        sizes = []
+        # and gives the survival of the full dense Gram matrix; the batch
+        # of all 32 stacks the blocks of equal size, one call per size
+        sizes, stacks = [], []
         eigvalsh = np.linalg.eigvalsh
 
         def counting(A):
-            sizes.append(A.shape)
+            sizes.append(A.shape[-2:])
+            stacks.append(A.shape[:-2])
             return eigvalsh(A)
 
         for V, N in ((gue, 200), (quartic, 400)):
             eq = solve_mrs(V)
             b = build_basis(V, N)
+            kept = []
             for s in np.geomspace(0.5, 32.0, 32):
                 t = edge_point(eq, N, s)
                 monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -503,10 +527,18 @@ class TestDeflation:
                 assert settled(b, V, t)[0].size == 3 * BASE_PANEL_NODES
                 m, _ = deflated(b, V, t)
                 assert sizes == [(m, m)] and m < 3 * BASE_PANEL_NODES, (t, sizes)
+                kept.append(m)
                 assert r.eigenvalues.shape == (N,)
                 assert (r.eigenvalues[:N - min(m, N)] == 0.0).all()
                 _, log_full = full_survival(gram(b, V, t))
                 assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            sizes.clear()
+            stacks.clear()
+            gap_probabilities(b, V, [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)])
+            monkeypatch.undo()
+            assert sorted(zip(sizes, stacks)) == sorted(
+                ((m, m), (kept.count(m),)) for m in set(kept)), (sizes, stacks)
 
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
         # gap_probability runs one Christoffel-Darboux pass over an edge
@@ -539,19 +571,20 @@ class TestDeflation:
                 monkeypatch.undo()
 
     def test_one_phi_recurrence_per_chunk(self, gue, quartic, monkeypatch):
-        # one Christoffel-Darboux pass per call runs over the first panels
-        # of all the edge grids, laid side by side, however many there are
+        # one Christoffel-Darboux pass runs over the first panels of the
+        # edge grids of each block of EDGE_BLOCK thresholds, as one array
+        block = kernel_oracle.EDGE_BLOCK
         for V in (gue, quartic):
             eq = solve_mrs(V)
             for N in (12, 50, 200):
                 b = build_basis(V, N)
-                ts = thresholds(eq, N) * 6
-                edge = [g.x.size for g in _tail_grids(b, V, ts) if g.edge]
-                passes = counting_passes(monkeypatch)
-                gap_probabilities(b, V, ts)
-                monkeypatch.undo()
-                assert passes == [sum(edge)], (N, passes, edge)
-                assert len(edge) >= 24
+                for ts in (thresholds(eq, N) * 6, thresholds(eq, N) * 20):
+                    edge = [g.x.size for g in (tail_grid(b, V, t) for t in ts) if g.edge]
+                    passes = counting_passes(monkeypatch)
+                    gap_probabilities(b, V, ts)
+                    monkeypatch.undo()
+                    assert passes == [sum(edge[i:i + block]) for i in range(0, len(edge), block)]
+                    assert len(edge) >= 24
 
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
                                         (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC],
@@ -622,6 +655,24 @@ class TestDeflation:
             working.append(peak - held)
         assert working[1] <= working[0] + 8 * 400 * len(ts), working
 
+    def test_memory_flat_in_threshold_count(self, gue, gue_eq):
+        # at N = 400, 6 x 32 thresholds need no more working memory than
+        # 32 thresholds plus their results: the thresholds past the edge go
+        # through the pass in blocks of EDGE_BLOCK
+        b = build_basis(gue, 400)
+        ts = [edge_point(gue_eq, 400, s) for s in np.geomspace(0.5, 32.0, 32)]
+        working, held = [], []
+        for batch in (ts, ts * 6):
+            gap_probabilities(b, gue, batch)
+            tracemalloc.start()
+            results = gap_probabilities(b, gue, batch)
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert all(isinstance(r, GapResult) for r in results)
+            working.append(peak - kept)
+            held.append(kept)
+        assert working[1] <= working[0] + held[0], (working, held)
+
     def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
         # a ts with bulk and edge thresholds, and a failing one
         for V, eq, N in ((gue, gue_eq, 200), (quartic, quartic_eq, 120)):
@@ -656,7 +707,7 @@ class TestDeflation:
             for t in thresholds(eq, N):
                 grid = tail_grid(b, V, t)
                 try:
-                    x, w, Phi, T = _dense(b, V, grid)
+                    x, w, Phi, T = _dense(b, V, t)
                 except NumericalError as exc:
                     # s = 32 at N = 12 on the quartic fields
                     assert "normal double" in str(exc) and N == 12, (N, t)
@@ -714,10 +765,62 @@ class TestDeflation:
         cd_values = kernel_oracle._cd_values
         for bad, message in ((np.inf, "normal double"), (np.nan, "did not terminate")):
             monkeypatch.setattr(kernel_oracle, "_cd_values",
-                                lambda *args: cd_values(*args) * [[bad], [1.0], [1.0]])
+                                lambda *args: cd_values(*args) * [[[bad]], [[1.0]], [[1.0]]])
             with pytest.raises(NumericalError, match=message):
                 gap_probability(b, gue, 2.5)
             monkeypatch.undo()
+
+
+def renormalised_at_every_step(basis, V, x, w):
+    """_cd_values with np.frexp on the product after every step."""
+    alpha, beta = basis.alpha, basis.beta
+    q = x - alpha[0]
+    dq = np.ones_like(x)
+    mantissa, exponent = np.ones_like(x), np.zeros(x.shape, dtype=np.intc)
+    for j in range(1, basis.N):
+        mantissa, step = np.frexp(mantissa * q)
+        exponent += step
+        tmp = beta[j] / q
+        dq = dq * tmp / q + 1.0
+        q = (x - alpha[j]) - tmp
+    with np.errstate(over="ignore"):
+        log_phi = (np.log(mantissa) + math.log(2.0) * exponent
+                   - 0.5 * basis.N * kernel_oracle._excess(V, basis.v_min, x)
+                   - 0.5 * math.fsum(np.log(beta).tolist()))
+    return np.stack((np.sqrt(w) * np.exp(log_phi), q, dq))
+
+
+class TestRatioRecurrence:
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC,
+                                        TILTED.coeffs, (0.0, 0.0, 5e11)],
+                             ids=["gue", "quartic", "sextic", "asymmetric", "tilted",
+                                  "small_beta"])
+    @pytest.mark.parametrize("N", [1, 3, 12, 50, 200, 400])
+    def test_renormalisation_is_exact(self, coeffs, N):
+        # renormalising every _renormalisation_period steps gives the
+        # values of a renormalisation at every step, bit for bit, on the
+        # edge grids from the Gershgorin edge to t = 1e150 (period 2 there;
+        # 42-49 from min sqrt(beta_j) on the small-beta field, where a
+        # period of 64 underflows the product from N = 200)
+        V = Potential(coeffs)
+        b = build_basis(V, N)
+        bulk = kernel_oracle._bulk_estimate(b)
+        ts = bulk[1] + np.concatenate(([0.0], np.geomspace(1e-6, 1e150, 16)))
+        x, w = kernel_oracle._edge_panels(ts, kernel_oracle._edge_widths(b, V, ts, bulk),
+                                          range(kernel_oracle.EDGE_PANELS))
+        periods = set()
+        for xt, wt in zip(x, w):
+            periods.add(kernel_oracle._renormalisation_period(b, xt))
+            assert _cd_values(b, V, xt, wt).tobytes() == \
+                renormalised_at_every_step(b, V, xt, wt).tobytes(), xt[0]
+        # and as one block, with the period of its largest node
+        assert _cd_values(b, V, x, w).tobytes() == renormalised_at_every_step(b, V, x, w).tobytes()
+        assert min(periods) == 2
+        if coeffs == (0.0, 0.0, 5e11) and N > 1:
+            assert max(periods) < kernel_oracle.RENORM_MAX_STEPS
+        else:
+            assert max(periods) == kernel_oracle.RENORM_MAX_STEPS
 
 
 class TestEdgeGrid:
