@@ -2,6 +2,10 @@
 
 Reads a JSON run configuration, dispatches one of four subcommands, and
 emits machine-readable tables (CSV or JSON) on stdout or to a file.
+`tail` and `compare` share one table loop (_table), which supplies N,
+t, the error rows and the exit status; each command gives only its
+cells per threshold.  One writer (_write) emits every table, CSV or
+JSON.
 
 Exit status contract: 0 when every requested row succeeded, 1 on
 numerical failures (solver breakdowns or per-row evaluation errors,
@@ -20,12 +24,13 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from .equilibrium import solve_mrs
 from .errors import NumericalError, SolverError
-from .kernel_oracle import GapResult, build_basis, gap_probabilities
-from .potential import potential_from_json
+from .kernel_oracle import build_basis, gap_probabilities
+from .potential import json_float, potential_from_json
 # log_f_approx is not called here, but perfbench/child.py wraps
 # loggas.cli.log_f_approx when it traces a run
 from .tails import (K_MAX_SUPPORTED, alpha_threshold, build_tail_model,  # noqa: F401
@@ -58,10 +63,6 @@ class RunConfig:
     max_oracle_n: int
 
 
-def _strictly_increasing(grid):
-    return all(x < y for x, y in zip(grid, grid[1:]))
-
-
 def load_config(path):
     """Parse and validate the JSON run configuration."""
     try:
@@ -80,10 +81,12 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"bad potential entry: {exc}") from None
 
+    # integers are tested by type(v) is int: a JSON true or false loads as
+    # a bool, which isinstance(v, int) accepts
     n_list = raw.get("N_list")
     if n_list is not None:
         if (not isinstance(n_list, list) or not n_list
-                or not all(isinstance(n, int) and n >= 1 for n in n_list)):
+                or not all(type(n) is int and n >= 1 for n in n_list)):
             raise ConfigError('"N_list" must be a non-empty list of positive integers')
 
     grids = {}
@@ -93,28 +96,28 @@ def load_config(path):
             if not isinstance(g, list):
                 raise ConfigError(f'"{name}" must be a list of numbers')
             try:
-                g = [float(v) for v in g]
+                g = [json_float(v) for v in g]
             except (TypeError, ValueError):
                 raise ConfigError(f'"{name}" must be a list of numbers') from None
             if not g:
                 raise ConfigError(f'"{name}" must not be empty')
-            if not _strictly_increasing(g):
+            if not all(x < y for x, y in zip(g, g[1:])):
                 raise ConfigError(f'"{name}" must be strictly increasing')
         grids[name] = g
     if grids["t_grid"] is not None and grids["s_grid"] is not None:
         raise ConfigError('give "t_grid" or "s_grid", not both')
 
     k = raw.get("k", 3)
-    if not isinstance(k, int) or not 0 <= k <= K_MAX_SUPPORTED:
+    if type(k) is not int or not 0 <= k <= K_MAX_SUPPORTED:
         raise ConfigError(f'"k" must be an integer in [0, {K_MAX_SUPPORTED}]')
     fmt = raw.get("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError('"output_format" must be "csv" or "json"')
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError('"seed" must be an integer')
     max_n = raw.get("max_oracle_n", DEFAULT_ORACLE_N_LIMIT)
-    if not isinstance(max_n, int) or max_n < 1:
+    if type(max_n) is not int or max_n < 1:
         raise ConfigError('"max_oracle_n" must be a positive integer')
 
     return RunConfig(potential=V, n_list=n_list, t_grid=grids["t_grid"],
@@ -125,23 +128,9 @@ def load_config(path):
 def _fmt_cell(value):
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return "%.17g" % float(value)
-
-
-def _write_csv(stream, fieldnames, rows, summary=None):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_fmt_cell(row.get(name)) for name in fieldnames])
-    if summary:
-        for key in summary:
-            stream.write(f"# {key} = {_fmt_cell(summary[key])}\n")
 
 
 def _finite_or_null(value):
@@ -156,39 +145,27 @@ def _finite_or_null(value):
     return value
 
 
-def _write_json(stream, payload):
-    stream.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False))
-    stream.write("\n")
+def _write(stream, fmt, fieldnames, rows, summary=None, single=None):
+    """Write one table to stream.  CSV: a header, one line per row and a
+    `# key = value` line per summary entry.  JSON: the single object if
+    given, else {"rows": rows} with the summary under "summary"."""
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt_cell(row[name]) for name in fieldnames] for row in rows)
+        for key, value in (summary or {}).items():
+            stream.write(f"# {key} = {_fmt_cell(value)}\n")
+        return
+    if single is None:
+        single = {"rows": rows, **({"summary": summary} if summary else {})}
+    stream.write(json.dumps(_finite_or_null(single), indent=2, allow_nan=False) + "\n")
 
 
 def _emit(args, config, fieldnames, rows, summary=None, single=None):
-    fmt = args.format or config.output_format
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _dispatch_write(fh, fmt, fieldnames, rows, summary, single)
-    else:
-        _dispatch_write(sys.stdout, fmt, fieldnames, rows, summary, single)
-
-
-def _dispatch_write(stream, fmt, fieldnames, rows, summary, single):
-    if fmt == "csv":
-        _write_csv(stream, fieldnames, rows, summary)
-    elif single is not None:
-        _write_json(stream, single)
-    else:
-        payload = {"rows": rows}
-        if summary:
-            payload["summary"] = summary
-        _write_json(stream, payload)
-
-
-def _thresholds(config, eq, model_n, t_or_s):
-    """Per-row threshold pairs (t, s) for one N."""
-    gamma, b = eq.gamma, eq.b
-    scale = gamma * model_n ** (2.0 / 3.0)
-    if t_or_s == "t":
-        return [(t, (t - b) * scale) for t in config.t_grid]
-    return [(b + s / scale, s) for s in config.s_grid]
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else nullcontext(sys.stdout)) as stream:
+        _write(stream, args.format or config.output_format, fieldnames, rows,
+               summary, single)
 
 
 def cmd_equilibrium(args, config):
@@ -197,111 +174,97 @@ def cmd_equilibrium(args, config):
     V = config.potential
     eq = solve_mrs(V)
     d = cramer_coefficients(eq, V, config.k)
+    alpha = [alpha_threshold(j) for j in range(config.k + 1)]
     fieldnames = (["a", "b", "gamma", "ell", "residual_1", "residual_2"]
                   + [f"d_{j}" for j in range(1, config.k + 1)]
                   + [f"alpha_{j}" for j in range(config.k + 1)])
-    row = {
-        "a": eq.a, "b": eq.b, "gamma": eq.gamma, "ell": eq.ell,
-        "residual_1": eq.residuals[0], "residual_2": eq.residuals[1],
-    }
-    for j in range(1, config.k + 1):
-        row[f"d_{j}"] = d[j - 1]
-    for j in range(config.k + 1):
-        row[f"alpha_{j}"] = alpha_threshold(j)
-    single = {
-        "a": eq.a, "b": eq.b, "gamma": eq.gamma, "ell": eq.ell,
-        "residuals": list(eq.residuals), "cramer": d,
-        "alpha": [alpha_threshold(j) for j in range(config.k + 1)],
-    }
+    row = dict(zip(fieldnames, [eq.a, eq.b, eq.gamma, eq.ell, *eq.residuals, *d, *alpha]))
+    single = {"a": eq.a, "b": eq.b, "gamma": eq.gamma, "ell": eq.ell,
+              "residuals": list(eq.residuals), "cramer": d, "alpha": alpha}
     _emit(args, config, fieldnames, [row], single=single)
     return 0
 
 
-def cmd_tail(args, config):
-    """Tail-approximation table over N_list x grid."""
+def _value(entry):
+    """entry of a batch result list, raised if it is a threshold's error."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _table(config, name, cells, max_n=None):
+    """The table loop of tail and compare, over N_list x grid.
+
+    For each N it derives the thresholds (t, s) from the grid, evaluates
+    the tail approximation at every t in one pass and, when the oracle
+    cap max_n is given (compare), the oracle at every t in one pass.
+    cells(model, t, s, term, result) gives the cells of one row after N
+    and t from the tail term and the oracle result (None without the
+    oracle); where it raises ValueError or NumericalError the row
+    carries an "error: ..." status and empty cells.  Returns (the
+    equilibrium, the rows, the exit status)."""
     if config.n_list is None:
-        raise ConfigError('tail needs "N_list"')
+        raise ConfigError(f'{name} needs "N_list"')
     if config.t_grid is None and config.s_grid is None:
-        raise ConfigError('tail needs "t_grid" or "s_grid"')
-    V = config.potential
+        raise ConfigError(f'{name} needs "t_grid" or "s_grid"')
+    too_big = [n for n in config.n_list if max_n is not None and n > max_n]
+    if too_big:
+        raise ConfigError(
+            f"N = {too_big[0]} exceeds the oracle feasibility limit "
+            f"{max_n} (raise \"max_oracle_n\" to override)")
+    V, columns = config.potential, COLUMNS[name]
     eq = solve_mrs(V)
-    t_or_s = "t" if config.t_grid is not None else "s"
     rows, all_ok = [], True
     # the Cramer coefficients depend on the field and k, not on N
     base = build_tail_model(eq, V, config.n_list[0], k=config.k)
     for N in config.n_list:
         model = replace(base, N=N)
-        thresholds = _thresholds(config, eq, N, t_or_s)
-        terms = tail_terms(model, [t for t, _ in thresholds])
-        for (t, s), term in zip(thresholds, terms):
-            row = {"N": N, "t": t}
+        scale = eq.gamma * N ** (2.0 / 3.0)
+        if config.t_grid is not None:
+            thresholds = [(t, (t - eq.b) * scale) for t in config.t_grid]
+        else:
+            thresholds = [(eq.b + s / scale, s) for s in config.s_grid]
+        ts = [t for t, _ in thresholds]
+        results = ([None] * len(ts) if max_n is None
+                   else gap_probabilities(build_basis(V, N), V, ts))
+        for (t, s), term, result in zip(thresholds, tail_terms(model, ts), results):
             try:
-                if isinstance(term, Exception):
-                    raise term
-                row["log_F"] = term[0]
-                row["regime"] = regime_classify(s, N).label()
-                row["eta"], row["eta_prime"] = term[1:]
-                row["status"] = "ok"
+                row = cells(model, t, s, term, result)
             except (ValueError, NumericalError) as exc:
-                row.update(log_F=None, regime=None, eta=None, eta_prime=None,
-                           status=f"error: {exc}")
+                row = [None] * (len(columns) - 3) + [f"error: {exc}"]
                 all_ok = False
-            rows.append(row)
+            rows.append(dict(zip(columns, [N, t] + row)))
+    return eq, rows, 0 if all_ok else 1
+
+
+def _tail_cells(model, t, s, term, result):
+    log_f, eta, eta_prime = _value(term)
+    return [log_f, regime_classify(s, model.N).label(), eta, eta_prime, "ok"]
+
+
+def cmd_tail(args, config):
+    """Tail-approximation table over N_list x grid."""
+    _, rows, status = _table(config, "tail", _tail_cells)
     _emit(args, config, COLUMNS["tail"], rows)
-    return 0 if all_ok else 1
+    return status
+
+
+def _compare_cells(model, t, s, term, result):
+    result, log_f = _value(result), _value(term)[0]
+    return [result.log_survival,
+            "underflow" if result.survival is None else result.survival,
+            log_f, math.expm1(result.log_survival - log_f), result.trace,
+            1.0 / (model.N * (t - model.eq.b) ** 1.5), "ok"]
 
 
 def cmd_compare(args, config):
     """Oracle-vs-approximation table; the summary reports the worst
     |ratio - 1| N (t-b)^{3/2} over the successful rows."""
-    if config.n_list is None:
-        raise ConfigError('compare needs "N_list"')
-    if config.t_grid is None and config.s_grid is None:
-        raise ConfigError('compare needs "t_grid" or "s_grid"')
-    too_big = [n for n in config.n_list if n > config.max_oracle_n]
-    if too_big:
-        raise ConfigError(
-            f"N = {too_big[0]} exceeds the oracle feasibility limit "
-            f"{config.max_oracle_n} (raise \"max_oracle_n\" to override)")
-    V = config.potential
-    eq = solve_mrs(V)
-    t_or_s = "t" if config.t_grid is not None else "s"
-    rows, all_ok, worst = [], True, None
-    base = build_tail_model(eq, V, config.n_list[0], k=config.k)
-    for N in config.n_list:
-        model = replace(base, N=N)
-        basis = build_basis(V, N)
-        thresholds = _thresholds(config, eq, N, t_or_s)
-        ts = [t for t, _ in thresholds]
-        results = gap_probabilities(basis, V, ts)
-        for t, result, term in zip(ts, results, tail_terms(model, ts)):
-            row = {"N": N, "t": t}
-            try:
-                if not isinstance(result, GapResult):
-                    raise result
-                if isinstance(term, Exception):
-                    raise term
-                lf = term[0]
-                ratio_m1 = math.expm1(result.log_survival - lf)
-                row["log_survival_oracle"] = result.log_survival
-                row["survival_oracle"] = ("underflow" if result.survival is None
-                                          else result.survival)
-                row["log_F"] = lf
-                row["ratio_minus_1"] = ratio_m1
-                row["trace"] = result.trace
-                row["bound"] = 1.0 / (N * (t - eq.b) ** 1.5)
-                row["status"] = "ok"
-                scaled = abs(ratio_m1) * N * (t - eq.b) ** 1.5
-                worst = scaled if worst is None else max(worst, scaled)
-            except (ValueError, NumericalError) as exc:
-                row.update(log_survival_oracle=None, survival_oracle=None,
-                           log_F=None, ratio_minus_1=None, trace=None,
-                           bound=None, status=f"error: {exc}")
-                all_ok = False
-            rows.append(row)
-    summary = {"max_scaled_deviation": worst}
-    _emit(args, config, COLUMNS["compare"], rows, summary=summary)
-    return 0 if all_ok else 1
+    eq, rows, status = _table(config, "compare", _compare_cells, config.max_oracle_n)
+    worst = max((abs(row["ratio_minus_1"]) * row["N"] * (row["t"] - eq.b) ** 1.5
+                 for row in rows if row["status"] == "ok"), default=None)
+    _emit(args, config, COLUMNS["compare"], rows, summary={"max_scaled_deviation": worst})
+    return status
 
 
 def cmd_cramer(args, config):
@@ -310,10 +273,8 @@ def cmd_cramer(args, config):
     V = config.potential
     eq = solve_mrs(V)
     d = cramer_coefficients(eq, V, config.k)
-    rows = []
-    for j in range(config.k + 1):
-        rows.append({"j": j, "alpha_j": alpha_threshold(j),
-                     "d_j": None if j == 0 else d[j - 1]})
+    rows = [dict(zip(COLUMNS["cramer"], [j, alpha_threshold(j), d_j]))
+            for j, d_j in enumerate([None, *d])]
     _emit(args, config, COLUMNS["cramer"], rows)
     return 0
 
@@ -352,20 +313,13 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "equilibrium": cmd_equilibrium,
-        "tail": cmd_tail,
-        "compare": cmd_compare,
-        "cramer": cmd_cramer,
-    }
-    helps = {
-        "equilibrium": "solve the support problem and report its constants",
-        "tail": "tabulate the tail approximation over N and threshold grids",
-        "compare": "tabulate exact oracle vs approximation with error ratios",
-        "cramer": "tabulate correction coefficients and growth thresholds",
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name, help=helps[name], epilog=_EPILOG,
+    for name, handler, help_text in [
+        ("equilibrium", cmd_equilibrium, "solve the support problem and report its constants"),
+        ("tail", cmd_tail, "tabulate the tail approximation over N and threshold grids"),
+        ("compare", cmd_compare, "tabulate exact oracle vs approximation with error ratios"),
+        ("cramer", cmd_cramer, "tabulate correction coefficients and growth thresholds"),
+    ]:
+        p = sub.add_parser(name, help=help_text, epilog=_EPILOG,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", required=True, help="path to JSON run config")
         p.add_argument("--format", choices=("csv", "json"), default=None,

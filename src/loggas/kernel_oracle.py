@@ -66,7 +66,6 @@ EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may spa
 EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may carry
 MAX_EDGE_PANELS = 12
 EDGE_BLOCK = 32                    # edge thresholds per array pass; bounds its working memory
-RENORM_MAX_STEPS = 64              # most recurrence steps between two renormalisations in _cd_values
 DEFLATION_TOL = 1e-30              # tail-mass share of the nodes (or rows) gap_probability drops
 TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the kernel mass sums lose precision
 SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 is checked for every N up to here
@@ -347,17 +346,17 @@ def kernel_diag(basis, V, x):
 
 def _renormalisation_period(basis, x):
     """Steps between two renormalisations of the product in _cd_values at
-    the points x: at most RENORM_MAX_STEPS, and few enough that R factors
-    q_j after a mantissa in [1/2, 1) stay normal doubles.  The factors lie
-    in [sqrt(beta_j), max|x| + max|alpha|] (see _cd_values), so
-    R log2(max|x| + max|alpha|) <= 1022 and R log2(1 / min sqrt(beta_j))
-    <= 1020 suffice, with a binade to spare for rounding.  1 where a bound
-    is not a finite double."""
+    the points x: few enough that R factors q_j after a mantissa in
+    [1/2, 1) stay normal doubles.  The factors lie in [sqrt(beta_j),
+    max|x| + max|alpha|] (see _cd_values), so R log2(max|x| + max|alpha|)
+    <= 1022 and R log2(1 / min sqrt(beta_j)) <= 1020 suffice, with a
+    binade to spare for rounding; no further cap is needed.  1 where a
+    bound is not a finite double."""
     top = float(np.max(np.abs(x), initial=0.0)) + float(np.max(np.abs(basis.alpha)))
     low = math.sqrt(float(np.min(basis.beta[1:], initial=1.0)))
     if not (math.isfinite(top) and low > 0.0):
         return 1
-    return max(1, min(RENORM_MAX_STEPS, int(1022.0 / math.log2(max(top, 2.0))),
+    return max(1, min(int(1022.0 / math.log2(max(top, 2.0))),
                       int(1020.0 / math.log2(max(1.0 / low, 2.0)))))
 
 

@@ -75,6 +75,14 @@ class Potential:
         return float(self.leading_coefficient) ** (-1.0 / self.degree)
 
 
+def json_float(value):
+    """float(value) of one JSON number; TypeError for a JSON true or false,
+    which float() would read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def potential_from_json(source):
     """Build a Potential from a JSON object {"coeffs": [...], "ga_infinity": bool}.
 
@@ -92,7 +100,7 @@ def potential_from_json(source):
     if not isinstance(coeffs, (list, tuple)) or not coeffs:
         raise ValueError('"coeffs" must be a non-empty array of numbers')
     try:
-        coeffs = tuple(float(v) for v in coeffs)
+        coeffs = tuple(json_float(v) for v in coeffs)
     except (TypeError, ValueError):
         raise ValueError('"coeffs" must contain only numbers') from None
     ga = obj.get("ga_infinity", False)

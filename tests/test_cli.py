@@ -14,7 +14,7 @@ import pytest
 
 import loggas
 from loggas import tails
-from loggas.cli import ConfigError, load_config, main
+from loggas.cli import COLUMNS, ConfigError, load_config, main
 
 GUE_POTENTIAL = {"coeffs": [0, 0, 0.5]}
 EXTREME_T = [-math.inf, 1.0, 2.5, 1e12, math.inf]
@@ -84,6 +84,15 @@ class TestLoadConfig:
         {"output_format": "xml"},
         {"seed": "abc"},
         {"max_oracle_n": 0},
+        # a JSON true or false is not a number, though Python's bool is an int
+        {"N_list": [True]},
+        {"N_list": [4, True]},
+        {"t_grid": [True]},
+        {"s_grid": [False, 1.0]},
+        {"k": True},
+        {"seed": False},
+        {"max_oracle_n": True},
+        {"potential": {"coeffs": [0, 0, True]}},
     ])
     def test_rejected_keys(self, tmp_path, keys):
         if keys.get("potential", "keep") is None:
@@ -359,6 +368,15 @@ class TestPlumbing:
                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
             assert (proc.returncode, proc.stderr) == (1, ""), command
             assert proc.stdout.count(",ok\n") == 2 + 2 * (command == "tail")
+
+    @pytest.mark.parametrize("command", ["tail", "compare"])
+    def test_json_row_keys(self, tmp_path, capsys, command):
+        # an error row and an ok row both carry every column, in CSV order
+        cfg = write_config(tmp_path, N_list=[4], t_grid=[1.0, 2.5], output_format="json")
+        assert main([command, "--config", cfg]) == 1
+        error, ok = json.loads(capsys.readouterr().out)["rows"]
+        assert error["status"].startswith("error:") and ok["status"] == "ok"
+        assert list(error) == list(ok) == COLUMNS[command]
 
     @pytest.mark.parametrize("command", ["tail", "compare"])
     def test_one_tail_evaluation_per_n(self, tmp_path, capsys, monkeypatch, command):

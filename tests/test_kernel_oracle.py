@@ -802,7 +802,8 @@ class TestRatioRecurrence:
         # values of a renormalisation at every step, bit for bit, on the
         # edge grids from the Gershgorin edge to t = 1e150 (period 2 there;
         # 42-49 from min sqrt(beta_j) on the small-beta field, where a
-        # period of 64 underflows the product from N = 200)
+        # period of 64 underflows the product from N = 200; up to 1020
+        # elsewhere)
         V = Potential(coeffs)
         b = build_basis(V, N)
         bulk = kernel_oracle._bulk_estimate(b)
@@ -816,11 +817,15 @@ class TestRatioRecurrence:
                 renormalised_at_every_step(b, V, xt, wt).tobytes(), xt[0]
         # and as one block, with the period of its largest node
         assert _cd_values(b, V, x, w).tobytes() == renormalised_at_every_step(b, V, x, w).tobytes()
+        # the max|x| bound sets the period at t = 1e150; the beta bound
+        # sets it at the edge from N = 50, and from N = 3 on the small-beta
+        # field
+        low = math.sqrt(float(np.min(b.beta[1:], initial=1.0)))
+        beta_bound = int(1020.0 / math.log2(max(1.0 / low, 2.0)))
         assert min(periods) == 2
-        if coeffs == (0.0, 0.0, 5e11) and N > 1:
-            assert max(periods) < kernel_oracle.RENORM_MAX_STEPS
-        else:
-            assert max(periods) == kernel_oracle.RENORM_MAX_STEPS
+        assert max(periods) <= beta_bound
+        if N >= 50 or (coeffs == (0.0, 0.0, 5e11) and N > 1):
+            assert max(periods) == beta_bound
 
 
 class TestEdgeGrid:

@@ -67,6 +67,8 @@ def test_json_round_trip(quartic):
     {"coeffs": "abc"},
     {"coeffs": [1, "x"]},
     {"coeffs": [0, 0, 0.5], "ga_infinity": "yes"},
+    {"coeffs": [0, 0, True]},
+    {"coeffs": [False]},
 ])
 def test_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
