@@ -29,14 +29,15 @@ Jacobi matrix, by Christoffel-Darboux,
 for q_N = sqrt(beta_N) phi_N / phi_{N-1}: two functions per node, not
 N, from one ratio recurrence (_cd_values) that cannot underflow.  It
 runs once per block of EDGE_BLOCK such thresholds, over their grids as
-one (T, m) array, in O(N T m) time and O(T m) memory.  The nodes of
-least mass, up to DEFLATION_TOL of the trace, are dropped by the kernel
-diagonal before any matrix is formed (see gap_probability), the
-kernels are formed on the kept nodes only, and one stacked eigvalsh
-call per kept size takes their eigenvalues (see gap_probabilities).
+one (T, m) array, in O(N T m) time and O(T m) memory.  No kernel matrix
+is formed: a pivoted Cholesky pass over the block forms one kernel
+column per pivot (_pivoted_factors), r <= N columns per threshold, until
+the Schur complement's trace is at most DEFLATION_TOL of the trace (see
+gap_probability), and one stacked eigvalsh call per r takes the
+eigenvalues of the r x r matrices L^T L (see gap_probabilities).
 Thresholds in the bulk take the dense phi_j and the N x N tail Gram
-matrix, on the certified basis rule cut at t, with the same cut on its
-rows (_gap).
+matrix, on the certified basis rule cut at t, with the nodes of least
+mass, up to DEFLATION_TOL of the trace, dropped by its diagonal (_gap).
 
 brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
 by the series on a two-panel 24-node box rule, from tr(M^i) by Newton's
@@ -66,7 +67,7 @@ EDGE_CAP_EFOLDS = 64.0             # weight e-folds the first edge panel may spa
 EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may carry
 MAX_EDGE_PANELS = 12
 EDGE_BLOCK = 32                    # edge thresholds per array pass; bounds its working memory
-DEFLATION_TOL = 1e-30              # tail-mass share of the nodes (or rows) gap_probability drops
+DEFLATION_TOL = 1e-30              # tail-mass share gap_probability leaves out of its eigenproblem
 TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the kernel mass sums lose precision
 SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 is checked for every N up to here
 SERIES_LOG_CUTOFF = 80.0
@@ -99,10 +100,12 @@ class GapResult:
     log_survival is always finite; survival is None when the value sits
     below 1e-300.  det_value is the gap probability det(I - M) for the
     tail kernel matrix M (see gap_probability).  eigenvalues has length
-    N in ascending order: the largest min(k, N) eigenvalues of the block
-    of M that gap_probability keeps, k nodes (or rows), preceded by 0.0
-    for the rest; the kernel has rank N at most.  trace is the trace of
-    the whole of M, the kernel mass past t.
+    N in ascending order: past the Gershgorin edge the eigenvalues of
+    L^T L for the r-column pivoted Cholesky factor L of M, r <= N, in
+    the bulk the largest min(k, N) eigenvalues of the block of M that
+    the deflation cut keeps, k rows; preceded by 0.0 for the rest, as
+    the kernel has rank N at most.  trace is the trace of the whole of
+    M, the kernel mass past t.
     """
 
     t: float
@@ -194,39 +197,45 @@ def _basis_rule(lo, hi, panels, t=-math.inf):
 def _stieltjes(V, N, rows, lo, hi, v_min, n_nodes):
     """alpha and beta of rows polynomials by discretized Stieltjes
     orthonormalization on the basis rule of ceil(n_nodes /
-    BASE_PANEL_NODES) panels over [lo, hi].
+    BASE_PANEL_NODES) panels over [lo, hi], and the kernel diagonal
+    sum_{j<N} phi_j^2 at lo and hi.
 
     The recurrence runs on u_j = sqrt(w) phi_j for the quadrature
-    weights w, so every discrete inner product is a dot product."""
+    weights w, so every discrete inner product is a dot product.  lo
+    and hi ride along as two more points of weight 1, the last two,
+    which the dot products leave out."""
     x, w = _basis_rule(lo, hi, math.ceil(n_nodes / BASE_PANEL_NODES))
+    x, w = np.append(x, (lo, hi)), np.append(w, (1.0, 1.0))
     u = np.sqrt(w) * np.exp(-0.5 * N * _excess(V, v_min, x))
-    beta0 = float(u @ u)
+    beta0 = float(u[:-2] @ u[:-2])
     if not beta0 > 0.0:
         raise NumericalError("weight exp(-N (V - Vmin)) underflows on the whole window")
 
     alpha = np.zeros(rows)
     beta = np.zeros(rows)
     beta[0] = beta0
+    edges = np.empty((rows, 2))
     u /= math.sqrt(beta0)
     u_prev = np.zeros_like(x)
     xu = np.empty_like(x)
     for j in range(rows):
+        edges[j] = u[-2:]
         np.multiply(x, u, out=xu)
-        alpha[j] = float(xu @ u)
+        alpha[j] = float(xu[:-2] @ u[:-2])
         if j == rows - 1:
             break
         # psi = (x - alpha_j) u_j - sqrt(beta_j) u_{j-1}, built in u_prev
         u_prev *= -math.sqrt(beta[j])
         u_prev += xu
         u_prev -= alpha[j] * u
-        b_next = float(u_prev @ u_prev)
+        b_next = float(u_prev[:-2] @ u_prev[:-2])
         if not b_next > 0.0:
             raise NumericalError(
                 f"orthonormalization lost positivity at beta[{j + 1}] = {b_next!r}")
         beta[j + 1] = b_next
         u_prev /= math.sqrt(b_next)
         u, u_prev = u_prev, u
-    return alpha, beta
+    return alpha, beta, np.sum(np.square(edges[:N]), axis=0)
 
 
 def _freud_residual(V, N, alpha, beta):
@@ -268,9 +277,10 @@ def build_basis(V, N):
 
     The first rule has max(BASIS_MIN_NODES, BASIS_NODES_PER_N N) nodes
     and N + floor((deg V - 1)/2) rows, and the window-edge check runs on
-    it.  Rules grow by BASIS_REFINE until _freud_residual certifies one,
-    whose first N rows are kept, with the residual and the rule's panel
-    count.
+    it, from the kernel diagonal at the edges that its own recurrence
+    carries (_stieltjes).  Rules grow by BASIS_REFINE until
+    _freud_residual certifies one, whose first N rows are kept, with the
+    residual and the rule's panel count.
 
     Raises
     ------
@@ -291,17 +301,16 @@ def build_basis(V, N):
     (lo, hi), v_min = _support_window(V, N)
     n_nodes = max(BASIS_MIN_NODES, BASIS_NODES_PER_N * N)
     for rule in range(BASIS_MAX_RULES):
-        alpha, beta = _stieltjes(V, N, N + (V.degree - 1) // 2, lo, hi, v_min, n_nodes)
+        alpha, beta, edge = _stieltjes(V, N, N + (V.degree - 1) // 2, lo, hi, v_min, n_nodes)
         alpha.flags.writeable = beta.flags.writeable = False
         residual, tol = _freud_residual(V, N, alpha, beta)
         basis = OrthoBasis(N=N, alpha=alpha[:N], beta=beta[:N], freud_residual=residual,
                            support_window=(float(lo), float(hi)), v_min=float(v_min),
                            panels=math.ceil(n_nodes / BASE_PANEL_NODES))
-        edge = kernel_diag(basis, V, np.array([lo, hi])) * (hi - lo) if rule == 0 else 0.0
-        if not np.all(edge <= WINDOW_EDGE_TOL * N):
+        if rule == 0 and not np.all(edge * (hi - lo) <= WINDOW_EDGE_TOL * N):
             raise NumericalError(
-                f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge "
-                f"kernel share {float(np.max(edge)) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
+                f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge kernel "
+                f"share {float(np.max(edge)) * (hi - lo) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
         if residual <= tol:
             return basis
         n_nodes = math.ceil(BASIS_REFINE * n_nodes)
@@ -414,19 +423,19 @@ def _cd_values(basis, V, x, w):
     return np.stack((np.sqrt(w) * np.exp(log_phi), q, dq))
 
 
-def _cd_kernel(x, cd):
-    """sqrt(w_i) K(x_i, x_j) sqrt(w_j) at the nodes x, along the last
-    axis (leading axes stack independent node sets), from their
-    _cd_values cd: u_i u_j (q_N(x_i) - q_N(x_j)) / (x_i - x_j), and
-    u_i^2 q_N'(x_i) on the diagonal.  Exactly symmetric."""
+def _cd_kernel(x, cd, y=None, cy=None):
+    """sqrt(w_i) K(x_i, y_j) sqrt(w_j) between the nodes x and y, along
+    the last axis (leading axes stack independent node sets), from their
+    _cd_values cd and cy: u_i u_j (q_N(x_i) - q_N(y_j)) / (x_i - y_j),
+    and u_i^2 q_N'(x_i) where y_j is x_i.  y defaults to x, which gives
+    an exactly symmetric matrix; the nodes of a grid are distinct."""
+    if y is None:
+        y, cy = x, cd
     u, q, dq = cd
-    i = np.arange(x.shape[-1])
-    M = q[..., :, None] - q[..., None, :]
-    buf = x[..., :, None] - x[..., None, :]
-    buf[..., i, i] = 1.0
-    M /= buf
-    M[..., i, i] = dq
-    M *= np.multiply(u[..., :, None], u[..., None, :], out=buf)
+    with np.errstate(invalid="ignore"):  # 0/0 where y_j is x_i, overwritten
+        M = (q[..., :, None] - cy[1][..., None, :]) / (x[..., :, None] - y[..., None, :])
+    np.copyto(M, dq[..., :, None], where=x[..., :, None] == y[..., None, :])
+    M *= u[..., :, None] * cy[0][..., None, :]
     return M
 
 
@@ -597,53 +606,39 @@ def gram(basis, V, t):
     return _gram_matrix(Phi, w)
 
 
-def _kept(d, trace):
-    """The deflation cut (see gap_probability) of every row of d, the
-    diagonals of tail kernel matrices with traces trace: the ascending
-    indices of the entries kept once the smallest, taken in stable
-    ascending order, are dropped while their sum stays at most
-    DEFLATION_TOL trace."""
-    order = np.argsort(d, axis=1, kind="stable")
-    mass = np.cumsum(np.take_along_axis(d, order, axis=1), axis=1)
-    dropped = np.sum(mass <= DEFLATION_TOL * trace[:, None], axis=1)
-    return [np.sort(o[n:]) for o, n in zip(order, dropped)]
-
-
 def _survival(basis, ts, kept, traces):
     """GapResult, or the NumericalError it fails with, at every threshold
-    of ts: from kept, the ascending eigenvalues of the block of its tail
-    kernel matrix that the deflation cut keeps, and traces, the traces of
-    the whole matrices (see gap_probability).  The log determinants are
-    summed as one array."""
+    of ts: from kept, the ascending eigenvalues lambda of the part of its
+    tail kernel matrix that enters the eigenproblem (L^T L past the edge,
+    the block the deflation cut keeps in the bulk), and traces T, the
+    traces of the whole matrices, in the trace-anchored form log det(I -
+    M) = -T + sum (log1p(-lambda) + lambda) (see gap_probability).  The
+    log determinants are summed as one array; -T + (a sum of terms <= 0)
+    is below 0, so every log survival is finite."""
     N = basis.N
     lam = np.zeros((len(kept), N))
     for row, block in zip(lam, kept):
         row[N - min(block.size, N):] = block[-N:]
     np.clip(lam, 0.0, 1.0, out=lam)
     with np.errstate(divide="ignore"):
-        log_dets = np.sum(np.log1p(-lam), axis=1).tolist()
+        g = np.log1p(-lam) + lam
+    log_dets = (np.sum(g, axis=1) - np.array(traces)).tolist()
     lam.flags.writeable = False
     out = []
     for t, block, eigenvalues, log_det, trace in zip(ts, kept, lam, log_dets, traces):
         low, high = float(block[0]), float(block[-1])
         try:
-            if low < -1e-10 or high > 1.0 + 1e-10:
+            if not (low >= -1e-10 and high <= 1.0 + 1e-10):
                 raise NumericalError(
                     f"tail kernel eigenvalues outside [0, 1]: range "
                     f"[{low!r}, {high!r}] at t = {t!r}")
             det_value = math.exp(log_det) if log_det > -745.0 else 0.0
-            if log_det == -np.inf:
-                survival, log_survival = 1.0, 0.0
-            elif log_det < 0.0:
-                sur = -math.expm1(log_det)
-                if sur >= UNDERFLOW_LIMIT:
-                    survival, log_survival = sur, math.log(sur)
-                else:
-                    # -expm1(u) = -u to better than |u|/2 relative here
-                    survival, log_survival = None, math.log(-log_det)
+            sur = -math.expm1(log_det)
+            if sur >= UNDERFLOW_LIMIT:
+                survival, log_survival = sur, math.log(sur)
             else:
-                raise NumericalError(
-                    f"tail kernel eigenvalues all round to 0 at t = {t!r} (trace {trace!r})")
+                # -expm1(u) = -u to better than |u|/2 relative here
+                survival, log_survival = None, math.log(-log_det)
             if survival is not None and trace < 1.0:
                 slack = 1e-12
                 if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
@@ -659,35 +654,75 @@ def _survival(basis, ts, kept, traces):
 
 def _gap(basis, t, M, trace):
     """GapResult from the tail kernel matrix M (see gap_probability)
-    and its trace: the deflation cut on its diagonal, then eigvalsh on
-    the kept block.  Raises its NumericalError."""
-    (keep,) = _kept(np.diagonal(M)[None], np.array([trace]))
+    and its trace: the deflation cut on its diagonal (the ascending
+    indices of the entries kept once the smallest, taken in stable
+    ascending order, are dropped while their sum stays at most
+    DEFLATION_TOL trace), then eigvalsh on the kept block.  Raises its
+    NumericalError."""
+    order = np.argsort(np.diagonal(M), kind="stable")
+    keep = np.sort(order[np.sum(np.cumsum(np.diagonal(M)[order]) <= DEFLATION_TOL * trace):])
     (result,) = _survival(basis, [t], [np.linalg.eigvalsh(M[keep[:, None], keep])], [trace])
     if isinstance(result, Exception):
         raise result
     return result
 
 
+def _pivoted_factors(x, cd, trace, rank):
+    """Pivoted Cholesky factors of the tail kernel matrices M of a block
+    of edge grids, from their nodes x, _cd_values cd and traces (as
+    _settle groups them), for a kernel of rank rank.
+
+    One array pass over the rows still active: step k takes the node p
+    of largest residual diagonal r, forms column p of M only
+    (_cd_kernel), and sets l = (M e_p - L L^T e_p) / sqrt(r_p), then r -=
+    l^2 and r_p = 0.  A row stops once its Schur-complement trace sum(r)
+    is at most DEFLATION_TOL of its trace, or at min(rank, m) columns.
+    Yields (rows, L, residual) once per step at which rows stop: their
+    indices into the block, their factors as a (len(rows), k, m) array,
+    column j of each in L[:, j], and their Schur-complement traces.
+    Every step is element-wise in the nodes or per row.  L doubles its
+    column count when full, so its memory follows the largest r, not
+    rank.  r is carried by subtraction, to rounding, so a row whose true
+    Schur complement is below the rounding of M stops where sum(r)
+    reads as rounding noise, possibly negative (see gap_probability).
+    """
+    r = np.square(cd[0]) * cd[2]
+    rows, width = np.arange(trace.size), min(rank, x.shape[1])
+    L = np.empty((trace.size, 1, x.shape[1]))
+    for k in range(width + 1):
+        residual = np.sum(r, axis=1)
+        stop = (residual <= DEFLATION_TOL * trace) | (k == width)
+        if stop.any():
+            yield rows[stop], L[stop, :k], residual[stop]
+            keep = ~stop
+            rows, x, cd, r, trace = rows[keep], x[keep], cd[:, keep], r[keep], trace[keep]
+            L = L[keep]
+            if not rows.size:
+                return
+        if k == L.shape[1]:
+            L = np.concatenate((L, np.empty_like(L)), axis=1)
+        i, p = np.arange(rows.size), np.argmax(r, axis=1)
+        L[:, k] = (_cd_kernel(x, cd, x[i, p, None], cd[:, i, p, None])[..., 0]
+                   - np.matmul(L[i, :k, p][:, None, :], L[:, :k])[:, 0])
+        L[:, k] /= np.sqrt(r[i, p])[:, None]
+        r -= np.square(L[:, k])
+        r[i, p] = 0.0
+
+
 def _edge_gaps(basis, V, t, bulk):
     """gap_probability at the thresholds t (an array, all past the
     Gershgorin edge) as a dict {row: GapResult or NumericalError}, rows
-    indexing t.  The grids settle together (_settle); on each group of
-    equal panel count the deflation cut runs on the diagonals u^2 q_N'
-    before any matrix is formed, the kernels are formed on the kept
-    nodes only, one stacked eigvalsh call takes all the kernels of one
-    kept size, and one _survival call the results of the group."""
+    indexing t.  The grids settle together (_settle); each group of equal
+    panel count takes one pivoted Cholesky pass (_pivoted_factors), one
+    stacked eigvalsh call per factor width r takes the eigenvalues of
+    the r x r matrices L^T L, and one _survival call per r gives their
+    results."""
     groups, out = _settle(basis, V, t, _edge_widths(basis, V, t, bulk))
     for rows, x, _, cd, trace in groups:
-        keep = _kept(np.square(cd[0]) * cd[2], trace)
-        sizes = np.array([k.size for k in keep])
-        kept = [None] * rows.size
-        for size in sorted(set(sizes.tolist())):
-            sel = np.flatnonzero(sizes == size)
-            nodes = np.array([keep[i] for i in sel])
-            M = _cd_kernel(x[sel[:, None], nodes], cd[:, sel[:, None], nodes])
-            for i, eigenvalues in zip(sel, np.linalg.eigvalsh(M)):
-                kept[i] = eigenvalues
-        out.update(zip(rows.tolist(), _survival(basis, t[rows].tolist(), kept, trace.tolist())))
+        for sel, L, _ in _pivoted_factors(x, cd, trace, basis.N):
+            out.update(zip(rows[sel].tolist(), _survival(
+                basis, t[rows[sel]].tolist(), np.linalg.eigvalsh(L @ L.swapaxes(1, 2)),
+                trace[sel].tolist())))
     return out
 
 
@@ -702,12 +737,13 @@ def gap_probabilities(basis, V, ts):
     grids as one (T, m) array and one ratio recurrence over it, O(N T m)
     time and O(T m) memory whatever N; a grid that has not settled gets
     one panel more, and the recurrence runs on that panel only.  The
-    deflation cut is taken from the kernel diagonal before any matrix is
-    formed, each kernel costs O(k^2) for its k kept nodes and its
-    eigenvalues O(k^3), in one stacked eigvalsh call per kept size.  The
-    working memory is one block's, whatever len(ts).  Every step is
-    element-wise in the nodes, or per matrix, or per row, so each result
-    is the one gap_probability gives, bit for bit.  A threshold in the
+    pivoted Cholesky factor of a threshold's kernel matrix costs O(r m)
+    kernel entries and O(r^2 m) updates for its r <= N columns (2 to 9
+    on the benchmark grids), and the eigenvalues of its r x r matrix
+    L^T L O(r^3), in one stacked eigvalsh call per r.  The working memory
+    is one block's, whatever len(ts).  Every step is element-wise in the
+    nodes, or per matrix, or per row, so each result is the one
+    gap_probability gives, bit for bit.  A threshold in the
     bulk costs O(N^2 m) for the tail Gram matrix on m nodes and O(N^3)
     for its eigenvalues.
     """
@@ -742,23 +778,57 @@ def gap_probability(basis, V, t):
     Gram matrix (the same nonzero eigenvalues).  The eigenvalues keep
     log-space accuracy far below the linear floating-point range.
 
-    Only the nodes (or rows) that carry tail mass enter the
-    eigenproblem: with T the trace of M, one cut drops its diagonal
-    entries in ascending order while their sum eps stays at most
-    DEFLATION_TOL * T.  For a PSD M with M <= I and a principal block
-    M22, det(I - M) = det(I - M22) det(I - S), where I - S is the Schur
-    complement of I - M22 in I - M, tr S <= eps / (1 -
-    lambda_max(M22)) for the dropped diagonal mass eps, and
-    det(I - M22) <= 1 - lambda_max(M22), so 0 <= survival(M) -
-    survival(M22) <= eps <= DEFLATION_TOL * T.  As survival(M) >=
-    (1 - e^-1) min(T, 1), that is a relative error of at most
-    2 DEFLATION_TOL max(T, 1).  K has rank N at most, so the largest N
-    eigenvalues of M22 are used and the rest are taken as 0.0.
+    With T the trace of M, only a part of M that leaves out at most eps
+    = DEFLATION_TOL * T of its trace enters the eigenproblem, which
+    moves the survival by at most eps: 0 <= survival(M) - survival <=
+    eps.  As survival(M) >= (1 - e^-1) min(T, 1), that is a relative
+    error of at most 2 DEFLATION_TOL max(T, 1).
+
+    Past the edge M is never formed.  A pivoted Cholesky factor L, m x r
+    (_pivoted_factors), leaves the Schur complement E = M - L L^T, PSD,
+    with eps = tr E at most DEFLATION_TOL * T, or r = N, the rank of K,
+    where E = 0.  With lambda the eigenvalues of L^T L, which sum to T -
+    eps, and g(mu) = log1p(-mu) + mu, the trace-anchored form
+
+        log det(I - M) = -T + sum g(mu)  ~  -T + sum g(lambda)
+                                         = log det(I - L L^T) - eps
+
+    takes T from the grid and only the second-order terms g from the
+    factor.  The bound: L L^T <= M, so lambda_i <= mu_i (Weyl) with
+    sum (mu_i - lambda_i) = eps, and g is decreasing on [0, 1) with |g'|
+    = mu / (1 - mu), so the computed log determinant is at least the
+    true one and exceeds it by at most eps mu_max / (1 - mu_max).  In
+    full: for A = L L^T, det(I - M) = det(I - A) det(I - F) with F = (I -
+    A)^{-1/2} E (I - A)^{-1/2} PSD, eps <= tr F <= eps / (1 -
+    lambda_max), and e^-eps >= e^-tr F >= det(I - F) >= 1 - tr F, so
+    det(I - A) e^-eps - det(I - M) lies in [0, (1 - lambda_max) tr F]
+    and 0 <= survival(M) - survival <= eps.  Rounding in lambda, delta,
+    moves g by lambda delta / (1 - lambda) where the plain sum of
+    log1p(-lambda) moves by delta, which matters where T is small and
+    survival ~ T.  The residual diagonal is carried by subtraction, so
+    tr E is known to rounding: on the benchmark grids the factor stops
+    where the computed trace reaches the rounding level (it reads -3e-13
+    T to -2e-17 T there) and L L^T matches M to 2e-13 T, the rounding of
+    the Christoffel-Darboux divided differences; the survival is within
+    1.2e-14 max(1, |log survival|) of that of the dense matrix on the
+    nodes within the window.
+
+    In the bulk the rows of the Gram matrix of least mass are dropped
+    instead: one cut drops its diagonal entries in ascending order while
+    their sum eps stays at most DEFLATION_TOL * T, and the same anchored
+    form, on the eigenvalues of the kept block M22, which sum to T - eps,
+    is log det(I - M22) - eps.  For a PSD M with M <= I, det(I - M) =
+    det(I - M22) det(I - S), where I - S is the Schur complement of I -
+    M22 in I - M; S >= M11, the dropped block, so tr S >= eps and det(I -
+    S) <= e^-eps, and tr S <= eps / (1 - lambda_max(M22)) with det(I -
+    M22) <= 1 - lambda_max(M22), so again 0 <= survival(M) - survival <=
+    eps.  K has rank N at most, so the largest N eigenvalues of M22 are
+    used and the rest are taken as 0.0.
 
     Raises NumericalError if the trace is not a finite normal double (no
     representable kernel mass past t), if the tail grid does not
-    terminate, if the kept block has eigenvalues outside [0, 1] beyond
-    1e-10, or if the result violates the first-order bracketing
+    terminate, if L^T L or the kept block has eigenvalues outside [0, 1]
+    beyond 1e-10, or if the result violates the first-order bracketing
     trace - trace^2/2 <= survival <= trace (trace < 1).
     """
     result = gap_probabilities(basis, V, [t])[0]

@@ -76,9 +76,10 @@ class Potential:
 
 
 def json_float(value):
-    """float(value) of one JSON number; TypeError for a JSON true or false,
-    which float() would read as 1.0 or 0.0."""
-    if isinstance(value, bool):
+    """float(value) of one JSON number; TypeError for anything else: a
+    JSON string, which float() would parse, or a JSON true or false,
+    which it would read as 1.0 or 0.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 

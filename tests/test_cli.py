@@ -93,6 +93,10 @@ class TestLoadConfig:
         {"seed": False},
         {"max_oracle_n": True},
         {"potential": {"coeffs": [0, 0, True]}},
+        # a JSON string is not a number, though float() parses it
+        {"t_grid": ["2.5"]},
+        {"s_grid": [0.5, "1.0"]},
+        {"potential": {"coeffs": ["0", "0", "0.5"]}},
     ])
     def test_rejected_keys(self, tmp_path, keys):
         if keys.get("potential", "keep") is None:

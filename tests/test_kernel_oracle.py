@@ -15,8 +15,8 @@ from loggas import kernel_oracle
 from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
                                   TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
                                   _cd_values, _dense, _edge_grid, _gap, _gram_matrix,
-                                  _level_roots, _phi_matrix, _series_kernel, _support_window,
-                                  composite_gl, gap_probabilities, gl_rule)
+                                  _level_roots, _phi_matrix, _pivoted_factors, _series_kernel,
+                                  _support_window, composite_gl, gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -232,7 +232,7 @@ class TestBasis:
             assert counts[0] == max(256, 8 * N)
             assert counts[1:] == [math.ceil(1.5 * n) for n in counts[:-1]]
             lo, hi = b.support_window
-            rules = [kernel_oracle._stieltjes(V, N, rows, lo, hi, b.v_min, n)
+            rules = [kernel_oracle._stieltjes(V, N, rows, lo, hi, b.v_min, n)[:2]
                      for n in counts + [math.ceil(1.5 * counts[-1])]]
             certified = [res <= tol for res, tol in
                          (kernel_oracle._freud_residual(V, N, *r) for r in rules[:-1])]
@@ -290,7 +290,7 @@ class TestBasis:
         V, N = Potential(coeffs), 40
         (lo, hi), v_min = _support_window(V, N)
         rows = N + (V.degree - 1) // 2
-        alpha, beta = kernel_oracle._stieltjes(V, N, rows + 3, lo, hi, v_min, 2 * N)
+        alpha, beta, _ = kernel_oracle._stieltjes(V, N, rows + 3, lo, hi, v_min, 2 * N)
         residual, tol = kernel_oracle._freud_residual(V, N, alpha[:rows], beta[:rows])
         s = np.sqrt(beta[1:])
         J = np.diag(alpha) + np.diag(s, 1) + np.diag(s, -1)
@@ -308,7 +308,7 @@ class TestBasis:
         # rule sits at the roundoff floor, 1.1e-13
         for N, nodes, accepted in ((200, 2400, False), (400, 4800, True)):
             (lo, hi), v_min = _support_window(TILTED, N)
-            rule = kernel_oracle._stieltjes(TILTED, N, N + 1, lo, hi, v_min, nodes)
+            rule = kernel_oracle._stieltjes(TILTED, N, N + 1, lo, hi, v_min, nodes)[:2]
             residual, tol = kernel_oracle._freud_residual(TILTED, N, *rule)
             assert (residual <= tol) == accepted, (N, residual, tol)
             assert 1e-13 <= residual <= 2e-12
@@ -336,6 +336,28 @@ class TestBasis:
         build_basis(quartic, 800)
         for V, N in ((gue, 600), (gue, 800), (quartic, 1000)):
             with pytest.raises(NumericalError, match="cuts off kernel mass"):
+                build_basis(V, N)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
+                                        ASYMMETRIC, TILTED.coeffs],
+                             ids=["gue", "quartic", "asymmetric", "tilted"])
+    def test_window_edge_check_rides_the_rule(self, coeffs, monkeypatch):
+        # the kernel diagonal at the window edges comes from the first
+        # rule's own recurrence, within 1e-13 of kernel_diag on that
+        # rule's coefficients; build_basis runs no other recurrence
+        V = Potential(coeffs)
+        for N in (1, 50, 400, 550):
+            (lo, hi), v_min = _support_window(V, N)
+            rows = N + (V.degree - 1) // 2
+            alpha, beta, edge = kernel_oracle._stieltjes(V, N, rows, lo, hi, v_min,
+                                                         max(256, 8 * N))
+            rule = kernel_oracle.OrthoBasis(N=N, alpha=alpha[:N], beta=beta[:N],
+                                            support_window=(lo, hi), v_min=v_min,
+                                            freud_residual=0.0, panels=0)
+            ref = kernel_diag(rule, V, np.array([lo, hi]))
+            assert edge == pytest.approx(ref, rel=1e-13, abs=0.0), (N, edge, ref)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel_oracle, "_phi_matrix", None)
                 build_basis(V, N)
 
     def test_constant_shift(self, gue):
@@ -503,9 +525,12 @@ class TestDeflation:
 
     def test_eigenproblem_sized_by_tail_rows(self, gue, quartic, monkeypatch):
         # every threshold past the edge on the benchmark's s grid hands
-        # eigvalsh one m x m block, m < 96, for the m nodes the cut keeps,
-        # and gives the survival of the full dense Gram matrix; the batch
-        # of all 32 stacks the blocks of equal size, one call per size
+        # eigvalsh one r x r matrix L^T L of its pivoted Cholesky factor,
+        # r <= min(N, m) and r <= 12 (measured 2-9), and gives the
+        # survival of the full dense Gram matrix; the factor stops at a
+        # Schur-complement trace of at most DEFLATION_TOL of the trace and
+        # reproduces the whole kernel matrix to 1e-12 of the trace; the
+        # batch of all 32 stacks the matrices of equal r, one call per r
         sizes, stacks = [], []
         eigvalsh = np.linalg.eigvalsh
 
@@ -517,19 +542,23 @@ class TestDeflation:
         for V, N in ((gue, 200), (quartic, 400)):
             eq = solve_mrs(V)
             b = build_basis(V, N)
-            kept = []
+            ranks = []
             for s in np.geomspace(0.5, 32.0, 32):
                 t = edge_point(eq, N, s)
                 monkeypatch.setattr(np.linalg, "eigvalsh", counting)
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                assert settled(b, V, t)[0].size == 3 * BASE_PANEL_NODES
-                m, _ = deflated(b, V, t)
-                assert sizes == [(m, m)] and m < 3 * BASE_PANEL_NODES, (t, sizes)
-                kept.append(m)
+                x, _, cd, T = _edge_grid(b, V, t)
+                assert x.size == 3 * BASE_PANEL_NODES
+                ((rank, rank2),) = sizes
+                assert rank == rank2 and rank <= min(N, x.size) and rank <= 12, (t, sizes)
+                ((_, L, residual),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
+                assert L.shape == (1, rank, x.size) and residual[0] <= DEFLATION_TOL * T, t
+                assert np.abs(_cd_kernel(x, cd) - L[0].T @ L[0]).max() <= 1e-12 * T, t
+                ranks.append(rank)
                 assert r.eigenvalues.shape == (N,)
-                assert (r.eigenvalues[:N - min(m, N)] == 0.0).all()
+                assert (r.eigenvalues[:N - rank] == 0.0).all()
                 _, log_full = full_survival(gram(b, V, t))
                 assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
             monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -538,7 +567,49 @@ class TestDeflation:
             gap_probabilities(b, V, [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)])
             monkeypatch.undo()
             assert sorted(zip(sizes, stacks)) == sorted(
-                ((m, m), (kept.count(m),)) for m in set(kept)), (sizes, stacks)
+                ((k, k), (ranks.count(k),)) for k in set(ranks)), (sizes, stacks)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_factor_stops_at_the_kernel_rank(self, gue, quartic, monkeypatch, N):
+        # K has rank N, so no factor takes more than N columns, however
+        # much rounding is left in the residual diagonal
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(A):
+            sizes.extend(A.shape[-2:])
+            return eigvalsh(A)
+
+        for V in (gue, quartic):
+            eq = solve_mrs(V)
+            ts = [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)]
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            results = gap_probabilities(build_basis(V, N), V, ts)
+            monkeypatch.undo()
+            assert sum(isinstance(r, GapResult) for r in results) >= 24
+        assert sizes and max(sizes) <= N, sizes
+
+    def test_matches_dense_reference(self, gue, quartic):
+        # on the benchmark's grids, wherever the settled grid lies inside
+        # the window, log_survival is within 3e-14 max(1, |log S|) of the
+        # survival from every eigenvalue of the dense m x m matrix
+        # sqrt(w) Phi^T Phi sqrt(w) (measured: 1.2e-14 at worst)
+        checked = 0
+        for V in (gue, quartic):
+            eq = solve_mrs(V)
+            for N in (50, 100, 200, 300, 400):
+                b = build_basis(V, N)
+                ts = [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)]
+                for t, r in zip(ts, gap_probabilities(b, V, ts)):
+                    x, w = _edge_grid(b, V, t)[:2]
+                    if x[-1] > b.support_window[1]:
+                        continue
+                    Phi = _phi_matrix(b, V, x)
+                    sw = np.sqrt(w)
+                    _, ref = full_survival(sw[:, None] * (Phi.T @ Phi) * sw[None, :])
+                    assert abs(r.log_survival - ref) <= 3e-14 * max(1.0, abs(ref)), (N, t)
+                    checked += 1
+        assert checked >= 200, checked
 
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
         # gap_probability runs one Christoffel-Darboux pass over an edge

@@ -69,6 +69,8 @@ def test_json_round_trip(quartic):
     {"coeffs": [0, 0, 0.5], "ga_infinity": "yes"},
     {"coeffs": [0, 0, True]},
     {"coeffs": [False]},
+    {"coeffs": ["0", "0", "0.5"]},
+    {"coeffs": [0, 0, "1e-1"]},
 ])
 def test_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
