@@ -314,6 +314,22 @@ class TestCompareCommand:
         assert float(rows[0]["log_survival_oracle"]) == pytest.approx(-182.54006053165756,
                                                                       rel=1e-13)
 
+    def test_failing_basis_fails_its_rows_only(self, tmp_path, capsys):
+        # GUE N = 700 reaches past the oracle window, so its basis raises;
+        # its rows carry that error and the N = 10 rows still print
+        cfg = write_config(tmp_path, N_list=[10, 700], t_grid=[2.5, 3.0],
+                           max_oracle_n=1000)
+        assert main(["compare", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows, summary = parse_csv(captured.out)
+        assert [(row["N"], row["status"]) for row in rows[:2]] == [("10", "ok")] * 2
+        for row in rows[2:]:
+            assert row["N"] == "700" and row["log_survival_oracle"] == ""
+            assert row["status"].startswith("error: window [")
+            assert "cuts off kernel mass at N = 700" in row["status"]
+        assert len(rows) == 4 and float(summary["max_scaled_deviation"]) > 0.0
+
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])
         assert main(["compare", "--config", cfg]) == 2
@@ -349,6 +365,20 @@ class TestPlumbing:
         b1 = Path(out1).read_bytes()
         assert b1 == Path(out2).read_bytes()
         assert b1.startswith(b"N,t,log_survival_oracle")
+
+    def test_main_freezes_the_import_heap(self, tmp_path):
+        # the objects the imports made sit in the permanent generation, so
+        # the collection at interpreter exit skips them
+        src = os.path.dirname(os.path.dirname(loggas.__file__))
+        cfg = write_config(tmp_path, k=2)
+        code = ("import gc, sys, loggas.cli; "
+                f"status = loggas.cli.main(['cramer', '--config', {cfg!r}]); "
+                "print(status, gc.get_freeze_count(), file=sys.stderr)")
+        err = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stderr
+        status, frozen = map(int, err.split())
+        assert status == 0 and frozen > 0
 
     def test_import_loads_no_scipy(self):
         # numpy and the standard library are the only runtime dependencies
@@ -431,3 +461,20 @@ class TestPlumbing:
         missing = str(tmp_path / "none.json")
         assert main(["equilibrium", "--config", missing]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, N_list=[4], t_grid=[2.5])
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["tail", "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output {out!r}: ")
+
+    def test_failed_run_leaves_no_out_file(self, tmp_path, capsys):
+        # the output file is opened only once every row is computed
+        cfg = write_config(tmp_path, potential={"coeffs": [0, 0, 0.5, 0, -0.02, 0, 1e-4]},
+                           N_list=[10], s_grid=[1.0])
+        out = tmp_path / "x.csv"
+        assert main(["tail", "--config", cfg, "--out", str(out)]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
