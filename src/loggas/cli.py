@@ -11,7 +11,9 @@ Exit status contract: 0 when every requested row succeeded, 1 on
 numerical failures (solver breakdowns, or per-row evaluation errors and
 oracle bases that fail for one N, which are still reported as rows with
 a status marker), 2 on usage or configuration errors, an unwritable
---out path included.
+--out path included.  A reader that closes stdout early (a pipe into
+head) does not change it: the rest of the table is discarded and the
+run exits with the status its rows earned.
 
 Output is byte-identical for identical configurations: rows are
 computed and written in grid order, floats are printed with 17
@@ -25,8 +27,8 @@ import csv
 import gc
 import json
 import math
+import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from .equilibrium import solve_mrs
@@ -164,16 +166,26 @@ def _write(stream, fmt, fieldnames, rows, summary=None, single=None):
 
 
 def _emit(args, config, fieldnames, rows, summary=None, single=None):
+    fmt = args.format or config.output_format
+    if not args.out:
+        try:
+            _write(sys.stdout, fmt, fieldnames, rows, summary, single)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early; what is left of the table goes
+            # to os.devnull, so the flush at interpreter exit stays silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
     # the file is opened only here, once every row is computed, so a run
     # that fails numerically leaves no truncated file behind
     try:
-        target = (open(args.out, "w", encoding="utf-8", newline="") if args.out
-                  else nullcontext(sys.stdout))
+        stream = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write output {args.out!r}: {exc}") from None
-    with target as stream:
-        _write(stream, args.format or config.output_format, fieldnames, rows,
-               summary, single)
+    with stream:
+        _write(stream, fmt, fieldnames, rows, summary, single)
 
 
 def cmd_equilibrium(args, config):

@@ -35,9 +35,8 @@ column per pivot (_pivoted_factors), r <= N columns per threshold, until
 the Schur complement's trace is at most DEFLATION_TOL of the trace (see
 gap_probability), and one stacked eigvalsh call per r takes the
 eigenvalues of the r x r matrices L^T L (see gap_probabilities).
-Thresholds in the bulk take the dense phi_j and the N x N tail Gram
-matrix, on the certified basis rule cut at t, with the nodes of least
-mass, up to DEFLATION_TOL of the trace, dropped by its diagonal (_gap).
+Thresholds in the bulk take the dense phi_j and every eigenvalue of the
+N x N tail Gram matrix, on the certified basis rule cut at t.
 
 brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
 by the series on a two-panel 24-node box rule, from tr(M^i) by Newton's
@@ -100,12 +99,11 @@ class GapResult:
     log_survival is always finite; survival is None when the value sits
     below 1e-300.  det_value is the gap probability det(I - M) for the
     tail kernel matrix M (see gap_probability).  eigenvalues has length
-    N in ascending order: past the Gershgorin edge the eigenvalues of
-    L^T L for the r-column pivoted Cholesky factor L of M, r <= N, in
-    the bulk the largest min(k, N) eigenvalues of the block of M that
-    the deflation cut keeps, k rows; preceded by 0.0 for the rest, as
-    the kernel has rank N at most.  trace is the trace of the whole of
-    M, the kernel mass past t.
+    N in ascending order: in the bulk those of the N x N tail Gram
+    matrix, past the Gershgorin edge those of L^T L for the r-column
+    pivoted Cholesky factor L of M, r <= N, preceded by 0.0 for the
+    rest, as the kernel has rank N at most.  trace is the trace of the
+    whole of M, the kernel mass past t.
     """
 
     t: float
@@ -606,26 +604,25 @@ def gram(basis, V, t):
     return _gram_matrix(Phi, w)
 
 
-def _survival(basis, ts, kept, traces):
+def _survival(basis, ts, eigenvalues, traces):
     """GapResult, or the NumericalError it fails with, at every threshold
-    of ts: from kept, the ascending eigenvalues lambda of the part of its
-    tail kernel matrix that enters the eigenproblem (L^T L past the edge,
-    the block the deflation cut keeps in the bulk), and traces T, the
-    traces of the whole matrices, in the trace-anchored form log det(I -
-    M) = -T + sum (log1p(-lambda) + lambda) (see gap_probability).  The
-    log determinants are summed as one array; -T + (a sum of terms <= 0)
-    is below 0, so every log survival is finite."""
+    of ts, from the ascending eigenvalues lambda, at most N, of its
+    eigenproblem (the tail Gram matrix, or L^T L past the edge) and the
+    trace T of its tail kernel matrix, in the trace-anchored form log
+    det(I - M) = -T + sum (log1p(-lambda) + lambda) (see gap_probability).
+    The log determinants are summed as one array; -T + (a sum of terms
+    <= 0) is below 0, so every log survival is finite."""
     N = basis.N
-    lam = np.zeros((len(kept), N))
-    for row, block in zip(lam, kept):
-        row[N - min(block.size, N):] = block[-N:]
+    lam = np.zeros((len(eigenvalues), N))
+    for row, block in zip(lam, eigenvalues):
+        row[N - block.size:] = block
     np.clip(lam, 0.0, 1.0, out=lam)
     with np.errstate(divide="ignore"):
         g = np.log1p(-lam) + lam
     log_dets = (np.sum(g, axis=1) - np.array(traces)).tolist()
     lam.flags.writeable = False
     out = []
-    for t, block, eigenvalues, log_det, trace in zip(ts, kept, lam, log_dets, traces):
+    for t, block, row, log_det, trace in zip(ts, eigenvalues, lam, log_dets, traces):
         low, high = float(block[0]), float(block[-1])
         try:
             if not (low >= -1e-10 and high <= 1.0 + 1e-10):
@@ -646,25 +643,10 @@ def _survival(basis, ts, kept, traces):
                         f"survival {survival!r} violates first-order bracketing "
                         f"against trace {trace!r} at t = {t!r}")
             out.append(GapResult(t=t, log_survival=log_survival, survival=survival,
-                                 det_value=det_value, eigenvalues=eigenvalues, trace=trace))
+                                 det_value=det_value, eigenvalues=row, trace=trace))
         except NumericalError as exc:
             out.append(exc)
     return out
-
-
-def _gap(basis, t, M, trace):
-    """GapResult from the tail kernel matrix M (see gap_probability)
-    and its trace: the deflation cut on its diagonal (the ascending
-    indices of the entries kept once the smallest, taken in stable
-    ascending order, are dropped while their sum stays at most
-    DEFLATION_TOL trace), then eigvalsh on the kept block.  Raises its
-    NumericalError."""
-    order = np.argsort(np.diagonal(M), kind="stable")
-    keep = np.sort(order[np.sum(np.cumsum(np.diagonal(M)[order]) <= DEFLATION_TOL * trace):])
-    (result,) = _survival(basis, [t], [np.linalg.eigvalsh(M[keep[:, None], keep])], [trace])
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _pivoted_factors(x, cd, trace, rank):
@@ -743,13 +725,14 @@ def gap_probabilities(basis, V, ts):
     L^T L O(r^3), in one stacked eigvalsh call per r.  The working memory
     is one block's, whatever len(ts).  Every step is element-wise in the
     nodes, or per matrix, or per row, so each result is the one
-    gap_probability gives, bit for bit.  A threshold in the
-    bulk costs O(N^2 m) for the tail Gram matrix on m nodes and O(N^3)
-    for its eigenvalues.
+    gap_probability gives, bit for bit.  A threshold in the bulk costs
+    O(N^2 m) for the N x N tail Gram matrix on m nodes and O(N^3) for
+    all of its eigenvalues; one _survival call takes every bulk
+    threshold.
     """
     ts = [float(t) for t in ts]
     bulk = _bulk_estimate(basis)
-    out, edge = [], []
+    out, edge, dense = [], [], []
     for t in ts:
         item = None
         try:
@@ -757,10 +740,14 @@ def gap_probabilities(basis, V, ts):
                 edge.append(len(out))
             else:
                 _, w, Phi, trace = _dense(basis, V, t)
-                item = _gap(basis, t, _gram_matrix(Phi, w), trace)
+                dense.append((len(out), np.linalg.eigvalsh(_gram_matrix(Phi, w)), trace))
         except (ValueError, NumericalError) as exc:
             item = exc
         out.append(item)
+    if dense:
+        rows, eigenvalues, traces = zip(*dense)
+        for row, item in zip(rows, _survival(basis, [ts[i] for i in rows], eigenvalues, traces)):
+            out[row] = item
     for start in range(0, len(edge), EDGE_BLOCK):
         block = edge[start:start + EDGE_BLOCK]
         for row, item in _edge_gaps(basis, V, np.array([ts[i] for i in block]), bulk).items():
@@ -782,9 +769,9 @@ def gap_probability(basis, V, t):
     = DEFLATION_TOL * T of its trace enters the eigenproblem, which
     moves the survival by at most eps: 0 <= survival(M) - survival <=
     eps.  As survival(M) >= (1 - e^-1) min(T, 1), that is a relative
-    error of at most 2 DEFLATION_TOL max(T, 1).
-
-    Past the edge M is never formed.  A pivoted Cholesky factor L, m x r
+    error of at most 2 DEFLATION_TOL max(T, 1).  In the bulk all N
+    eigenvalues of the Gram matrix enter, so eps = 0.  Past the edge M
+    is never formed.  A pivoted Cholesky factor L, m x r
     (_pivoted_factors), leaves the Schur complement E = M - L L^T, PSD,
     with eps = tr E at most DEFLATION_TOL * T, or r = N, the rank of K,
     where E = 0.  With lambda the eigenvalues of L^T L, which sum to T -
@@ -813,21 +800,9 @@ def gap_probability(basis, V, t):
     1.2e-14 max(1, |log survival|) of that of the dense matrix on the
     nodes within the window.
 
-    In the bulk the rows of the Gram matrix of least mass are dropped
-    instead: one cut drops its diagonal entries in ascending order while
-    their sum eps stays at most DEFLATION_TOL * T, and the same anchored
-    form, on the eigenvalues of the kept block M22, which sum to T - eps,
-    is log det(I - M22) - eps.  For a PSD M with M <= I, det(I - M) =
-    det(I - M22) det(I - S), where I - S is the Schur complement of I -
-    M22 in I - M; S >= M11, the dropped block, so tr S >= eps and det(I -
-    S) <= e^-eps, and tr S <= eps / (1 - lambda_max(M22)) with det(I -
-    M22) <= 1 - lambda_max(M22), so again 0 <= survival(M) - survival <=
-    eps.  K has rank N at most, so the largest N eigenvalues of M22 are
-    used and the rest are taken as 0.0.
-
     Raises NumericalError if the trace is not a finite normal double (no
     representable kernel mass past t), if the tail grid does not
-    terminate, if L^T L or the kept block has eigenvalues outside [0, 1]
+    terminate, if L^T L or the Gram matrix has eigenvalues outside [0, 1]
     beyond 1e-10, or if the result violates the first-order bracketing
     trace - trace^2/2 <= survival <= trace (trace < 1).
     """

@@ -380,6 +380,25 @@ class TestPlumbing:
         status, frozen = map(int, err.split())
         assert status == 0 and frozen > 0
 
+    def test_closed_pipe_keeps_the_exit_status(self, tmp_path):
+        # a reader that stops after the header: no traceback, and the exit
+        # status of the full run; the table is larger than a 64 KiB pipe
+        # buffer, so the writer meets the closed pipe
+        src = os.path.dirname(os.path.dirname(loggas.__file__))
+        cfg = write_config(tmp_path, N_list=[10 * 2 ** i for i in range(10)],
+                           t_grid=[2.01 + 0.01 * i for i in range(160)])
+        command = [sys.executable, "-m", "loggas.cli", "tail", "--config", cfg]
+        env = {**os.environ, "PYTHONPATH": src}
+        full = subprocess.run(command, capture_output=True, env=env)
+        assert full.returncode == 0 and len(full.stdout) > 65536
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.readline().startswith(b"N,t,log_F,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == full.returncode
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_import_loads_no_scipy(self):
         # numpy and the standard library are the only runtime dependencies
         src = os.path.dirname(os.path.dirname(loggas.__file__))
