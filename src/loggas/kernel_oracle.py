@@ -21,22 +21,25 @@ the raw p_j would overflow.
 
 The survival probability past t is the Fredholm determinant of the
 projection kernel K on (t, infinity) at the nodes of a tail grid
-(Bornemann, Math. Comp. 79, 2010).  Past the Gershgorin edge of the
-Jacobi matrix, by Christoffel-Darboux,
+(Bornemann, Math. Comp. 79, 2010).  By Christoffel-Darboux,
 
-    K(x, y) = phi_{N-1}(x) phi_{N-1}(y) (q_N(x) - q_N(y)) / (x - y)
+    K(x, y) = (psi(x) phi_{N-1}(y) - phi_{N-1}(x) psi(y)) / (x - y),
+    K(x, x) = sum_{j<N} phi_j(x)^2,
 
-for q_N = sqrt(beta_N) phi_N / phi_{N-1}: two functions per node, not
-N, from one ratio recurrence (_cd_values) that cannot underflow.  It
-runs once per block of EDGE_BLOCK such thresholds, over their grids as
-one (T, m) array, in O(N T m) time and O(T m) memory.  No kernel matrix
-is formed: a pivoted Cholesky pass over the block forms one kernel
-column per pivot (_pivoted_factors), r <= N columns per threshold, until
-the Schur complement's trace is at most DEFLATION_TOL of the trace (see
-gap_probability), and one stacked eigvalsh call per r takes the
-eigenvalues of the r x r matrices L^T L (see gap_probabilities).
-Thresholds in the bulk take the dense phi_j and every eigenvalue of the
-N x N tail Gram matrix, on the certified basis rule cut at t.
+for psi = sqrt(beta_N) phi_N = (x - alpha_{N-1}) phi_{N-1} - sqrt(beta_{N-1})
+phi_{N-2}: three functions per node, not N, from one recurrence
+(_cd_values) that holds at every x, in O(N m) time on m nodes.  Below the
+Gershgorin edge of the Jacobi matrix the tail grid is the certified basis
+rule cut at t; past it (or past the window edge, where the cut rule ends)
+it is an edge grid settled panel by panel, and the thresholds there run in
+blocks of EDGE_BLOCK, over their grids as one (T, m) array, in O(N T m)
+time and O(T m) memory.  No kernel matrix is formed: a pivoted Cholesky
+pass forms one kernel column per pivot (_pivoted_factors), r <= N columns
+per threshold, until the Schur complement's trace is at most
+DEFLATION_TOL of the trace (see gap_probability), in O(r^2 m) time, and
+one stacked eigvalsh call per r takes the eigenvalues of the r x r
+matrices L^T L (see gap_probabilities).  gram alone takes the dense phi_j,
+for the N x N tail Gram matrix.
 
 brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
 by the series on a two-panel 24-node box rule, from tr(M^i) by Newton's
@@ -98,12 +101,15 @@ class GapResult:
 
     log_survival is always finite; survival is None when the value sits
     below 1e-300.  det_value is the gap probability det(I - M) for the
-    tail kernel matrix M (see gap_probability).  eigenvalues has length
-    N in ascending order: in the bulk those of the N x N tail Gram
-    matrix, past the Gershgorin edge those of L^T L for the r-column
-    pivoted Cholesky factor L of M, r <= N, preceded by 0.0 for the
-    rest, as the kernel has rank N at most.  trace is the trace of the
-    whole of M, the kernel mass past t.
+    tail kernel matrix M (see gap_probability), to absolute accuracy
+    only once it is far below 1, as 1 - lambda cancels for lambda near
+    1: at GUE N = 20 the N x N tail Gram matrix gives 2.44e-88 at t = 0,
+    where an eigenvalue of the pivoted factor rounds to 1 and gives 0.0,
+    and the two differ by 0.3% at t = 0.5; survival rounds to 1 there.
+    eigenvalues has length N in ascending order: those of L^T L for the
+    r-column pivoted Cholesky factor L of M, r <= N, preceded by 0.0 for
+    the rest, as the kernel has rank N at most.  trace is the trace of
+    the whole of M, the kernel mass past t.
     """
 
     t: float
@@ -352,88 +358,92 @@ def kernel_diag(basis, V, x):
 
 
 def _renormalisation_period(basis, x):
-    """Steps between two renormalisations of the product in _cd_values at
-    the points x: few enough that R factors q_j after a mantissa in
-    [1/2, 1) stay normal doubles.  The factors lie in [sqrt(beta_j),
-    max|x| + max|alpha|] (see _cd_values), so R log2(max|x| + max|alpha|)
-    <= 1022 and R log2(1 / min sqrt(beta_j)) <= 1020 suffice, with a
-    binade to spare for rounding; no further cap is needed.  1 where a
-    bound is not a finite double."""
+    """Steps between two renormalisations in _cd_values at the points x,
+    few enough that the running sum of squares, which a renormalisation
+    leaves in [1/2, 2), stays a finite double.  The pair is not monotone
+    in the bulk, but the sum is: by Cauchy-Schwarz on the recurrence one
+    step multiplies it by at most G = 1 + (top^2 + max beta_j) / min
+    beta_j, 0 < j < N, top = max|x| + max|alpha|, so R log2 G <= 1021
+    suffices, with a binade to spare for rounding, and the pair stays
+    below the sum's square root.  1 where G is not a finite double."""
+    beta = basis.beta[1:]
+    low, high = float(np.min(beta, initial=1.0)), float(np.max(beta, initial=0.0))
     top = float(np.max(np.abs(x), initial=0.0)) + float(np.max(np.abs(basis.alpha)))
-    low = math.sqrt(float(np.min(basis.beta[1:], initial=1.0)))
-    if not (math.isfinite(top) and low > 0.0):
+    growth = 1.0 + (top * top + high) / low
+    if not math.isfinite(growth):
         return 1
-    return max(1, min(int(1022.0 / math.log2(max(top, 2.0))),
-                      int(1020.0 / math.log2(max(1.0 / low, 2.0)))))
+    return max(1, int(1021.0 / math.log2(growth)))
 
 
 def _cd_values(basis, V, x, w):
-    """Christoffel-Darboux data of the kernel at points x past the
-    Gershgorin edge, with quadrature weights w of the same shape: the
-    (3,) + x.shape array of u = sqrt(w) phi_{N-1}, q_N and q_N', for the
-    scaled ratios q_j = sqrt(beta_j) phi_j / phi_{j-1}, in terms of which
+    """Christoffel-Darboux data of the kernel at points x, with quadrature
+    weights w of the same shape: the (3,) + x.shape array of u = sqrt(w)
+    phi_{N-1}, v = sqrt(w) psi and d = w sum_{j<N} phi_j^2, in terms of
+    which
 
-        K(x, y) = phi_{N-1}(x) phi_{N-1}(y) (q_N(x) - q_N(y)) / (x - y),
-        K(x, x) = phi_{N-1}(x)^2 q_N'(x).
+        sqrt(w_i) K(x_i, y_j) sqrt(w_j) = (v_i u_j - u_i v_j) / (x_i - y_j),
+        w K(x, x) = d.
 
-    By the three-term recurrence, q_1 = x - alpha_0, q'_1 = 1 and
-
-        q_{j+1} = (x - alpha_j) - beta_j / q_j,
-        q'_{j+1} = 1 + beta_j q'_j / q_j^2,
-        phi_{N-1} = phi_0 prod_{0<j<N} q_j / sqrt(beta_j),
-
-    with phi_{N-1} taken through its logarithm.  Past the edge x -
-    alpha_j >= sqrt(beta_j) + sqrt(beta_{j+1}) (_bulk_estimate), so q_1 >=
-    sqrt(beta_1) and by induction q_{j+1} >= x - alpha_j - sqrt(beta_j) >=
-    sqrt(beta_{j+1}) for 0 < j < N - 1: every factor of the product and
-    every term of the q' recurrence is positive, and q_{j+1} <= x -
-    alpha_j bounds each factor above by max|x| + max|alpha|.  The product
-    is carried as a mantissa and an integer exponent: np.frexp
-    renormalises it every _renormalisation_period steps, few enough by
-    these bounds that it stays a normal double in between, and once more
-    at the end.  Scaling a normal double by a power of two changes no
-    rounding, so every value is the one a renormalisation at every step
-    gives, bit for bit, and the results are element-wise in x: a block of
-    point sets gives the results of each set alone.  Where V overflows (x
-    beyond about 1e150) phi_{N-1} is 0, with no warning.
+    The three-term recurrence phi_{j+1} = ((x - alpha_j) phi_j -
+    sqrt(beta_j) phi_{j-1}) / sqrt(beta_{j+1}) runs on the pair (phi_{j-1},
+    phi_j) from (0, phi_0) and adds phi_j^2 to a running sum; psi takes one
+    step more, without the division.  It holds at every x and divides by
+    no value of the recurrence.  The pair and the sum share one integer
+    exponent, and phi_0 starts as a mantissa in [1/2, 1): every
+    _renormalisation_period steps and at the end, np.frexp of the sum gives
+    2^(2k), and np.ldexp scales the sum by 2^(-2k) and the pair by 2^(-k).
+    That changes no rounding of a normal double, so every value is the one
+    a renormalisation at every step gives, bit for bit, and where phi_0 is
+    a normal double the one _phi_matrix gives, unless a value there is
+    subnormal (a term far below the sum).  Past the window, where e^c, c =
+    -N (V - Vmin) / 2, is not a normal double, phi_0 is e^(c - k log 2)
+    2^k, so those nodes still work; where the weight underflows entirely
+    (x beyond about 1e150 for x^2/2) every value is 0.  The results are
+    element-wise in x: a block of point sets gives the results of each
+    set alone.
     """
-    alpha, beta = basis.alpha, basis.beta
+    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     period = _renormalisation_period(basis, x)
-    q = x - alpha[0]
-    dq = np.ones_like(x)
-    tmp, mantissa = np.empty_like(x), np.ones_like(x)
-    exponent, step = np.zeros(x.shape, dtype=np.intc), np.empty(x.shape, dtype=np.intc)
-    for j in range(1, basis.N):
-        mantissa *= q
-        if j % period == 0 or j == basis.N - 1:
-            np.frexp(mantissa, out=(mantissa, step))
-            exponent += step
-        np.divide(beta[j], q, out=tmp)
-        dq *= tmp
-        dq /= q
-        dq += 1.0
-        np.subtract(x, alpha[j], out=q)
-        q -= tmp
     with np.errstate(over="ignore"):
-        log_phi = (np.log(mantissa) + math.log(2.0) * exponent
-                   - 0.5 * basis.N * _excess(V, basis.v_min, x)
-                   - 0.5 * math.fsum(np.log(beta).tolist()))
-    return np.stack((np.sqrt(w) * np.exp(log_phi), q, dq))
+        c = -0.5 * basis.N * _excess(V, basis.v_min, x)
+    k = np.where(np.exp(c) >= TRACE_FLOOR, 0.0, np.maximum(np.rint(c / math.log(2.0)), -2.0 ** 20))
+    cur, exponent = np.frexp(np.exp(c - k * math.log(2.0)) / sqrt_beta[0])
+    exponent += k.astype(np.intc)
+    prev, total, tmp = np.zeros_like(x), np.square(cur), np.empty_like(x)
+    for j in range(basis.N):
+        if j % period == 0 or j == basis.N - 1:
+            e = np.frexp(total)[1] >> 1
+            exponent += e
+            prev, cur, total = np.ldexp(prev, -e), np.ldexp(cur, -e), np.ldexp(total, -2 * e)
+        if j == basis.N - 1:
+            break
+        np.subtract(x, alpha[j], out=tmp)
+        tmp *= cur
+        prev *= sqrt_beta[j]
+        np.subtract(tmp, prev, out=prev)
+        prev /= sqrt_beta[j + 1]
+        prev, cur = cur, prev
+        np.multiply(cur, cur, out=tmp)
+        total += tmp
+    psi, sw = (x - alpha[-1]) * cur - prev * sqrt_beta[-1], np.sqrt(w)
+    return np.stack((sw * np.ldexp(cur, exponent), sw * np.ldexp(psi, exponent),
+                     w * np.ldexp(total, 2 * exponent)))
 
 
 def _cd_kernel(x, cd, y=None, cy=None):
     """sqrt(w_i) K(x_i, y_j) sqrt(w_j) between the nodes x and y, along
     the last axis (leading axes stack independent node sets), from their
-    _cd_values cd and cy: u_i u_j (q_N(x_i) - q_N(y_j)) / (x_i - y_j),
-    and u_i^2 q_N'(x_i) where y_j is x_i.  y defaults to x, which gives
-    an exactly symmetric matrix; the nodes of a grid are distinct."""
+    _cd_values cd and cy: (v_i u_j - u_i v_j) / (x_i - y_j), and d_i where
+    y_j is x_i.  y defaults to x, which gives an exactly symmetric matrix;
+    the nodes of a grid are distinct."""
     if y is None:
         y, cy = x, cd
-    u, q, dq = cd
+    u, v, d = cd
+    M = v[..., :, None] * cy[0][..., None, :]
+    M -= u[..., :, None] * cy[1][..., None, :]
     with np.errstate(invalid="ignore"):  # 0/0 where y_j is x_i, overwritten
-        M = (q[..., :, None] - cy[1][..., None, :]) / (x[..., :, None] - y[..., None, :])
-    np.copyto(M, dq[..., :, None], where=x[..., :, None] == y[..., None, :])
-    M *= u[..., :, None] * cy[0][..., None, :]
+        M /= x[..., :, None] - y[..., None, :]
+    np.copyto(M, d[..., :, None], where=x[..., :, None] == y[..., None, :])
     return M
 
 
@@ -493,15 +503,14 @@ def _edge_panels(t, width, panels):
 
 
 def _panel_sums(cd):
-    """Sums of the kernel diagonal u^2 q_N' over each panel of the rows of
-    the _cd_values cd of edge panels, as a (rows, panels) array."""
-    d = np.square(cd[0]) * cd[2]
-    return np.sum(d.reshape(d.shape[0], -1, BASE_PANEL_NODES), axis=2)
+    """Sums of the kernel diagonal d over each panel of the rows of the
+    _cd_values cd of edge panels, as a (rows, panels) array."""
+    return np.sum(cd[2].reshape(cd.shape[1], -1, BASE_PANEL_NODES), axis=2)
 
 
 def _settle(basis, V, t, width):
-    """The edge grids at the thresholds t (an array, all past the
-    Gershgorin edge) with first-panel widths width, settled.
+    """The edge grids at the thresholds t (an array, all past _edge_start)
+    with first-panel widths width, settled.
 
     A grid starts with EDGE_PANELS panels and gets one more panel until
     its last panel carries at most EDGE_SHARE_TOL of its trace, the sum of
@@ -539,44 +548,39 @@ def _settle(basis, V, t, width):
     return groups, errors
 
 
-def _edge_grid(basis, V, t):
-    """Nodes, weights, _cd_values and trace of the settled edge grid at one
-    threshold t past the Gershgorin edge (_settle on a block of one);
-    raises its NumericalError."""
-    t = np.array([t])
-    groups, errors = _settle(basis, V, t, _edge_widths(basis, V, t, _bulk_estimate(basis)))
-    if errors:
-        raise errors[0]
-    ((_, x, w, cd, trace),) = groups
-    return x[0], w[0], cd[:, 0], float(trace[0])
+def _edge_start(basis):
+    """Where the edge grids take over from the cut basis rule: the
+    Gershgorin edge (_bulk_estimate), or the window edge hi where that
+    comes first, as the cut rule ends at hi."""
+    return min(_bulk_estimate(basis)[1], basis.support_window[1])
 
 
-def _dense(basis, V, t):
-    """Nodes, weights, _phi_matrix and trace of the tail grid at t: the
-    basis rule build_basis certified, cut at t (_basis_rule), or past the
-    Gershgorin edge the settled edge grid (_edge_grid).
+def _tail_grid(basis, V, t):
+    """Nodes, weights, _cd_values and trace of the tail grid at one
+    threshold t: past _edge_start the settled edge grid (_settle on a
+    block of one), below it the basis rule build_basis certified, cut at
+    t (_basis_rule).
 
     From a threshold in the bulk the cut rule resolves every phi_j phi_k
     on its panels, so also on the part of a panel past t.  It ends at the
     window edge hi, where build_basis certified the kernel negligible, and
-    it is final.  Refused past the window, where phi_0 is not a normal
-    double.  Raises NumericalError if the trace is not a finite normal
-    double.
+    it is final.  Raises NumericalError if the trace is not a finite normal
+    double, or if the edge grid does not settle.
     """
     lo, hi = basis.support_window
-    if t > hi:
-        raise NumericalError(
-            f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], where "
-            f"phi_0 is no longer a normal double")
-    if t >= _bulk_estimate(basis)[1]:
-        x, w = _edge_grid(basis, V, t)[:2]
-    else:
-        x, w = _basis_rule(lo, hi, basis.panels, t)
-    Phi = _phi_matrix(basis, V, x)
-    trace = float(np.sum(w * np.sum(Phi * Phi, axis=0)))
+    if t >= _edge_start(basis):
+        ta = np.array([t])
+        groups, errors = _settle(basis, V, ta, _edge_widths(basis, V, ta, _bulk_estimate(basis)))
+        if errors:
+            raise errors[0]
+        ((_, x, w, cd, trace),) = groups
+        return x[0], w[0], cd[:, 0], float(trace[0])
+    x, w = _basis_rule(lo, hi, basis.panels, t)
+    cd = _cd_values(basis, V, x, w)
+    trace = float(np.sum(cd[2]))
     if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
         raise _trace_error(t, trace)
-    return x, w, Phi, trace
+    return x, w, cd, trace
 
 
 def _gram_matrix(Phi, w):
@@ -589,27 +593,29 @@ def tail_trace(basis, V, t):
     """Integral of the kernel diagonal over (t, infinity), on the tail
     grid: the same float as gap_probability's trace, and it raises where
     that trace check raises.  The tail kernel matrix is never formed."""
-    t = _threshold(t)
-    if t >= _bulk_estimate(basis)[1]:
-        return _edge_grid(basis, V, t)[3]
-    return _dense(basis, V, t)[3]
+    return _tail_grid(basis, V, _threshold(t))[3]
 
 
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
-    construction, on the nodes of gap_probability's tail grid (_dense).
-    Raises NumericalError for a threshold past the window, or past which
-    the kernel mass is not a finite normal double."""
-    _, w, Phi, _ = _dense(basis, V, _threshold(t))
-    return _gram_matrix(Phi, w)
+    construction, from the dense phi_j on the nodes of gap_probability's
+    tail grid (_tail_grid).  Raises NumericalError for a threshold past
+    the window, where phi_0 is not a normal double, or past which the
+    kernel mass is not a finite normal double."""
+    t, (lo, hi) = _threshold(t), basis.support_window
+    if t > hi:
+        raise NumericalError(f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], "
+                             f"where phi_0 is no longer a normal double")
+    x, w = _tail_grid(basis, V, t)[:2]
+    return _gram_matrix(_phi_matrix(basis, V, x), w)
 
 
 def _survival(basis, ts, eigenvalues, traces):
     """GapResult, or the NumericalError it fails with, at every threshold
-    of ts, from the ascending eigenvalues lambda, at most N, of its
-    eigenproblem (the tail Gram matrix, or L^T L past the edge) and the
-    trace T of its tail kernel matrix, in the trace-anchored form log
-    det(I - M) = -T + sum (log1p(-lambda) + lambda) (see gap_probability).
+    of ts, from the ascending eigenvalues lambda, at most N, of L^T L for
+    its pivoted Cholesky factor L and the trace T of its tail kernel
+    matrix, in the trace-anchored form log det(I - M) = -T + sum
+    (log1p(-lambda) + lambda) (see gap_probability).
     The log determinants are summed as one array; -T + (a sum of terms
     <= 0) is below 0, so every log survival is finite."""
     N = basis.N
@@ -651,8 +657,8 @@ def _survival(basis, ts, eigenvalues, traces):
 
 def _pivoted_factors(x, cd, trace, rank):
     """Pivoted Cholesky factors of the tail kernel matrices M of a block
-    of edge grids, from their nodes x, _cd_values cd and traces (as
-    _settle groups them), for a kernel of rank rank.
+    of tail grids with equal node counts, from their nodes x, _cd_values
+    cd and traces (as _settle groups them), for a kernel of rank rank.
 
     One array pass over the rows still active: step k takes the node p
     of largest residual diagonal r, forms column p of M only
@@ -663,12 +669,12 @@ def _pivoted_factors(x, cd, trace, rank):
     indices into the block, their factors as a (len(rows), k, m) array,
     column j of each in L[:, j], and their Schur-complement traces.
     Every step is element-wise in the nodes or per row.  L doubles its
-    column count when full, so its memory follows the largest r, not
-    rank.  r is carried by subtraction, to rounding, so a row whose true
-    Schur complement is below the rounding of M stops where sum(r)
+    column count when full, up to min(rank, m), so its memory follows the
+    largest r.  r is carried by subtraction, to rounding, so a row whose
+    true Schur complement is below the rounding of M stops where sum(r)
     reads as rounding noise, possibly negative (see gap_probability).
     """
-    r = np.square(cd[0]) * cd[2]
+    r = cd[2].copy()
     rows, width = np.arange(trace.size), min(rank, x.shape[1])
     L = np.empty((trace.size, 1, x.shape[1]))
     for k in range(width + 1):
@@ -682,7 +688,7 @@ def _pivoted_factors(x, cd, trace, rank):
             if not rows.size:
                 return
         if k == L.shape[1]:
-            L = np.concatenate((L, np.empty_like(L)), axis=1)
+            L = np.concatenate((L, np.empty_like(L[:, :width - k])), axis=1)
         i, p = np.arange(rows.size), np.argmax(r, axis=1)
         L[:, k] = (_cd_kernel(x, cd, x[i, p, None], cd[:, i, p, None])[..., 0]
                    - np.matmul(L[i, :k, p][:, None, :], L[:, :k])[:, 0])
@@ -691,67 +697,54 @@ def _pivoted_factors(x, cd, trace, rank):
         r[i, p] = 0.0
 
 
-def _edge_gaps(basis, V, t, bulk):
-    """gap_probability at the thresholds t (an array, all past the
-    Gershgorin edge) as a dict {row: GapResult or NumericalError}, rows
-    indexing t.  The grids settle together (_settle); each group of equal
-    panel count takes one pivoted Cholesky pass (_pivoted_factors), one
-    stacked eigvalsh call per factor width r takes the eigenvalues of
-    the r x r matrices L^T L, and one _survival call per r gives their
-    results."""
-    groups, out = _settle(basis, V, t, _edge_widths(basis, V, t, bulk))
-    for rows, x, _, cd, trace in groups:
-        for sel, L, _ in _pivoted_factors(x, cd, trace, basis.N):
-            out.update(zip(rows[sel].tolist(), _survival(
-                basis, t[rows[sel]].tolist(), np.linalg.eigvalsh(L @ L.swapaxes(1, 2)),
-                trace[sel].tolist())))
-    return out
-
-
 def gap_probabilities(basis, V, ts):
     """gap_probability at every threshold of ts, as a list in the order
     of ts.  An entry is the GapResult, or the ValueError or
     NumericalError that threshold raised, so one failing threshold does
     not stop the others.
 
-    The thresholds past the Gershgorin edge take one array pass per block
-    of EDGE_BLOCK (_edge_gaps): the first panels of the block's tail
-    grids as one (T, m) array and one ratio recurrence over it, O(N T m)
-    time and O(T m) memory whatever N; a grid that has not settled gets
-    one panel more, and the recurrence runs on that panel only.  The
-    pivoted Cholesky factor of a threshold's kernel matrix costs O(r m)
-    kernel entries and O(r^2 m) updates for its r <= N columns (2 to 9
-    on the benchmark grids), and the eigenvalues of its r x r matrix
-    L^T L O(r^3), in one stacked eigvalsh call per r.  The working memory
-    is one block's, whatever len(ts).  Every step is element-wise in the
+    Every threshold takes one path: the Christoffel-Darboux recurrence on
+    its tail grid, O(N m) on m nodes, then the pivoted Cholesky factor of
+    its kernel matrix, O(r m) kernel entries and O(r^2 m) updates for its
+    r <= N columns (2 to 9 on the benchmark grids, 6 to 18 just below the
+    edge, N on the whole line), and the eigenvalues of L^T L, O(r^3), in
+    one stacked eigvalsh call per r.  A threshold in the bulk takes its cut
+    basis rule alone.  Those past _edge_start go in blocks of EDGE_BLOCK:
+    one recurrence over the first panels of the block's edge grids as one
+    (T, m) array, O(N T m) time and O(T m) memory whatever N, one more per
+    added panel on the grids that have not settled, and one factor pass
+    per group of equal panel count.  Every step is element-wise in the
     nodes, or per matrix, or per row, so each result is the one
-    gap_probability gives, bit for bit.  A threshold in the bulk costs
-    O(N^2 m) for the N x N tail Gram matrix on m nodes and O(N^3) for
-    all of its eigenvalues; one _survival call takes every bulk
-    threshold.
+    gap_probability gives, bit for bit.
     """
-    ts = [float(t) for t in ts]
-    bulk = _bulk_estimate(basis)
-    out, edge, dense = [], [], []
-    for t in ts:
-        item = None
+    ts = np.array([float(t) for t in ts])
+    out, edge, start = [None] * ts.size, [], _edge_start(basis)
+
+    def factor(rows, x, cd, trace):
+        for sel, L, _ in _pivoted_factors(x, cd, trace, basis.N):
+            lam = np.linalg.eigvalsh(L @ L.swapaxes(1, 2))
+            for i, item in zip(rows[sel], _survival(basis, ts[rows[sel]].tolist(), lam,
+                                                    trace[sel].tolist())):
+                out[i] = item
+
+    for i, t in enumerate(ts.tolist()):
         try:
-            if _threshold(t) >= bulk[1]:
-                edge.append(len(out))
-            else:
-                _, w, Phi, trace = _dense(basis, V, t)
-                dense.append((len(out), np.linalg.eigvalsh(_gram_matrix(Phi, w)), trace))
+            if _threshold(t) >= start:
+                edge.append(i)
+                continue
+            x, _, cd, trace = _tail_grid(basis, V, t)
         except (ValueError, NumericalError) as exc:
-            item = exc
-        out.append(item)
-    if dense:
-        rows, eigenvalues, traces = zip(*dense)
-        for row, item in zip(rows, _survival(basis, [ts[i] for i in rows], eigenvalues, traces)):
-            out[row] = item
-    for start in range(0, len(edge), EDGE_BLOCK):
-        block = edge[start:start + EDGE_BLOCK]
-        for row, item in _edge_gaps(basis, V, np.array([ts[i] for i in block]), bulk).items():
-            out[block[row]] = item
+            out[i] = exc
+            continue
+        factor(np.array([i]), x[None], cd[:, None], np.array([trace]))
+    bulk = _bulk_estimate(basis)
+    for first in range(0, len(edge), EDGE_BLOCK):
+        block = np.array(edge[first:first + EDGE_BLOCK])
+        groups, errors = _settle(basis, V, ts[block], _edge_widths(basis, V, ts[block], bulk))
+        for row, exc in errors.items():
+            out[block[row]] = exc
+        for rows, x, _, cd, trace in groups:
+            factor(block[rows], x, cd, trace)
     return out
 
 
@@ -759,19 +752,18 @@ def gap_probability(basis, V, t):
     """Exact survival probability P(rightmost particle > t).
 
     The gap probability is det(I - K) for the projection kernel K on
-    (t, infinity), on the tail grid's nodes x_i and weights w_i: past
-    the Gershgorin edge the m x m matrix M = sqrt(w_i) K(x_i, x_j)
-    sqrt(w_j) in Christoffel-Darboux form, in the bulk the N x N tail
-    Gram matrix (the same nonzero eigenvalues).  The eigenvalues keep
-    log-space accuracy far below the linear floating-point range.
+    (t, infinity), on the tail grid's nodes x_i and weights w_i: the m x m
+    matrix M = sqrt(w_i) K(x_i, x_j) sqrt(w_j) in Christoffel-Darboux
+    form, which is never formed.  The eigenvalues keep log-space accuracy
+    far below the linear floating-point range.  The cost is O(N m) for
+    the recurrence and O(r^2 m) for the factor (see gap_probabilities).
 
     With T the trace of M, only a part of M that leaves out at most eps
     = DEFLATION_TOL * T of its trace enters the eigenproblem, which
     moves the survival by at most eps: 0 <= survival(M) - survival <=
     eps.  As survival(M) >= (1 - e^-1) min(T, 1), that is a relative
-    error of at most 2 DEFLATION_TOL max(T, 1).  In the bulk all N
-    eigenvalues of the Gram matrix enter, so eps = 0.  Past the edge M
-    is never formed.  A pivoted Cholesky factor L, m x r
+    error of at most 2 DEFLATION_TOL max(T, 1).  A pivoted Cholesky
+    factor L, m x r
     (_pivoted_factors), leaves the Schur complement E = M - L L^T, PSD,
     with eps = tr E at most DEFLATION_TOL * T, or r = N, the rank of K,
     where E = 0.  With lambda the eigenvalues of L^T L, which sum to T -
@@ -794,15 +786,14 @@ def gap_probability(basis, V, t):
     log1p(-lambda) moves by delta, which matters where T is small and
     survival ~ T.  The residual diagonal is carried by subtraction, so
     tr E is known to rounding: on the benchmark grids the factor stops
-    where the computed trace reaches the rounding level (it reads -3e-13
-    T to -2e-17 T there) and L L^T matches M to 2e-13 T, the rounding of
-    the Christoffel-Darboux divided differences; the survival is within
-    1.2e-14 max(1, |log survival|) of that of the dense matrix on the
-    nodes within the window.
+    where the computed trace reaches the rounding level and L L^T matches
+    M to 5.5e-13 T, the rounding of the Christoffel-Darboux divided
+    differences; the survival is within 2.2e-16 max(1, |log survival|)
+    of that of the dense matrix on the nodes within the window.
 
     Raises NumericalError if the trace is not a finite normal double (no
     representable kernel mass past t), if the tail grid does not
-    terminate, if L^T L or the Gram matrix has eigenvalues outside [0, 1]
+    terminate, if L^T L has eigenvalues outside [0, 1]
     beyond 1e-10, or if the result violates the first-order bracketing
     trace - trace^2/2 <= survival <= trace (trace < 1).
     """

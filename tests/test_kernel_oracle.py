@@ -14,9 +14,9 @@ from loggas import (Potential, brute_force_survival, build_basis, gap_probabilit
 from loggas import kernel_oracle
 from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
                                   TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
-                                  _cd_values, _dense, _edge_grid, _gram_matrix, _level_roots,
-                                  _phi_matrix, _pivoted_factors, _series_kernel, _support_window,
-                                  _survival, composite_gl, gap_probabilities, gl_rule)
+                                  _cd_values, _gram_matrix, _level_roots, _phi_matrix,
+                                  _pivoted_factors, _series_kernel, _support_window, _survival,
+                                  _tail_grid, composite_gl, gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -47,7 +47,7 @@ def reference_panels(basis, V, t):
     lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
     xg, wg = gl_rule(BASE_PANEL_NODES)
-    if t >= bhi:
+    if t >= kernel_oracle._edge_start(basis):
         width = max(bhi - blo, 1e-2 * (hi - lo)) * N ** (-2.0 / 3.0)
         if V.eval(t, 1) > 0.0:
             width = min(width, kernel_oracle.EDGE_CAP_EFOLDS / (N * float(V.eval(t, 1))))
@@ -76,7 +76,8 @@ def reference_panels(basis, V, t):
 
 def reference_march(basis, V, t):
     """Reference tail grid: panels marched one at a time, each with its
-    own phi call, under the stopping rules _settle and _dense document."""
+    own phi call, under the stopping rules _settle and _tail_grid
+    document."""
     panels, stop = reference_panels(basis, V, t)
     total = 0.0
     xs, ws, phis = [], [], []
@@ -102,7 +103,7 @@ def tail_grid(basis, V, t):
     """The tail grid of one threshold: the certified rule cut at t in the
     bulk, the first edge panels past the edge."""
     bulk = kernel_oracle._bulk_estimate(basis)
-    if t < bulk[1]:
+    if t < kernel_oracle._edge_start(basis):
         lo, hi = basis.support_window
         x, w = kernel_oracle._basis_rule(lo, hi, basis.panels, t)
         return TailGrid(t, False, x, w, None)
@@ -117,13 +118,20 @@ def tail_grid(basis, V, t):
     return TailGrid(t, True, x[0], w[0], panel)
 
 
+def dense(basis, V, t):
+    """Nodes, weights, dense phi_j and trace of the tail grid at t."""
+    x, w, _, trace = _tail_grid(basis, V, t)
+    return x, w, _phi_matrix(basis, V, x), trace
+
+
 def settled(basis, V, t):
     """Nodes, weights, whole tail kernel matrix and trace of the settled
-    tail grid gap_probability takes."""
-    if t >= kernel_oracle._bulk_estimate(basis)[1]:
-        x, w, cd, trace = _edge_grid(basis, V, t)
+    tail grid gap_probability takes: past the edge the Christoffel-Darboux
+    matrix, in the bulk the dense N x N Gram matrix as a reference."""
+    if t >= kernel_oracle._edge_start(basis):
+        x, w, cd, trace = _tail_grid(basis, V, t)
         return x, w, _cd_kernel(x, cd), trace
-    x, w, Phi, trace = _dense(basis, V, t)
+    x, w, Phi, trace = dense(basis, V, t)
     return x, w, _gram_matrix(Phi, w), trace
 
 
@@ -458,7 +466,7 @@ class TestProjector:
     def test_tail_trace_forms_no_matrix(self, gue, quartic, monkeypatch):
         # tail_trace stops at the settled trace: in the bulk and past the
         # edge it returns gap_probability's trace with the matrix-forming
-        # steps made to raise
+        # steps and the dense phi_j made to raise
         cases = [(V, build_basis(V, N), t) for V, N, edge in ((gue, 400, 2.1), (quartic, 50, 1.2))
                  for t in (NEG_INF, 0.5, edge)]
         traces = [gap_probability(b, V, t).trace for V, b, t in cases]
@@ -468,10 +476,39 @@ class TestProjector:
 
         monkeypatch.setattr(kernel_oracle, "_gram_matrix", refuse)
         monkeypatch.setattr(kernel_oracle, "_cd_kernel", refuse)
+        monkeypatch.setattr(kernel_oracle, "_phi_matrix", refuse)
         assert [tail_trace(b, V, t) for V, b, t in cases] == traces
         for t in (0.5, 2.1):
             with pytest.raises(AssertionError, match="tail matrix formed"):
                 gap_probability(cases[0][1], gue, t)
+
+    def test_one_path_takes_no_dense_phi(self, monkeypatch):
+        # every threshold, in the bulk and past the window (1.979) below
+        # the Gershgorin edge (2.403), takes the Christoffel-Darboux
+        # recurrence and the pivoted factor: with the dense phi_j and the
+        # Gram matrix made to raise, the results are the same, bit for
+        # bit, and no threshold hands eigvalsh more than N rows
+        b = build_basis(TILTED, 400)
+        ts = [0.0, 1.5, 1.8, 1.98, 1.985]
+        expected = gap_probabilities(b, TILTED, ts)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def refuse(*args):
+            raise AssertionError("dense path taken")
+
+        def counting(A):
+            sizes.append(A.shape[-1])
+            return eigvalsh(A)
+
+        for name in ("_gram_matrix", "_phi_matrix"):
+            monkeypatch.setattr(kernel_oracle, name, refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for r, e in zip(gap_probabilities(b, TILTED, ts), expected):
+            assert isinstance(r, GapResult), r
+            assert r.log_survival == e.log_survival and r.trace == e.trace
+            assert np.array_equal(r.eigenvalues, e.eigenvalues)
+        assert sizes and max(sizes) <= 400, sizes
 
     def test_gram_reuses_grid_phi(self, gue, quartic):
         # gram is on gap_probability's settled nodes, in the bulk and past
@@ -491,11 +528,12 @@ class TestDeflation:
     @pytest.mark.parametrize("N", [3, 12, 50, 200])
     def test_dropped_rows_cost_at_most_their_mass(self, coeffs, N):
         # 0 <= survival(M) - survival <= eps, the trace left out of the
-        # eigenproblem: past the edge the Schur-complement trace of the
-        # pivoted Cholesky factor, at most DEFLATION_TOL of the trace and
-        # known to rounding (so taken as at least 0), or 0 where the
-        # factor has min(N, m) columns; in the bulk 0; past the edge the
-        # result is that of the dense Gram matrix
+        # eigenproblem: the Schur-complement trace of the pivoted Cholesky
+        # factor, at most DEFLATION_TOL of the trace and known to rounding
+        # (so taken as at least 0), or 0 where the factor has min(N, m)
+        # columns; M is the Christoffel-Darboux matrix past the edge and
+        # the dense Gram matrix in the bulk; past the edge the result is
+        # that of the dense Gram matrix
         V = Potential(coeffs)
         eq = solve_mrs(V)
         b = build_basis(V, N)
@@ -510,12 +548,11 @@ class TestDeflation:
                     gap_probability(b, V, t)
                 continue
             eps = 0.0
-            if t >= kernel_oracle._bulk_estimate(b)[1]:
-                x, _, cd, _ = _edge_grid(b, V, t)
-                ((_, L, residual),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
-                if L.shape[1] < min(N, x.size):
-                    assert residual[0] <= DEFLATION_TOL * T, t
-                    eps = max(float(residual[0]), 0.0)
+            x, _, cd, _ = _tail_grid(b, V, t)
+            ((_, L, residual),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
+            if L.shape[1] < min(N, x.size):
+                assert residual[0] <= DEFLATION_TOL * T, t
+                eps = max(float(residual[0]), 0.0)
             r = gap_probability(b, V, t)
             sur = 0.0 if r.survival is None else r.survival
             sur_full, _ = full_survival(M)
@@ -532,11 +569,9 @@ class TestDeflation:
         # Schur-complement trace of at most DEFLATION_TOL of the trace and
         # reproduces the whole kernel matrix to 1e-12 of the trace; the
         # batch of all 32 stacks the matrices of equal r, one call per r.
-        # A threshold in the bulk hands eigvalsh its whole N x N Gram
-        # matrix, one call each, and all N eigenvalues enter its result,
-        # also where its rows of least mass sum to less than DEFLATION_TOL
-        # of the trace (89 of 200 rows at GUE t = 1.7432, 203 of 400 at
-        # quartic t = 1.0045)
+        # A threshold in the bulk hands eigvalsh the r x r matrix L^T L of
+        # its own factor, one call each, r = N on the whole line, and gives
+        # the survival and the eigenvalues of the dense N x N Gram matrix
         sizes, stacks = [], []
         eigvalsh = np.linalg.eigvalsh
 
@@ -549,14 +584,19 @@ class TestDeflation:
                               (quartic, 400, (NEG_INF, 0.0, 1.0045))):
             eq = solve_mrs(V)
             b = build_basis(V, N)
+            bulk_ranks = []
             for t in bulk_ts:
                 monkeypatch.setattr(np.linalg, "eigvalsh", counting)
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                assert sizes == [(N, N)], (t, sizes)
-                lam = np.clip(np.linalg.eigvalsh(gram(b, V, t)), 0.0, 1.0)
-                assert np.array_equal(r.eigenvalues, lam), t
+                ((rank, rank2),) = sizes
+                assert rank == rank2 and rank <= N and (rank == N) == (t == NEG_INF), (t, sizes)
+                bulk_ranks.append(rank)
+                G = gram(b, V, t)
+                assert np.abs(r.eigenvalues - np.clip(np.linalg.eigvalsh(G), 0.0, 1.0)).max() <= 1e-13
+                _, log_full = full_survival(G)
+                assert r.log_survival == pytest.approx(log_full, rel=1e-13, abs=1e-300), t
             ranks = []
             for s in np.geomspace(0.5, 32.0, 32):
                 t = edge_point(eq, N, s)
@@ -564,7 +604,7 @@ class TestDeflation:
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                x, _, cd, T = _edge_grid(b, V, t)
+                x, _, cd, T = _tail_grid(b, V, t)
                 assert x.size == 3 * BASE_PANEL_NODES
                 ((rank, rank2),) = sizes
                 assert rank == rank2 and rank <= min(N, x.size) and rank <= 12, (t, sizes)
@@ -583,7 +623,7 @@ class TestDeflation:
                                                  for s in np.geomspace(0.5, 32.0, 32))])
             monkeypatch.undo()
             assert sorted(zip(sizes, stacks)) == sorted(
-                [((N, N), ())] * len(bulk_ts)
+                [((k, k), (1,)) for k in bulk_ranks]
                 + [((k, k), (ranks.count(k),)) for k in set(ranks)]), (sizes, stacks)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -610,7 +650,7 @@ class TestDeflation:
         # on the benchmark's grids, wherever the settled grid lies inside
         # the window, log_survival is within 3e-14 max(1, |log S|) of the
         # survival from every eigenvalue of the dense m x m matrix
-        # sqrt(w) Phi^T Phi sqrt(w) (measured: 1.2e-14 at worst)
+        # sqrt(w) Phi^T Phi sqrt(w) (measured: 2.2e-16 at worst)
         checked = 0
         for V in (gue, quartic):
             eq = solve_mrs(V)
@@ -618,7 +658,7 @@ class TestDeflation:
                 b = build_basis(V, N)
                 ts = [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)]
                 for t, r in zip(ts, gap_probabilities(b, V, ts)):
-                    x, w = _edge_grid(b, V, t)[:2]
+                    x, w = _tail_grid(b, V, t)[:2]
                     if x[-1] > b.support_window[1]:
                         continue
                     Phi = _phi_matrix(b, V, x)
@@ -631,7 +671,7 @@ class TestDeflation:
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
         # gap_probability runs one Christoffel-Darboux pass over an edge
         # grid's first panels, one more per panel it adds, and no other
-        # recurrence; a grid in the bulk takes _phi_matrix the same way
+        # recurrence; a grid in the bulk takes one pass over its nodes
         calls = []
 
         def counting(*args, **kwargs):
@@ -652,26 +692,28 @@ class TestDeflation:
                         gap_probability(b, V, t)
                     except NumericalError:
                         assert N == 12 and V is quartic  # s = 32: no normal-range mass
-                    used, unused = (passes, calls) if grid.edge else (calls, passes)
                     first = kernel_oracle.EDGE_PANELS
-                    added = [grid.panel(p)[0].size for p in range(first, first + len(used) - 1)]
-                    assert used == [grid.x.size] + added and unused == [], (N, t, passes, calls)
+                    added = [grid.panel(p)[0].size for p in range(first, first + len(passes) - 1)]
+                    assert passes == [grid.x.size] + added and calls == [], (N, t, passes, calls)
                 monkeypatch.undo()
 
     def test_one_phi_recurrence_per_chunk(self, gue, quartic, monkeypatch):
         # one Christoffel-Darboux pass runs over the first panels of the
-        # edge grids of each block of EDGE_BLOCK thresholds, as one array
+        # edge grids of each block of EDGE_BLOCK thresholds, as one array,
+        # after one pass per bulk threshold, in the order of ts
         block = kernel_oracle.EDGE_BLOCK
         for V in (gue, quartic):
             eq = solve_mrs(V)
             for N in (12, 50, 200):
                 b = build_basis(V, N)
                 for ts in (thresholds(eq, N) * 6, thresholds(eq, N) * 20):
-                    edge = [g.x.size for g in (tail_grid(b, V, t) for t in ts) if g.edge]
+                    grids = [tail_grid(b, V, t) for t in ts]
+                    edge = [g.x.size for g in grids if g.edge]
                     passes = counting_passes(monkeypatch)
                     gap_probabilities(b, V, ts)
                     monkeypatch.undo()
-                    assert passes == [sum(edge[i:i + block]) for i in range(0, len(edge), block)]
+                    assert passes == ([g.x.size for g in grids if not g.edge]
+                                      + [sum(edge[i:i + block]) for i in range(0, len(edge), block)])
                     assert len(edge) >= 24
 
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
@@ -679,10 +721,9 @@ class TestDeflation:
                              ids=["gue", "quartic", "sextic", "asymmetric"])
     @pytest.mark.parametrize("N", [3, 12, 50, 200, 400])
     def test_phi_grows_past_the_gershgorin_edge(self, coeffs, N):
-        # past the edge q_j >= sqrt(beta_j) (see _cd_values), so
-        # phi_{j+1}(x) >= phi_j(x) > 0: the ratios the Christoffel-Darboux
-        # kernel is built from are positive, and so are the terms of
-        # their derivative's recurrence
+        # past the edge x - alpha_j >= sqrt(beta_j) + sqrt(beta_{j+1}), so
+        # by induction phi_{j+1}(x) >= phi_j(x) > 0: no phi_j has a zero
+        # there, and the edge grids see a kernel without oscillation
         V = Potential(coeffs)
         b = build_basis(V, N)
         edge = kernel_oracle._bulk_estimate(b)[1]
@@ -699,8 +740,8 @@ class TestDeflation:
         # on the first panels of edge grids inside the window, the
         # Christoffel-Darboux kernel is sqrt(w) Phi^T Phi sqrt(w) to 1e-12
         # of its norm, and its diagonal is w kernel_diag to 2e-13 of the
-        # largest entry (measured: 4.1e-13 and 1.3e-13 at worst; divided
-        # differences of q_N between close nodes limit the first)
+        # largest entry (divided differences of the pair between close
+        # nodes limit the first)
         V = Potential(coeffs)
         eq = solve_mrs(V)
         b = build_basis(V, N)
@@ -783,10 +824,10 @@ class TestDeflation:
 
     @FIELDS
     def test_grid_matches_panel_march(self, coeffs):
-        # the dense path, on a bulk grid or an edge grid settled panel by
-        # panel, gives the nodes, weights and phi values of a march that
-        # calls phi panel by panel, bit for bit, and its trace; the
-        # Christoffel-Darboux path settles on the same nodes
+        # the tail grid, in the bulk or settled panel by panel past the
+        # edge, has the nodes and weights of a march that calls phi panel
+        # by panel, bit for bit, the dense phi values on them are the
+        # march's, bit for bit, and the trace is the march's
         V = Potential(coeffs)
         eq = solve_mrs(V)
         cut = 0
@@ -795,7 +836,7 @@ class TestDeflation:
             for t in thresholds(eq, N):
                 grid = tail_grid(b, V, t)
                 try:
-                    x, w, Phi, T = _dense(b, V, t)
+                    x, w, Phi, T = dense(b, V, t)
                 except NumericalError as exc:
                     # s = 32 at N = 12 on the quartic fields
                     assert "normal double" in str(exc) and N == 12, (N, t)
@@ -813,22 +854,15 @@ class TestDeflation:
     def test_march_past_the_batch(self, gue, monkeypatch):
         # an edge grid whose stopping rule has not fired at the last of
         # its first panels grows by one panel per pass over that panel's
-        # nodes (t = 2.5, Christoffel-Darboux); a bulk grid is final, one
-        # pass over its panels (t = 1.5, dense)
+        # nodes (t = 2.5); a bulk grid is final, one pass over its panels
+        # (t = 1.5, with the dense Gram matrix as the reference)
         b = build_basis(gue, 12)
         monkeypatch.setattr(kernel_oracle, "EDGE_SHARE_TOL", 1e-300)
         for t in (1.5, 2.5):
             grid = tail_grid(b, gue, t)
             ref_x, ref_w, ref_Phi = reference_march(b, gue, t)
-            evaluate = kernel_oracle._cd_values if grid.edge else _phi_matrix
-            calls = []
-
-            def counting(basis, V, x, *rest):
-                calls.append(x.size)
-                return evaluate(basis, V, x, *rest)
-
             with monkeypatch.context() as patch:
-                patch.setattr(kernel_oracle, evaluate.__name__, counting)
+                calls = counting_passes(patch)
                 x, w, M, _ = settled(b, gue, t)
             first = kernel_oracle.EDGE_PANELS
             grown = [grid.panel(p)[0].size for p in range(first, first + len(calls) - 1)]
@@ -853,29 +887,31 @@ class TestDeflation:
         cd_values = kernel_oracle._cd_values
         for bad, message in ((np.inf, "normal double"), (np.nan, "did not terminate")):
             monkeypatch.setattr(kernel_oracle, "_cd_values",
-                                lambda *args: cd_values(*args) * [[[bad]], [[1.0]], [[1.0]]])
+                                lambda *args: cd_values(*args) * [[[1.0]], [[1.0]], [[bad]]])
             with pytest.raises(NumericalError, match=message):
                 gap_probability(b, gue, 2.5)
             monkeypatch.undo()
 
 
 def renormalised_at_every_step(basis, V, x, w):
-    """_cd_values with np.frexp on the product after every step."""
-    alpha, beta = basis.alpha, basis.beta
-    q = x - alpha[0]
-    dq = np.ones_like(x)
-    mantissa, exponent = np.ones_like(x), np.zeros(x.shape, dtype=np.intc)
-    for j in range(1, basis.N):
-        mantissa, step = np.frexp(mantissa * q)
-        exponent += step
-        tmp = beta[j] / q
-        dq = dq * tmp / q + 1.0
-        q = (x - alpha[j]) - tmp
+    """_cd_values with the pair and the sum renormalised before every step."""
+    alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     with np.errstate(over="ignore"):
-        log_phi = (np.log(mantissa) + math.log(2.0) * exponent
-                   - 0.5 * basis.N * kernel_oracle._excess(V, basis.v_min, x)
-                   - 0.5 * math.fsum(np.log(beta).tolist()))
-    return np.stack((np.sqrt(w) * np.exp(log_phi), q, dq))
+        c = -0.5 * basis.N * kernel_oracle._excess(V, basis.v_min, x)
+    k = np.where(np.exp(c) >= TRACE_FLOOR, 0.0, np.maximum(np.rint(c / math.log(2.0)), -2.0 ** 20))
+    cur, exponent = np.frexp(np.exp(c - k * math.log(2.0)) / sqrt_beta[0])
+    prev, total, exponent = np.zeros_like(x), cur * cur, exponent + k.astype(np.intc)
+    for j in range(basis.N):
+        e = np.frexp(total)[1] >> 1
+        exponent += e
+        prev, cur, total = np.ldexp(prev, -e), np.ldexp(cur, -e), np.ldexp(total, -2 * e)
+        if j < basis.N - 1:
+            prev, cur = cur, ((x - alpha[j]) * cur - prev * sqrt_beta[j]) / sqrt_beta[j + 1]
+            total = total + cur * cur
+    psi = (x - alpha[-1]) * cur - prev * sqrt_beta[-1]
+    sw = np.sqrt(w)
+    return np.stack((sw * np.ldexp(cur, exponent), sw * np.ldexp(psi, exponent),
+                     w * np.ldexp(total, 2 * exponent)))
 
 
 class TestRatioRecurrence:
@@ -886,34 +922,46 @@ class TestRatioRecurrence:
                                   "small_beta"])
     @pytest.mark.parametrize("N", [1, 3, 12, 50, 200, 400])
     def test_renormalisation_is_exact(self, coeffs, N):
-        # renormalising every _renormalisation_period steps gives the
-        # values of a renormalisation at every step, bit for bit, on the
-        # edge grids from the Gershgorin edge to t = 1e150 (period 2 there;
-        # 42-49 from min sqrt(beta_j) on the small-beta field, where a
-        # period of 64 underflows the product from N = 200; up to 1020
-        # elsewhere)
+        # the pair recurrence renormalised every _renormalisation_period
+        # steps gives the values of a renormalisation at every step, bit
+        # for bit: on the whole basis rule (bulk nodes, where the pair
+        # oscillates, and where u and d are those of _phi_matrix, bit for
+        # bit, but for terms far below the sum), and on edge grids from the
+        # Gershgorin edge past the window to t = 1e150 (period 1 there,
+        # where the weight underflows and every value is 0); the period is
+        # the largest R with R log2 G <= 1021 (88 at the GUE N = 400
+        # Gershgorin edge)
         V = Potential(coeffs)
         b = build_basis(V, N)
         bulk = kernel_oracle._bulk_estimate(b)
+        lo, hi = b.support_window
         ts = bulk[1] + np.concatenate(([0.0], np.geomspace(1e-6, 1e150, 16)))
         x, w = kernel_oracle._edge_panels(ts, kernel_oracle._edge_widths(b, V, ts, bulk),
                                           range(kernel_oracle.EDGE_PANELS))
+        assert (x[:, 0] > hi).any()
+        xb, wb = kernel_oracle._basis_rule(lo, hi, b.panels)
+        cd, Phi = _cd_values(b, V, xb, wb), _phi_matrix(b, V, xb)
+        dense = wb * np.sum(Phi * Phi, axis=0)
+        same = dense >= 1e-200
+        assert np.array_equal(cd[0][same], np.sqrt(wb[same]) * Phi[-1][same])
+        assert np.array_equal(cd[2][same], dense[same])
         periods = set()
-        for xt, wt in zip(x, w):
+        for xt, wt in [(xb, wb), *zip(x, w)]:
             periods.add(kernel_oracle._renormalisation_period(b, xt))
             assert _cd_values(b, V, xt, wt).tobytes() == \
                 renormalised_at_every_step(b, V, xt, wt).tobytes(), xt[0]
         # and as one block, with the period of its largest node
         assert _cd_values(b, V, x, w).tobytes() == renormalised_at_every_step(b, V, x, w).tobytes()
-        # the max|x| bound sets the period at t = 1e150; the beta bound
-        # sets it at the edge from N = 50, and from N = 3 on the small-beta
-        # field
-        low = math.sqrt(float(np.min(b.beta[1:], initial=1.0)))
-        beta_bound = int(1020.0 / math.log2(max(1.0 / low, 2.0)))
-        assert min(periods) == 2
-        assert max(periods) <= beta_bound
-        if N >= 50 or (coeffs == (0.0, 0.0, 5e11) and N > 1):
-            assert max(periods) == beta_bound
+        beta = b.beta[1:]
+        for xt in (xb, x[0]):
+            top = np.abs(xt).max() + np.abs(b.alpha).max()
+            growth = 1.0 + (top ** 2 + beta.max(initial=0.0)) / beta.min(initial=1.0)
+            assert kernel_oracle._renormalisation_period(b, xt) == max(1, int(1021 / math.log2(growth)))
+        assert min(periods) == 1
+        if N > 1 and coeffs != (0.0, 0.0, 5e11):
+            assert max(periods) >= 32, periods
+        if coeffs == (0.0, 0.0, 0.5) and N == 400:
+            assert kernel_oracle._renormalisation_period(b, x[0]) == 88
 
 
 class TestEdgeGrid:
@@ -1182,6 +1230,26 @@ class TestGap:
         ref = math.log(-math.expm1(float(np.sum(np.log1p(-lam)))))
         assert gap_probability(basis, TILTED, t).log_survival == pytest.approx(ref, rel=1e-13)
 
+    def test_tilted_well_past_the_window(self):
+        # past the window edge hi and below the Gershgorin edge, the edge
+        # grid takes the threshold: at N = 400 (hi = 1.979, edge 2.403)
+        # t = 1.98 and 1.985 are results within 1e-12 of a grid with twice
+        # the panels and nodes; at t = 2.2 and 2.3 the kernel mass is about
+        # e^-1100 to e^-3214 at N = 200 and 400, so those raise for the
+        # kernel mass, not for the window
+        basis = build_basis(TILTED, 400)
+        hi, edge = basis.support_window[1], kernel_oracle._bulk_estimate(basis)[1]
+        for t in (1.98, 1.985):
+            assert hi < t < edge
+            r = gap_probability(basis, TILTED, t)
+            assert r.log_survival == pytest.approx(refined_log_survival(basis, TILTED, t),
+                                                   rel=1e-12)
+        for N in (200, 400):
+            basis = build_basis(TILTED, N)
+            for t, r in zip((2.2, 2.3), gap_probabilities(basis, TILTED, [2.2, 2.3])):
+                assert basis.support_window[1] < t < kernel_oracle._bulk_estimate(basis)[1]
+                assert isinstance(r, NumericalError) and "kernel mass" in str(r), (N, t, r)
+
     def test_log_space_far_tail(self, gue):
         # survival around e^-176: linear value still representable
         b = build_basis(gue, 20)
@@ -1243,6 +1311,35 @@ class TestGap:
         assert lam.shape == (9,)
         assert (np.diff(lam) >= 0.0).all()
         assert lam[0] >= 0.0 and lam[-1] <= 1.0
+
+
+class TestTracyWidom:
+    @pytest.mark.parametrize("coeffs, tol", [((0.0, 0.0, 0.5), 1e-6),
+                                             ((0.0, 0.0, 0.0, 0.0, 1.0), 1e-4)],
+                             ids=["gue", "quartic"])
+    def test_moments_extrapolate_to_tracy_widom(self, coeffs, tol):
+        # F_N(s) = 1 - survival at t = b + s / (gamma N^{2/3}), on 120
+        # Gauss-Legendre nodes over s in [-9, 7], 64 of them in the bulk:
+        # mean = 7 - int F and var = 49 - int 2 s F - mean^2, fitted as
+        # quadratics in N^{-2/3} through N = 100, 200, 400, 550, extrapolate
+        # to the Tracy-Widom (beta = 2) mean and variance (measured: GUE
+        # -1.4e-7 and +1.1e-7, quartic -8.9e-6 and +3.1e-5)
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        xg, wg = gl_rule(120)
+        s, ws = 8.0 * xg - 1.0, 8.0 * wg
+        h, means, variances = [], [], []
+        for N in (100, 200, 400, 550):
+            results = gap_probabilities(build_basis(V, N), V, eq.b + s / (eq.gamma * N ** (2.0 / 3.0)))
+            assert all(isinstance(r, GapResult) for r in results), N
+            F = np.array([1.0 - (0.0 if r.survival is None else r.survival) for r in results])
+            mean = 7.0 - float(ws @ F)
+            h.append(N ** (-2.0 / 3.0))
+            means.append(mean)
+            variances.append(49.0 - float(ws @ (2.0 * s * F)) - mean * mean)
+        mean, var = (float(np.polyfit(h, m, 2)[-1]) for m in (means, variances))
+        assert abs(mean - -1.7710868074) <= tol, mean
+        assert abs(var - 0.8131947928) <= tol, var
 
 
 class TestHadamard:
