@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 from .equilibrium import solve_mrs
 from .errors import NumericalError, SolverError
-from .kernel_oracle import build_basis, gap_probabilities
 from .potential import json_float, potential_from_json
 # log_f_approx is not called here, but perfbench/child.py wraps
 # loggas.cli.log_f_approx when it traces a run
@@ -234,6 +233,11 @@ def _table(config, name, cells, max_n=None):
         raise ConfigError(
             f"N = {too_big[0]} exceeds the oracle feasibility limit "
             f"{max_n} (raise \"max_oracle_n\" to override)")
+    if max_n is not None:
+        # imported for compare only, so tail, equilibrium and cramer never
+        # compile the oracle; its functions are looked up on the module,
+        # where perfbench/child.py wraps them when it traces a run
+        from . import kernel_oracle
     V, columns = config.potential, COLUMNS[name]
     eq = solve_mrs(V)
     rows, all_ok = [], True
@@ -252,7 +256,8 @@ def _table(config, name, cells, max_n=None):
             # gap_probabilities returns its per-threshold errors as
             # entries, so only build_basis raises here
             try:
-                results = gap_probabilities(build_basis(V, N), V, ts)
+                results = kernel_oracle.gap_probabilities(
+                    kernel_oracle.build_basis(V, N), V, ts)
             except NumericalError as exc:
                 results = [exc] * len(ts)
         for (t, s), term, result in zip(thresholds, tail_terms(model, ts), results):

@@ -2,8 +2,8 @@
 
 Solves the two endpoint equations for the support [a, b], then exposes
 the density factor G, the equilibrium density, the rate function eta
-and its derivative, the edge constant gamma, the effective potential L,
-and the discretized energy functional.
+and its derivative, the edge constant gamma and the effective potential
+L.
 
 For polynomial V all of it is exact finite algebra on one array.  With
 x = c + r y mapping [-1, 1] onto [a, b], let w_k be the Chebyshev
@@ -13,8 +13,7 @@ is r G(c + r y) = sum_k w_k U_{k-1}(y), a polynomial of degree deg V - 2;
 the density pushed to the angle y = cos(theta) has a finite cosine
 expansion, on which the log kernel of the effective potential acts in
 closed form; and past b, with y = cosh(theta), the rate function is a
-finite sum of sinh(m Theta) / m (see eta).  The only quadrature left is
-the Gauss-Chebyshev discretization of equilibrium_measure.
+finite sum of sinh(m Theta) / m (see eta).  No quadrature is left.
 """
 
 import math
@@ -26,7 +25,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, SolverError
 
-DENSITY_DISCRETIZATION = 512
 # Below m Theta = SINHC_CUT, sinh(z)/z - 1 is summed from its Taylor
 # series, 1/(2k+1)! z^2k for k = 1..12 (listed from k = 12 for Horner's
 # rule; the first term left out is below 1e-19 of the sum); past it the
@@ -56,34 +54,6 @@ class EquilibriumData:
     g_coeffs: tuple
     residuals: tuple
     coeffs: tuple
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Probability measure supported on finitely many points."""
-
-    nodes: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        nodes = tuple(float(v) for v in self.nodes)
-        weights = tuple(float(v) for v in self.weights)
-        if len(nodes) != len(weights) or not nodes:
-            raise ValueError("nodes and weights must be non-empty and equal length")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        if any(y >= z for y, z in zip(nodes, nodes[1:])):
-            raise ValueError("nodes must be strictly increasing")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-
-def _chebyshev_angles(n):
-    k = np.arange(1, n + 1)
-    return (2 * k - 1) * np.pi / (2 * n)
 
 
 def _compose(p, c, r):
@@ -419,36 +389,3 @@ def effective_potential(eq, V, x):
     """
     _require_field(eq, V)
     return _points(lambda eq, x: V.eval(x, 0) - 2.0 * _log_moment(V, eq.a, eq.b, x), eq, x)
-
-
-def equilibrium_measure(eq, V, n=DENSITY_DISCRETIZATION):
-    """Discretization of the equilibrium measure on n Gauss-Chebyshev nodes.
-
-    Weights are the plain-quadrature weights times the density, so they
-    sum to 1 up to roundoff for polynomial fields.
-    """
-    c, r = 0.5 * (eq.a + eq.b), 0.5 * (eq.b - eq.a)
-    theta = _chebyshev_angles(n)
-    y = c + r * np.cos(theta)
-    w = (np.pi / n) * r * np.sin(theta) * density(eq, V, y)
-    order = np.argsort(y)
-    y, w = y[order], w[order]
-    w = w / math.fsum(w)  # guard the unit-mass invariant against roundoff
-    return DiscreteMeasure(nodes=tuple(y), weights=tuple(w))
-
-
-def energy(V, mu):
-    """Discretized energy of mu in the field V: the double sum of
-    log 1/|x_i - x_j| over distinct pairs, plus the mean of V.
-
-    The diagonal is excluded, matching the convention that sidesteps
-    log 0 for atomic measures.
-    """
-    x = np.asarray(mu.nodes, dtype=float)
-    w = np.asarray(mu.weights, dtype=float)
-    diff = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(diff, 1.0)  # excluded from the sum anyway
-    logs = np.log(diff)
-    np.fill_diagonal(logs, 0.0)
-    interaction = -float(w @ logs @ w)
-    return interaction + float(np.dot(w, V.eval(x, 0)))

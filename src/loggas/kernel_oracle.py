@@ -322,17 +322,15 @@ def build_basis(V, N):
                          f"exceeds {tol!r} on the last of {BASIS_MAX_RULES} rules")
 
 
-def _phi_matrix(basis, V, x, j_max=None):
-    """phi_0..phi_{j_max} at the points x as one (j_max+1, len(x))
-    array, by the three-term recurrence."""
-    if j_max is None:
-        j_max = basis.N - 1
+def _phi_matrix(basis, V, x):
+    """phi_0..phi_{N-1} at the points x as one (N, len(x)) array, by the
+    three-term recurrence."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
-    out = np.empty((j_max + 1, x.size))
+    out = np.empty((basis.N, x.size))
     np.divide(np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)), sqrt_beta[0], out=out[0])
     term = np.empty_like(x)
-    for j in range(1, j_max + 1):
+    for j in range(1, basis.N):
         row = out[j]
         np.subtract(x, alpha[j - 1], out=row)
         row *= out[j - 1]
@@ -341,20 +339,6 @@ def _phi_matrix(basis, V, x, j_max=None):
             row -= term
         row /= sqrt_beta[j]
     return out
-
-
-def phi(basis, V, j, x):
-    """Weighted orthonormal function phi_j(x) = p_j(x) exp(-N V(x)/2)."""
-    if not 0 <= j < basis.N:
-        raise ValueError(f"j must be in [0, {basis.N - 1}], got {j!r}")
-    vals = _phi_matrix(basis, V, x, j_max=j)[j]
-    return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-def kernel_diag(basis, V, x):
-    """Diagonal of the rank-N projection kernel: sum of phi_j(x)^2."""
-    vals = np.sum(_phi_matrix(basis, V, x) ** 2, axis=0)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def _renormalisation_period(basis, x):

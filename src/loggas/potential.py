@@ -25,8 +25,8 @@ class Potential:
         stripped so ``degree`` is meaningful.
     asserts_ga_infinity : bool
         Caller's assertion that V admits the required analytic growth
-        extension off the real axis.  Recorded and serialized; no
-        computation uses it.
+        extension off the real axis.  Recorded, read from the JSON
+        "ga_infinity" key; no computation uses it.
     """
 
     coeffs: tuple
@@ -108,8 +108,3 @@ def potential_from_json(source):
     if not isinstance(ga, bool):
         raise ValueError('"ga_infinity" must be a boolean')
     return Potential(coeffs, asserts_ga_infinity=ga)
-
-
-def potential_to_json(V):
-    """Serialize a Potential to the JSON-object form used by the CLI."""
-    return {"coeffs": list(V.coeffs), "ga_infinity": V.asserts_ga_infinity}

@@ -1,10 +1,9 @@
-"""Closed-form upper-tail approximations and deviation statistics.
+"""Closed-form upper-tail approximations.
 
 Houses the leading-order tail approximation F(t) for the largest
 particle, the edge rescaling t(s), the correction-series coefficients
-d_j of the rescaled exponent, the growth thresholds alpha_k that
-delimit how many corrections the leading order needs, and the
-rate-style statistics used to compare against the exact oracle.
+d_j of the rescaled exponent, and the growth thresholds alpha_k that
+delimit how many corrections the leading order needs.
 
 Probabilities below 1e-300 exist only in log space here; the
 linear-space evaluator returns None for them.
@@ -17,7 +16,10 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
-from .equilibrium import _compose, _eta, _eta_prime, _points, _require_field, eta, eta_prime
+# eta and eta_prime are not called here, but perfbench/child.py wraps
+# loggas.tails.eta and loggas.tails.eta_prime when it traces a run
+from .equilibrium import (_compose, _eta, _eta_prime, _points, _require_field,  # noqa: F401
+                          eta, eta_prime)
 from .errors import UNDERFLOW_LIMIT, NumericalError
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
@@ -230,64 +232,3 @@ def regime_classify(s, N):
         if s <= MODERATE_MARGIN * N ** alpha_threshold(k):
             return Regime(kind="moderate", k=k)
     return Regime(kind="large", k=None)
-
-
-@dataclass(frozen=True)
-class DeviationStatistics:
-    """Rate-style views of log F at one threshold.
-
-    ldp_rate = log F / N should track -eta(t) - log(N)/N with an O(1/N)
-    remainder; mdp_rate = log F / s^{3/2} should track -4/3 -
-    log(16 pi s^{3/2})/s^{3/2}.  The residual fields hold what is left
-    after subtracting those predictions.
-    """
-
-    t: float
-    s: float
-    log_f: float
-    ldp_rate: float
-    ldp_eta_term: float
-    ldp_logn_term: float
-    ldp_residual: float
-    mdp_rate: float
-    mdp_main_term: float
-    mdp_log_term: float
-    mdp_residual: float
-
-
-def deviation_statistics(model, t=None, s=None):
-    """Assemble the deviation-principle statistics at a threshold given
-    either as a raw coordinate t > b or a rescaled coordinate s > 0."""
-    if (t is None) == (s is None):
-        raise ValueError("give exactly one of t or s")
-    eq, N = model.eq, model.N
-    if t is None:
-        if s <= 0:
-            raise ValueError(f"s must be positive, got {s!r}")
-        t = rescale(model, s)
-    else:
-        s = (t - eq.b) * eq.gamma * N ** (2.0 / 3.0)
-        if s <= 0:
-            raise ValueError(f"t must exceed b = {eq.b!r}, got {t!r}")
-    if t <= eq.b:
-        raise _edge_error(eq, t)
-    eta_t = eta(eq, model.potential, t)
-    log_f = float(_log_f(model, t, eta_t, eta_prime(eq, model.potential, t)))
-    ldp_rate = log_f / N
-    ldp_eta_term = -eta_t
-    ldp_logn_term = -math.log(N) / N
-    s32 = s ** 1.5
-    mdp_rate = log_f / s32
-    mdp_main_term = -4.0 / 3.0
-    mdp_log_term = -math.log(16.0 * math.pi * s32) / s32
-    return DeviationStatistics(
-        t=float(t), s=float(s), log_f=log_f,
-        ldp_rate=ldp_rate,
-        ldp_eta_term=ldp_eta_term,
-        ldp_logn_term=ldp_logn_term,
-        ldp_residual=ldp_rate - ldp_eta_term - ldp_logn_term,
-        mdp_rate=mdp_rate,
-        mdp_main_term=mdp_main_term,
-        mdp_log_term=mdp_log_term,
-        mdp_residual=mdp_rate - mdp_main_term - mdp_log_term,
-    )

@@ -400,14 +400,31 @@ class TestPlumbing:
         proc.stderr.close()
 
     def test_import_loads_no_scipy(self):
-        # numpy and the standard library are the only runtime dependencies
+        # numpy and the standard library are the only runtime dependencies;
+        # every submodule is imported, since loggas.cli loads only some
         src = os.path.dirname(os.path.dirname(loggas.__file__))
-        code = ("import loggas, loggas.cli, sys; "
+        code = ("import loggas, loggas.cli, loggas.equilibrium, loggas.errors, "
+                "loggas.kernel_oracle, loggas.potential, loggas.tails, sys; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["equilibrium", "tail", "cramer", "compare"])
+    def test_only_compare_imports_the_oracle(self, tmp_path, command):
+        # loggas.cli loads the oracle module only when compare runs
+        src = os.path.dirname(os.path.dirname(loggas.__file__))
+        cfg = write_config(tmp_path, N_list=[4], t_grid=[2.5])
+        code = ("import sys, loggas.cli; "
+                "loaded = lambda: 'loggas.kernel_oracle' in sys.modules; "
+                "before = loaded(); "
+                f"status = loggas.cli.main([{command!r}, '--config', {cfg!r}]); "
+                "print(before, status, loaded(), file=sys.stderr)")
+        err = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stderr
+        assert err.split() == ["False", "0", str(command == "compare")]
 
     def test_no_runtime_warning(self, tmp_path):
         # non-finite and huge thresholds end as error rows, and numpy says

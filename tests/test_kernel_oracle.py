@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
-                    gram, hadamard_check, kernel_diag, phi, solve_mrs, tail_trace)
+                    gram, hadamard_check, solve_mrs, tail_trace)
 from loggas import kernel_oracle
 from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
                                   TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
@@ -24,6 +24,12 @@ ASYMMETRIC = (0.0, 0.5, 0.5, 0.2, 0.25)
 TILTED = Potential((0.0, -0.3, -4.0, 0.0, 1.0))
 FIELDS = pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
                                             ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
+
+
+def kernel_diag(basis, V, x):
+    """Diagonal of the rank-N projection kernel, sum_j phi_j(x)^2, from
+    the dense recurrence."""
+    return np.sum(_phi_matrix(basis, V, x) ** 2, axis=0)
 
 
 def edge_point(eq, N, s):
@@ -423,25 +429,6 @@ class TestProjector:
     def test_total_mass(self, gue):
         b = build_basis(gue, 14)
         assert tail_trace(b, gue, NEG_INF) == pytest.approx(14.0, rel=1e-12)
-
-    def test_diag_sums_squares(self, gue):
-        b = build_basis(gue, 8)
-        x = np.linspace(-2.5, 2.5, 11)
-        total = sum(phi(b, gue, j, x) ** 2 for j in range(8))
-        assert float(np.abs(kernel_diag(b, gue, x) - total).max()) < 1e-12
-
-    def test_phi_index_bounds(self, gue):
-        b = build_basis(gue, 5)
-        with pytest.raises(ValueError):
-            phi(b, gue, 5, 0.0)
-        with pytest.raises(ValueError):
-            phi(b, gue, -1, 0.0)
-
-    def test_phi_scalar(self, gue):
-        b = build_basis(gue, 5)
-        v = phi(b, gue, 2, 0.3)
-        assert isinstance(v, float)
-        assert v == pytest.approx(phi(b, gue, 2, np.array([0.3]))[0], rel=1e-15)
 
     def test_trace_decreasing_in_t(self, gue):
         b = build_basis(gue, 10)

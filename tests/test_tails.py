@@ -1,5 +1,4 @@
-"""Tail approximation: correction coefficients, scaling map, regimes,
-deviation-rate decompositions."""
+"""Tail approximation: correction coefficients, scaling map, regimes."""
 
 import dataclasses
 import math
@@ -9,10 +8,9 @@ import numpy as np
 import pytest
 
 from loggas import (NumericalError, alpha_threshold, build_tail_model,
-                    cramer_coefficients, deviation_statistics, eta, eta_prime,
-                    eta_tilde, f_approx, log_f_approx, moderate_leading,
-                    regime_classify, rescale, tail_terms, tails,
-                    tw_tail_asymptotic)
+                    cramer_coefficients, eta, eta_prime, eta_tilde, f_approx,
+                    log_f_approx, moderate_leading, regime_classify, rescale,
+                    tail_terms, tw_tail_asymptotic)
 from loggas.tails import K_MAX_SUPPORTED, LOG_UNDERFLOW
 
 
@@ -210,48 +208,3 @@ class TestRegimes:
             cur = math.inf if r.kind == "large" else float(r.k)
             assert cur >= prev
             prev = cur
-
-
-class TestDeviationStatistics:
-    def test_requires_exactly_one_threshold(self, gue_eq, gue):
-        m = build_tail_model(gue_eq, gue, 20)
-        with pytest.raises(ValueError):
-            deviation_statistics(m)
-        with pytest.raises(ValueError):
-            deviation_statistics(m, t=2.5, s=1.0)
-
-    def test_rate_split_at_fixed_t(self, gue_eq, gue):
-        m = build_tail_model(gue_eq, gue, 20)
-        st = deviation_statistics(m, t=2.5)
-        assert st.t == 2.5
-        assert st.ldp_rate == pytest.approx(log_f_approx(m, 2.5) / 20.0, rel=1e-14)
-        assert st.ldp_eta_term == pytest.approx(-eta(gue_eq, gue, 2.5), rel=1e-13)
-        assert st.ldp_logn_term == pytest.approx(-math.log(20.0) / 20.0, rel=1e-14)
-        # the split is exact by construction; the remainder is the O(1/N) part
-        total = st.ldp_eta_term + st.ldp_logn_term + st.ldp_residual
-        assert st.ldp_rate == pytest.approx(total, abs=5e-15)
-        assert abs(st.ldp_residual) < 4.0 / 20.0
-
-    def test_one_eta_evaluation(self, gue_eq, gue, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args[2])
-            return eta(*args)
-
-        monkeypatch.setattr(tails, "eta", counting)
-        deviation_statistics(build_tail_model(gue_eq, gue, 20), t=2.5)
-        assert calls == [2.5]
-
-    def test_rate_split_at_fixed_s(self, gue_eq, gue):
-        m20 = build_tail_model(gue_eq, gue, 20)
-        m200 = build_tail_model(gue_eq, gue, 200)
-        st20 = deviation_statistics(m20, s=2.0)
-        st200 = deviation_statistics(m200, s=2.0)
-        for st in (st20, st200):
-            assert st.s == 2.0
-            assert st.mdp_main_term == -4.0 / 3.0
-            total = st.mdp_main_term + st.mdp_log_term + st.mdp_residual
-            assert st.mdp_rate == pytest.approx(total, abs=5e-15)
-        assert abs(st200.mdp_residual) < abs(st20.mdp_residual)
-        assert abs(st200.mdp_residual) < 0.05
