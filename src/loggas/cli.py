@@ -62,7 +62,6 @@ class RunConfig:
     s_grid: list
     k: int
     output_format: str
-    seed: int
     max_oracle_n: int
 
 
@@ -116,8 +115,8 @@ def load_config(path):
     fmt = raw.get("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError('"output_format" must be "csv" or "json"')
-    seed = raw.get("seed", 0)
-    if type(seed) is not int:
+    # no computation is random; "seed" is checked and otherwise unused
+    if type(raw.get("seed", 0)) is not int:
         raise ConfigError('"seed" must be an integer')
     max_n = raw.get("max_oracle_n", DEFAULT_ORACLE_N_LIMIT)
     if type(max_n) is not int or max_n < 1:
@@ -125,7 +124,7 @@ def load_config(path):
 
     return RunConfig(potential=V, n_list=n_list, t_grid=grids["t_grid"],
                      s_grid=grids["s_grid"], k=k, output_format=fmt,
-                     seed=seed, max_oracle_n=max_n)
+                     max_oracle_n=max_n)
 
 
 def _fmt_cell(value):
@@ -314,12 +313,16 @@ def cmd_cramer(args, config):
 
 _EPILOG = """\
 config JSON keys:
-  potential       {"coeffs": [c0, c1, ...], "ga_infinity": bool}; c_k multiplies x^k
+  potential       {"coeffs": [c0, c1, ...], "ga_infinity": bool}; c_k multiplies x^k;
+                  "ga_infinity" is optional, must be a boolean and enters no result
   N_list          non-empty list of positive integers (tail, compare)
   t_grid | s_grid strictly increasing list of thresholds (tail, compare); give one
-  k               correction order, integer in [0, 6] (default 3)
+  k               correction order, integer in [0, 6] (default 3): the number of
+                  d_j and alpha_j that equilibrium and cramer print; tail and
+                  compare use it only to run the edge gate c_0 gamma^(-3/2) = 4/3
   output_format   "csv" or "json" (default csv; the --format flag wins)
-  seed            integer, recorded for reproducibility (default 0)
+  seed            integer (default 0), checked and otherwise unused: no
+                  computation is random
   max_oracle_n    oracle feasibility cap for compare (default 200)
 
 CSV column orders (floats carry 17 significant digits):

@@ -31,6 +31,9 @@ from .errors import NumericalError, SolverError
 # difference loses at most a factor 2.3 to cancellation
 SINHC_CUT = 2.0
 SINHC_TAYLOR = tuple(1.0 / math.factorial(2 * k + 1) for k in range(12, 0, -1))
+# solve_mrs: bound required of both endpoint residuals, and Newton step cap
+RESIDUAL_TOL = 1e-12
+MAX_NEWTON_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def _endpoint_system(V, c, r):
     return F, J
 
 
-def solve_mrs(V, tol=1e-12, max_iter=100):
+def solve_mrs(V):
     """Solve the endpoint equations for the support [a, b] of the
     equilibrium measure of V, and check that V is one-cut regular.
 
@@ -106,10 +109,6 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
     ----------
     V : Potential
         Of even degree >= 2, with a positive leading coefficient.
-    tol : float
-        Bound required of both residuals at the solution.
-    max_iter : int
-        Newton iteration cap.
 
     Returns
     -------
@@ -119,15 +118,13 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
     ------
     SolverError
         If V does not grow at infinity (checked first), or if the
-        residuals are not below tol after max_iter steps.
+        residuals are not below RESIDUAL_TOL after MAX_NEWTON_ITER steps.
     NumericalError
         If G is not positive on [a, b]: the one-cut density is then not
         a measure, as for the double well x^4 - 4x^2.  If
         L - ell < -1e-12 (1 + |ell|) at a real root of G off [a, b]: the
         equilibrium measure then also charges a second well.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if V.degree < 2 or V.degree % 2 or V.leading_coefficient <= 0:
         raise SolverError(f"field {V.coeffs!r} does not grow at infinity: it needs an "
                           f"even degree >= 2 and a positive leading coefficient")
@@ -138,11 +135,11 @@ def solve_mrs(V, tol=1e-12, max_iter=100):
         return SolverError(message, iterations=it, last_iterate=(c - r, c + r),
                            residuals=tuple(F))
 
-    for it in range(max_iter + 1):
-        if np.max(np.abs(F)) < tol:
+    for it in range(MAX_NEWTON_ITER + 1):
+        if np.max(np.abs(F)) < RESIDUAL_TOL:
             break
-        if it == max_iter:
-            raise failure(f"no convergence after {max_iter} iterations", it)
+        if it == MAX_NEWTON_ITER:
+            raise failure(f"no convergence after {MAX_NEWTON_ITER} iterations", it)
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -310,13 +307,19 @@ def eta(eq, V, x):
 def _eta_prime(eq, x):
     """eta' on a 1-d float array x; see eta_prime."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt((x - eq.b) * (x - eq.a)) * _g(eq, x)
+        root = np.sqrt((x - eq.b) * (x - eq.a))
+        big = np.isinf(root)
+        root[big] = np.sqrt(x[big] - eq.b) * np.sqrt(x[big] - eq.a)
+        return root * _g(eq, x)
 
 
 def eta_prime(eq, V, x):
     """Derivative of the rate function, sqrt((x-b)(x-a)) G(x), for a
     scalar or an array x > b; any x <= b raises ValueError.  Where the
-    product overflows the value is inf or nan, without a warning."""
+    product (x-b)(x-a) overflows (from about x = 1.3e154) its root is
+    sqrt(x-b) sqrt(x-a), so the value is finite wherever the true value
+    is; where that is past the double range the value is inf, without a
+    warning."""
     _require_field(eq, V)
     x_arr = np.asarray(x, dtype=float)
     low = x_arr <= eq.b

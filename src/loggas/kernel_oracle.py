@@ -799,15 +799,15 @@ def _series_kernel(basis, V, t):
     return sw[:, None] * (Phi.T @ Phi) * sw[None, :]
 
 
-def brute_force_survival(basis, V, t, k_max=None):
+def brute_force_survival(basis, V, t):
     """Survival probability by the inclusion-exclusion series on the rule
-    of _series_kernel, summed to term k_max (default N).
+    of _series_kernel, summed to its last term, k = N.
 
     Term k is (-1)^{k+1}/k! times the k-fold integral of the k x k kernel
     determinant: on the rule's matrix M, the sum e_k of its k x k
     principal minors (Plemelj-Smithies; Bornemann, Math. Comp. 79, 2010).
     Newton's identities give e_k = (1/k) sum_{i<=k} (-1)^{i-1} e_{k-i}
-    tr(M^i) from k_max - 1 products of 48 x 48 matrices; no eigenvalue or
+    tr(M^i) from N - 1 products of 48 x 48 matrices; no eigenvalue or
     determinant routine enters.  N is capped at SERIES_SIZE_LIMIT, up to
     which |det - series| <= 1e-10 is checked for every N (measured at
     most 3.4e-12 from t = b - 2 to b + 2 on four fields; 9.1e-11 up to
@@ -816,21 +816,17 @@ def brute_force_survival(basis, V, t, k_max=None):
     N = basis.N
     if N > SERIES_SIZE_LIMIT:
         raise ValueError(f"brute-force series restricted to N <= {SERIES_SIZE_LIMIT}")
-    if k_max is None:
-        k_max = N
-    if not 1 <= k_max <= N:
-        raise ValueError(f"k_max must be in [1, {N}], got {k_max!r}")
     M = _series_kernel(basis, V, t)
     p, e = [], [1.0]  # p[i] = tr(M^{i+1}), e[k] = e_k
-    for k in range(1, k_max + 1):
+    for k in range(1, N + 1):
         P = M if k == 1 else P @ M
         p.append(float(np.trace(P)))
         e.append(sum((-1.0) ** i * e[k - 1 - i] * p[i] for i in range(k)) / k)
-    return sum((-1.0) ** (k + 1) * e[k] for k in range(1, k_max + 1))
+    return sum((-1.0) ** (k + 1) * e[k] for k in range(1, N + 1))
 
 
-def hadamard_check(A, slack=1e-12):
-    """True iff det A <= product of the diagonal (plus slack), for
+def hadamard_check(A):
+    """True iff det A <= product of the diagonal (plus 1e-12), for
     symmetric positive-definite A.  Non-PD input raises ValueError."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -843,4 +839,4 @@ def hadamard_check(A, slack=1e-12):
     except np.linalg.LinAlgError:
         raise ValueError("hadamard_check needs a positive-definite matrix") from None
     det = float(np.linalg.det(A))
-    return bool(det <= float(np.prod(np.diag(A))) + slack)
+    return bool(det <= float(np.prod(np.diag(A))) + 1e-12)

@@ -7,7 +7,6 @@ and a one-cut regular equilibrium measure) is checked exactly by
 equilibrium.solve_mrs, not here.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +22,9 @@ class Potential:
     coeffs : sequence of float
         Polynomial coefficients in ascending degree.  Trailing zeros are
         stripped so ``degree`` is meaningful.
-    asserts_ga_infinity : bool
-        Caller's assertion that V admits the required analytic growth
-        extension off the real axis.  Recorded, read from the JSON
-        "ga_infinity" key; no computation uses it.
     """
 
     coeffs: tuple
-    asserts_ga_infinity: bool = False
 
     def __post_init__(self):
         c = [float(v) for v in self.coeffs]
@@ -61,9 +55,6 @@ class Potential:
             c = npoly.polyder(c, order)
         return npoly.polyval(x, c)
 
-    def __call__(self, x):
-        return self.eval(x, 0)
-
     def scale(self):
         """Characteristic length |leading coeff|^(-1/degree).
 
@@ -84,15 +75,10 @@ def json_float(value):
     return float(value)
 
 
-def potential_from_json(source):
-    """Build a Potential from a JSON object {"coeffs": [...], "ga_infinity": bool}.
-
-    Accepts a dict, a JSON string, or anything json.loads handles.
-    """
-    if isinstance(source, (str, bytes)):
-        obj = json.loads(source)
-    else:
-        obj = source
+def potential_from_json(obj):
+    """Build a Potential from a parsed JSON object {"coeffs": [...],
+    "ga_infinity": bool}; anything else, a JSON string included, raises
+    ValueError.  The optional "ga_infinity" enters no computation."""
     if not isinstance(obj, dict):
         raise ValueError("potential entry must be a JSON object")
     if "coeffs" not in obj:
@@ -104,7 +90,6 @@ def potential_from_json(source):
         coeffs = tuple(json_float(v) for v in coeffs)
     except (TypeError, ValueError):
         raise ValueError('"coeffs" must contain only numbers') from None
-    ga = obj.get("ga_infinity", False)
-    if not isinstance(ga, bool):
+    if not isinstance(obj.get("ga_infinity", False), bool):
         raise ValueError('"ga_infinity" must be a boolean')
-    return Potential(coeffs, asserts_ga_infinity=ga)
+    return Potential(coeffs)

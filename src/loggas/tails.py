@@ -32,16 +32,14 @@ MODERATE_MARGIN = 0.5
 class TailModel:
     """Tail approximation family for one (potential, N) pair.
 
-    cramer holds (d_1, ..., d_{k_max}); together with the exact rate
-    function it gives both the plain approximation F(t) and its
-    rescaled truncations.
+    cramer holds (d_1, ..., d_k); together with the exact rate function
+    it gives both the plain approximation F(t) and its rescaled
+    truncations up to order k.
     """
 
     eq: object
-    potential: object
     N: int
     cramer: tuple
-    k_max: int
 
 
 def build_tail_model(eq, V, N, k=K_MAX_SUPPORTED):
@@ -49,7 +47,7 @@ def build_tail_model(eq, V, N, k=K_MAX_SUPPORTED):
     if N < 1:
         raise ValueError("N must be a positive integer")
     d = cramer_coefficients(eq, V, k)
-    return TailModel(eq=eq, potential=V, N=int(N), cramer=tuple(d), k_max=k)
+    return TailModel(eq=eq, N=int(N), cramer=tuple(d))
 
 
 def alpha_threshold(k):
@@ -177,8 +175,8 @@ def eta_tilde(model, s, k):
     corrections d_j s^{j+3/2} N^{-2j/3}."""
     if s < 0:
         raise ValueError(f"eta_tilde needs s >= 0, got {s!r}")
-    if not 0 <= k <= model.k_max:
-        raise ValueError(f"k must be in [0, {model.k_max}], got {k!r}")
+    if not 0 <= k <= len(model.cramer):
+        raise ValueError(f"k must be in [0, {len(model.cramer)}], got {k!r}")
     total = (4.0 / 3.0) * s ** 1.5
     for j in range(1, k + 1):
         total += model.cramer[j - 1] * s ** (j + 1.5) * model.N ** (-2.0 * j / 3.0)

@@ -198,7 +198,7 @@ def test_criterion_14_rate_versus_field(report, gue_eq, gue, quartic_eq, quartic
     for eq, V in ((gue_eq, gue), (quartic_eq, quartic)):
         for dt in (1.0, 3.0, 6.0):
             x = eq.b + dt
-            lhs = abs(eta(eq, V, x) - float(V(x)))
+            lhs = abs(eta(eq, V, x) - float(V.eval(x, 0)))
             rhs = abs(eq.ell) + 2.0 * math.log(x - eq.a)
             slack.append(rhs - lhs)
     ok = all(s >= 0.0 for s in slack)

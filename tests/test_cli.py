@@ -47,7 +47,6 @@ class TestLoadConfig:
         assert cfg.potential.coeffs == (0.0, 0.0, 0.5)
         assert cfg.k == 3
         assert cfg.output_format == "csv"
-        assert cfg.seed == 0
         assert cfg.max_oracle_n == 200
 
     def test_full(self, tmp_path):
@@ -57,8 +56,7 @@ class TestLoadConfig:
         assert cfg.n_list == [10, 20]
         assert cfg.s_grid == [1.0, 2.0]
         assert cfg.t_grid is None
-        assert (cfg.k, cfg.output_format, cfg.seed, cfg.max_oracle_n) == \
-            (5, "json", 7, 50)
+        assert (cfg.k, cfg.output_format, cfg.max_oracle_n) == (5, "json", 50)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -206,8 +204,9 @@ class TestTailCommand:
         for row in rows[:3]:
             assert row["status"] == f"error: tail approximation needs t > b = 2.0, got {row['t']!r}"
         assert rows[3]["status"] == "ok"
+        # eta overflows at t = 2.15e299; eta' = sqrt(t^2 - 4) does not
         assert rows[4]["status"] == (f"error: tail approximation not finite at t = {rows[4]['t']!r}: "
-                                     "log_F = nan, eta = nan, eta_prime = inf")
+                                     "log_F = nan, eta = nan, eta_prime = 2.1544346900318846e+299")
         assert rows[4]["eta"] is None
 
     def test_needs_grids(self, tmp_path, capsys):
@@ -449,6 +448,16 @@ class TestPlumbing:
         assert list(error) == list(ok) == COLUMNS[command]
 
     @pytest.mark.parametrize("command", ["tail", "compare"])
+    def test_tables_do_not_depend_on_k(self, tmp_path, capsys, command):
+        # k only runs the edge gate here; equilibrium and cramer print d_1..d_k
+        outputs = set()
+        for k in (0, 3, 6):
+            cfg = write_config(tmp_path, potential={"coeffs": [0, 0, 0, 0, 1]},
+                               N_list=[10, 50], s_grid=[0.5, 4.0, 9.0, 30.0], k=k)
+            outputs.add((main([command, "--config", cfg]), capsys.readouterr().out))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("command", ["tail", "compare"])
     def test_one_tail_evaluation_per_n(self, tmp_path, capsys, monkeypatch, command):
         sizes = []
         core = tails._eta
@@ -492,6 +501,36 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["equilibrium", "tail", "compare", "cramer"])
+    def test_potential_as_json_string_exits_2(self, tmp_path, capsys, command):
+        # "potential" is the JSON object itself, not a string that holds one
+        cfg = write_config(tmp_path, potential=json.dumps(GUE_POTENTIAL), N_list=[4],
+                           t_grid=[2.5])
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bad potential entry: potential entry must be "
+                                "a JSON object\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["equilibrium", "--help"],
+                                      ["tail", "--help"], ["compare", "--help"],
+                                      ["cramer", "--help"]])
+    def test_help_exits_0_and_lists_the_columns(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        # the epilog's column orders, continuation lines joined, up to a ";"
+        section = capsys.readouterr().out.split("CSV column orders")[1].split("\n\n")[0]
+        listed = {}
+        for line in section.splitlines()[1:]:
+            if line.startswith("   "):
+                listed[name] += " " + line
+            else:
+                name, _, rest = line.strip().partition(" ")
+                listed[name] = rest
+        for command, columns in COLUMNS.items():
+            assert " ".join(listed[command].split(";")[0].split()) == ", ".join(columns)
 
     def test_bad_config_path_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "none.json")

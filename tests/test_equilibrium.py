@@ -14,6 +14,7 @@ from loggas import (EquilibriumData, NumericalError, Potential, SolverError,
                     build_tail_model, cramer_coefficients, density,
                     effective_potential, eta, eta_prime, g_factor, log_f_approx,
                     solve_mrs)
+from loggas import equilibrium
 
 # GUE, quartic, sextic and asymmetric quartic: the benchmark's four fields
 FIELDS = {
@@ -102,9 +103,10 @@ class TestSolveMRS:
             assert eq.b == pytest.approx(2.0 / math.sqrt(tau), abs=1e-10)
             assert eq.a == pytest.approx(-eq.b, abs=1e-10)
 
-    def test_iteration_cap(self, quartic):
-        with pytest.raises(SolverError) as info:
-            solve_mrs(quartic, max_iter=1)
+    def test_iteration_cap(self, quartic, monkeypatch):
+        monkeypatch.setattr(equilibrium, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(SolverError, match="after 1 iterations") as info:
+            solve_mrs(quartic)
         assert info.value.iterations == 1
         assert info.value.last_iterate is not None
         assert info.value.residuals is not None
@@ -297,6 +299,21 @@ class TestEta:
             tracemalloc.stop()
         assert value == pytest.approx(5e23, rel=1e-14)
         assert peak < 1_000_000
+
+    def test_slope_past_the_product_overflow(self, gue_eq, gue, quartic_eq, quartic):
+        # (x-b)(x-a) overflows from about 1.3e154, eta'(x) = sqrt(x^2 - 4)
+        # does not; x^2 - 4 rounds to x^2 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1.4e154, 1e155, 1e200, 1e300):
+                assert eta_prime(gue_eq, gue, x) == pytest.approx(x, rel=4e-16)
+                assert eta_prime(quartic_eq, quartic, x) == math.inf
+        # ordinary points keep the bits of the square root of the product
+        for eq, V in ((gue_eq, gue), (quartic_eq, quartic)):
+            x = eq.b + np.geomspace(1e-12, 1e150, 60)
+            with np.errstate(over="ignore"):     # the quartic's slope overflows
+                product = np.sqrt((x - eq.b) * (x - eq.a)) * g_factor(eq, V, x)
+            assert eta_prime(eq, V, x).tolist() == product.tolist()
 
     def test_array_domain_error_names_the_point(self, gue_eq, gue):
         with pytest.raises(ValueError, match="got 1.5"):

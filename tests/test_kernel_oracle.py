@@ -902,6 +902,8 @@ def renormalised_at_every_step(basis, V, x, w):
 
 
 class TestRatioRecurrence:
+    # the pair recurrence of _cd_values; the class keeps the name of the
+    # ratio recurrence that the pair recurrence replaced
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
                                         (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.1), ASYMMETRIC,
                                         TILTED.coeffs, (0.0, 0.0, 5e11)],
@@ -1112,8 +1114,9 @@ class TestGap:
                 assert direct == pytest.approx(series, abs=1e-10)
 
     def test_first_series_term_is_trace(self, gue):
+        # term k = 1 of the series is e_1 = tr M, on the series rule
         b = build_basis(gue, 3)
-        assert brute_force_survival(b, gue, 2.2, k_max=1) == pytest.approx(
+        assert np.trace(_series_kernel(b, gue, 2.2)) == pytest.approx(
             tail_trace(b, gue, 2.2), rel=1e-10)
 
     def test_subsets_match_ordered_tuples(self, gue, quartic):
@@ -1198,9 +1201,6 @@ class TestGap:
         b = build_basis(gue, SERIES_SIZE_LIMIT + 1)
         with pytest.raises(ValueError):
             brute_force_survival(b, gue, 2.5)
-        b3 = build_basis(gue, 3)
-        with pytest.raises(ValueError):
-            brute_force_survival(b3, gue, 2.5, k_max=0)
 
     def test_tilted_well_threshold_between_the_edges(self):
         # t = 2.45 lies past the Gershgorin row sums (2.397), inside the

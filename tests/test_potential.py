@@ -38,7 +38,7 @@ def test_frozen_and_hashable():
 def test_eval_derivatives_exact():
     V = Potential((3.0, -1.0, 0.0, 2.0))  # 3 - x + 2x^3
     x = np.linspace(-2.0, 2.0, 7)
-    assert np.allclose(V(x), 3.0 - x + 2.0 * x**3, rtol=1e-14, atol=0)
+    assert np.allclose(V.eval(x, 0), 3.0 - x + 2.0 * x**3, rtol=1e-14, atol=0)
     assert np.allclose(V.eval(x, 1), -1.0 + 6.0 * x**2, rtol=1e-14, atol=0)
     assert np.allclose(V.eval(x, 2), 12.0 * x, rtol=1e-14, atol=0)
 
@@ -55,9 +55,10 @@ def test_scale():
 
 
 def test_json_round_trip(quartic):
-    V = Potential((1.0, 0.0, -0.5, 0.0, 2.0), asserts_ga_infinity=True)
-    assert potential_from_json({"coeffs": list(V.coeffs), "ga_infinity": True}) == V
-    assert potential_from_json('{"coeffs": [0, 0, 0, 0, 1]}') == quartic
+    V = Potential((1.0, 0.0, -0.5, 0.0, 2.0))
+    for ga in (True, False):
+        assert potential_from_json({"coeffs": list(V.coeffs), "ga_infinity": ga}) == V
+    assert potential_from_json({"coeffs": [0, 0, 0, 0, 1]}) == quartic
 
 
 @pytest.mark.parametrize("bad", [
@@ -71,6 +72,9 @@ def test_json_round_trip(quartic):
     {"coeffs": [False]},
     {"coeffs": ["0", "0", "0.5"]},
     {"coeffs": [0, 0, "1e-1"]},
+    # the parsed object only: a JSON string is not parsed again
+    '{"coeffs": [0, 0, 0.5]}',
+    b'{"coeffs": [0, 0, 0.5]}',
 ])
 def test_json_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -68,14 +68,12 @@ class TestTailModel:
     def test_fields(self, gue_eq, gue):
         m = build_tail_model(gue_eq, gue, 20, k=2)
         assert m.N == 20
-        assert m.k_max == 2
         assert len(m.cramer) == 2
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.N = 30
 
     def test_default_order(self, gue_eq, gue):
         m = build_tail_model(gue_eq, gue, 10)
-        assert m.k_max == K_MAX_SUPPORTED
         assert len(m.cramer) == K_MAX_SUPPORTED
 
 
