@@ -23,21 +23,24 @@ their always-finite log columns.
 """
 
 import argparse
-import csv
 import gc
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+
+import numpy as np
 
 from .equilibrium import solve_mrs
-from .errors import NumericalError, SolverError
+from .errors import NumericalError, Record, SolverError
 from .potential import json_float, potential_from_json
 # log_f_approx is not called here, but perfbench/child.py wraps
 # loggas.cli.log_f_approx when it traces a run
 from .tails import (K_MAX_SUPPORTED, alpha_threshold, build_tail_model,  # noqa: F401
-                    cramer_coefficients, log_f_approx, regime_classify,
+                    cramer_coefficients, log_f_approx, regime_labels,
                     tail_terms)
 
 DEFAULT_ORACLE_N_LIMIT = 200
@@ -50,12 +53,18 @@ COLUMNS = {
 }
 
 
+CONFIG_KEYS = ("potential", "N_list", "t_grid", "s_grid", "k", "output_format", "seed",
+               "max_oracle_n")
+
+
 class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit status 2."""
 
 
-@dataclass
-class RunConfig:
+@dataclass(init=False, repr=False, eq=False)
+class RunConfig(Record):
+    """A validated run configuration (see load_config)."""
+
     potential: object
     n_list: list
     t_grid: list
@@ -76,6 +85,10 @@ def load_config(path):
         raise ConfigError(f"malformed JSON in {path!r}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = [key for key in raw if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; the keys are "
+                          f"{', '.join(CONFIG_KEYS)}")
     if "potential" not in raw:
         raise ConfigError('config needs a "potential" object')
     try:
@@ -135,6 +148,16 @@ def _fmt_cell(value):
     return "%.17g" % float(value)
 
 
+def _row_format(types):
+    """One %-format for a CSV line of cells of these types, equal to
+    joining their _fmt_cell strings; None where a cell is None, or of a
+    type that _fmt_cell converts with float(), and for a one-cell row,
+    whose empty cell csv.writer quotes."""
+    specs = ["%s" if issubclass(cls, (str, int)) else "%.17g" if issubclass(cls, float)
+             else None for cls in types]
+    return None if len(specs) < 2 or None in specs else ",".join(specs) + "\n"
+
+
 def _finite_or_null(value):
     """value with every non-finite float replaced by None, so the JSON
     output carries null where Python would write -Infinity or NaN."""
@@ -148,19 +171,63 @@ def _finite_or_null(value):
 
 
 def _write(stream, fmt, fieldnames, rows, summary=None, single=None):
-    """Write one table to stream.  CSV: a header, one line per row and a
+    """Write one table to stream; each row is a sequence of cells in the
+    order of fieldnames.  CSV: a header, one line per row and a
     `# key = value` line per summary entry.  JSON: the single object if
-    given, else {"rows": rows} with the summary under "summary"."""
+    given, else {"rows": [one object per row]} with the summary under
+    "summary".
+
+    A CSV line is what csv.writer writes for the row's _fmt_cell
+    strings.  Each row takes the %-format of its cell types, and each
+    run of consecutive rows that have one is formatted in one operation
+    (_format_run); a row with a cell that no format covers goes through
+    csv.writer."""
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows([_fmt_cell(row[name]) for name in fieldnames] for row in rows)
-        for key, value in (summary or {}).items():
-            stream.write(f"# {key} = {_fmt_cell(value)}\n")
+        parts, run, formats = [], [], {}
+        for row in (fieldnames, *rows):
+            row = tuple(row)
+            types = tuple(map(type, row))
+            form = formats.get(types)
+            if form is None:
+                form = formats[types] = _row_format(types)
+            if form is None:
+                parts += [_format_run(run), _csv_lines([row])]
+                run = []
+            else:
+                run.append((form, row))
+        parts.append(_format_run(run))
+        parts += [f"# {key} = {_fmt_cell(value)}\n" for key, value in (summary or {}).items()]
+        stream.write("".join(parts))
         return
     if single is None:
-        single = {"rows": rows, **({"summary": summary} if summary else {})}
+        single = {"rows": [dict(zip(fieldnames, row)) for row in rows],
+                  **({"summary": summary} if summary else {})}
     stream.write(json.dumps(_finite_or_null(single), indent=2, allow_nan=False) + "\n")
+
+
+def _format_run(run):
+    """The CSV lines of consecutive rows, each given as (its %-format,
+    its cells), from one format operation: numbers never print a comma,
+    quote or line break, so where the text has none but the separators
+    no cell needs quoting; otherwise csv.writer's lines (_csv_lines)."""
+    if not run:
+        return ""
+    forms, rows = zip(*run)
+    text = "".join(forms) % tuple(chain.from_iterable(rows))
+    if (text.count(",") == sum(map(len, rows)) - len(rows) and text.count("\n") == len(rows)
+            and '"' not in text and "\r" not in text):
+        return text
+    return _csv_lines(rows)
+
+
+def _csv_lines(rows):
+    """csv.writer's lines for the _fmt_cell strings of rows; it quotes a
+    cell with a comma, a quote or a line break."""
+    # imported here, as only such a cell or a cell no format covers needs it
+    import csv
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _emit(args, config, fieldnames, rows, summary=None, single=None):
@@ -196,7 +263,7 @@ def cmd_equilibrium(args, config):
     fieldnames = (["a", "b", "gamma", "ell", "residual_1", "residual_2"]
                   + [f"d_{j}" for j in range(1, config.k + 1)]
                   + [f"alpha_{j}" for j in range(config.k + 1)])
-    row = dict(zip(fieldnames, [eq.a, eq.b, eq.gamma, eq.ell, *eq.residuals, *d, *alpha]))
+    row = (eq.a, eq.b, eq.gamma, eq.ell, *eq.residuals, *d, *alpha)
     single = {"a": eq.a, "b": eq.b, "gamma": eq.gamma, "ell": eq.ell,
               "residuals": list(eq.residuals), "cramer": d, "alpha": alpha}
     _emit(args, config, fieldnames, [row], single=single)
@@ -213,16 +280,18 @@ def _value(entry):
 def _table(config, name, cells, max_n=None):
     """The table loop of tail and compare, over N_list x grid.
 
-    For each N it derives the thresholds (t, s) from the grid, evaluates
-    the tail approximation at every t in one pass and, when the oracle
-    cap max_n is given (compare), the oracle at every t in one pass.
-    cells(model, t, s, term, result) gives the cells of one row after N
-    and t from the tail term and the oracle result (None without the
-    oracle); where it raises ValueError or NumericalError the row
-    carries an "error: ..." status and empty cells.  Where the oracle
-    basis of one N raises NumericalError, every row of that N carries
-    that error and the other N are unaffected.  Returns (the
-    equilibrium, the rows, the exit status)."""
+    For each N it derives the thresholds t and their edge-scaled s from
+    the grid, evaluates the tail approximation at every t in one pass
+    (tail_terms) and, when the oracle cap max_n is given (compare), the
+    oracle at every t in one pass.  cells(model, ts, s, terms, results)
+    gives, for the rows of one N, the columns after N and t (one
+    sequence of cells each, in grid order) from the thresholds, the tail
+    terms and the oracle results (None without the oracle), and a dict
+    from the index of each failed row to its ValueError or
+    NumericalError; such a row carries an "error: ..." status and empty
+    cells.  Where the oracle basis of one N raises NumericalError, every
+    row of that N carries that error and the other N are unaffected.
+    Returns (the equilibrium, the rows as tuples, the exit status)."""
     if config.n_list is None:
         raise ConfigError(f'{name} needs "N_list"')
     if config.t_grid is None and config.s_grid is None:
@@ -237,7 +306,8 @@ def _table(config, name, cells, max_n=None):
         # compile the oracle; its functions are looked up on the module,
         # where perfbench/child.py wraps them when it traces a run
         from . import kernel_oracle
-    V, columns = config.potential, COLUMNS[name]
+    V = config.potential
+    blank = (None,) * (len(COLUMNS[name]) - 3)
     eq = solve_mrs(V)
     rows, all_ok = [], True
     # the Cramer coefficients depend on the field and k, not on N
@@ -246,11 +316,12 @@ def _table(config, name, cells, max_n=None):
         model = replace(base, N=N)
         scale = eq.gamma * N ** (2.0 / 3.0)
         if config.t_grid is not None:
-            thresholds = [(t, (t - eq.b) * scale) for t in config.t_grid]
+            ts = config.t_grid
+            s = (np.array(ts) - eq.b) * scale
         else:
-            thresholds = [(eq.b + s / scale, s) for s in config.s_grid]
-        ts = [t for t, _ in thresholds]
-        results = [None] * len(ts)
+            s = np.array(config.s_grid)
+            ts = (eq.b + s / scale).tolist()
+        results = None
         if max_n is not None:
             # gap_probabilities returns its per-threshold errors as
             # entries, so only build_basis raises here
@@ -259,19 +330,18 @@ def _table(config, name, cells, max_n=None):
                     kernel_oracle.build_basis(V, N), V, ts)
             except NumericalError as exc:
                 results = [exc] * len(ts)
-        for (t, s), term, result in zip(thresholds, tail_terms(model, ts), results):
-            try:
-                row = cells(model, t, s, term, result)
-            except (ValueError, NumericalError) as exc:
-                row = [None] * (len(columns) - 3) + [f"error: {exc}"]
-                all_ok = False
-            rows.append(dict(zip(columns, [N, t] + row)))
+        columns, errors = cells(model, ts, s, tail_terms(model, ts), results)
+        block = list(zip(repeat(N), ts, *columns))
+        for i, exc in errors.items():
+            block[i] = (N, ts[i], *blank, f"error: {exc}")
+        rows += block
+        all_ok = all_ok and not errors
     return eq, rows, 0 if all_ok else 1
 
 
-def _tail_cells(model, t, s, term, result):
-    log_f, eta, eta_prime = _value(term)
-    return [log_f, regime_classify(s, model.N).label(), eta, eta_prime, "ok"]
+def _tail_cells(model, ts, s, terms, results):
+    log_f, eta, eta_prime, errors = terms
+    return [log_f, regime_labels(s, model.N), eta, eta_prime, repeat("ok")], errors
 
 
 def cmd_tail(args, config):
@@ -281,20 +351,33 @@ def cmd_tail(args, config):
     return status
 
 
-def _compare_cells(model, t, s, term, result):
-    result, log_f = _value(result), _value(term)[0]
-    return [result.log_survival,
-            "underflow" if result.survival is None else result.survival,
-            log_f, math.expm1(result.log_survival - log_f), result.trace,
-            1.0 / (model.N * (t - model.eq.b) ** 1.5), "ok"]
+def _compare_cells(model, ts, s, terms, results):
+    log_f, _, _, term_errors = terms
+    N, b, blank = model.N, model.eq.b, (None,) * (len(COLUMNS["compare"]) - 2)
+    cells, errors = [], {}
+    for i, (t, lf, result) in enumerate(zip(ts, log_f, results)):
+        try:
+            # an oracle error wins over the threshold's tail error
+            result = _value(result)
+            if i in term_errors:
+                raise term_errors[i]
+            cells.append((result.log_survival,
+                          "underflow" if result.survival is None else result.survival,
+                          lf, math.expm1(result.log_survival - lf), result.trace,
+                          1.0 / (N * (t - b) ** 1.5), "ok"))
+        except (ValueError, NumericalError) as exc:
+            errors[i] = exc
+            cells.append(blank)
+    return zip(*cells), errors
 
 
 def cmd_compare(args, config):
     """Oracle-vs-approximation table; the summary reports the worst
     |ratio - 1| N (t-b)^{3/2} over the successful rows."""
     eq, rows, status = _table(config, "compare", _compare_cells, config.max_oracle_n)
-    worst = max((abs(row["ratio_minus_1"]) * row["N"] * (row["t"] - eq.b) ** 1.5
-                 for row in rows if row["status"] == "ok"), default=None)
+    worst = max((abs(ratio_minus_1) * N * (t - eq.b) ** 1.5
+                 for N, t, _, _, _, ratio_minus_1, _, _, status_cell in rows
+                 if status_cell == "ok"), default=None)
     _emit(args, config, COLUMNS["compare"], rows, summary={"max_scaled_deviation": worst})
     return status
 
@@ -305,8 +388,7 @@ def cmd_cramer(args, config):
     V = config.potential
     eq = solve_mrs(V)
     d = cramer_coefficients(eq, V, config.k)
-    rows = [dict(zip(COLUMNS["cramer"], [j, alpha_threshold(j), d_j]))
-            for j, d_j in enumerate([None, *d])]
+    rows = [(j, alpha_threshold(j), d_j) for j, d_j in enumerate([None, *d])]
     _emit(args, config, COLUMNS["cramer"], rows)
     return 0
 
@@ -324,6 +406,7 @@ config JSON keys:
   seed            integer (default 0), checked and otherwise unused: no
                   computation is random
   max_oracle_n    oracle feasibility cap for compare (default 200)
+Any other key, at the top or in "potential", is rejected with exit status 2.
 
 CSV column orders (floats carry 17 significant digits):
   equilibrium  a, b, gamma, ell, residual_1, residual_2, d_1..d_k, alpha_0..alpha_k

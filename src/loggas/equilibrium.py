@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
-from .errors import NumericalError, SolverError
+from .errors import NumericalError, Record, SolverError
 
 # Below m Theta = SINHC_CUT, sinh(z)/z - 1 is summed from its Taylor
 # series, 1/(2k+1)! z^2k for k = 1..12 (listed from k = 12 for Horner's
@@ -36,8 +36,8 @@ RESIDUAL_TOL = 1e-12
 MAX_NEWTON_ITER = 100
 
 
-@dataclass(frozen=True)
-class EquilibriumData:
+@dataclass(init=False, repr=False, eq=False)
+class EquilibriumData(Record):
     """Solved equilibrium problem: support endpoints and derived constants.
 
     gamma is the edge scaling constant; ell the Lagrange multiplier of

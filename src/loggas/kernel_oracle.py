@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import UNDERFLOW_LIMIT, NumericalError
+from .errors import UNDERFLOW_LIMIT, NumericalError, Record
 
 WINDOW_LOG_CUTOFF = 1400.0         # N(V - Vmin) at the window edges, where phi_0 is about e^-700
 WINDOW_EDGE_TOL = 1e-30            # kernel share the window may cut off
@@ -75,8 +75,8 @@ SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 is checked for ever
 SERIES_LOG_CUTOFF = 80.0
 
 
-@dataclass(frozen=True, eq=False)
-class OrthoBasis:
+@dataclass(init=False, repr=False, eq=False)
+class OrthoBasis(Record):
     """Recurrence data of the polynomials orthonormal for exp(-N V).
 
     beta[0] holds the weight normalizer, the integral of exp(-N (V -
@@ -94,9 +94,13 @@ class OrthoBasis:
     freud_residual: float
     panels: int
 
+    # compared and hashed by identity: the arrays have no single truth value
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, eq=False)
-class GapResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class GapResult(Record):
     """Exact survival probability of the rightmost particle past t.
 
     log_survival is always finite; survival is None when the value sits
@@ -118,6 +122,10 @@ class GapResult:
     det_value: float
     eigenvalues: np.ndarray
     trace: float
+
+    # compared and hashed by identity: the arrays have no single truth value
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 @lru_cache(maxsize=32)

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .errors import Record
 
-@dataclass(frozen=True)
-class Potential:
+
+@dataclass(init=False, repr=False, eq=False)
+class Potential(Record):
     """Polynomial field V(x) = sum_k coeffs[k] * x**k.
 
     Parameters
@@ -77,10 +79,15 @@ def json_float(value):
 
 def potential_from_json(obj):
     """Build a Potential from a parsed JSON object {"coeffs": [...],
-    "ga_infinity": bool}; anything else, a JSON string included, raises
-    ValueError.  The optional "ga_infinity" enters no computation."""
+    "ga_infinity": bool}; anything else, a JSON string or an object
+    with another key included, raises ValueError.  The optional
+    "ga_infinity" enters no computation."""
     if not isinstance(obj, dict):
         raise ValueError("potential entry must be a JSON object")
+    unknown = [key for key in obj if key not in ("coeffs", "ga_infinity")]
+    if unknown:
+        raise ValueError(f"unknown potential key {unknown[0]!r}; the keys are coeffs, "
+                         f"ga_infinity")
     if "coeffs" not in obj:
         raise ValueError('potential entry needs a "coeffs" array')
     coeffs = obj["coeffs"]

@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as npoly
 # loggas.tails.eta and loggas.tails.eta_prime when it traces a run
 from .equilibrium import (_compose, _eta, _eta_prime, _points, _require_field,  # noqa: F401
                           eta, eta_prime)
-from .errors import UNDERFLOW_LIMIT, NumericalError
+from .errors import UNDERFLOW_LIMIT, NumericalError, Record
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
 K_MAX_SUPPORTED = 6      # highest correction order regime_classify selects
@@ -28,8 +28,8 @@ TW_CUTOFF = 8.0
 MODERATE_MARGIN = 0.5
 
 
-@dataclass(frozen=True)
-class TailModel:
+@dataclass(init=False, repr=False, eq=False)
+class TailModel(Record):
     """Tail approximation family for one (potential, N) pair.
 
     cramer holds (d_1, ..., d_k); together with the exact rate function
@@ -125,30 +125,32 @@ def log_f_approx(model, t):
 
 
 def tail_terms(model, ts):
-    """log F, eta and eta' at every threshold of ts, as a list in the
-    order of ts.  An entry is the (log_f, eta, eta_prime) tuple of
-    floats, or the error of that threshold, so one failing threshold
-    does not stop the others: ValueError for t <= b, NumericalError
-    when one of the three is not finite (a t too large for a double
-    result, or not a number).  eta and eta' are evaluated once, over
-    the array of every threshold past b.
+    """log F, eta and eta' at every threshold of ts, and the errors of
+    the thresholds where they fail.
+
+    Returns (log_f, eta, eta_prime, errors): three lists of floats in
+    the order of ts, and a dict from the index in ts of each failed
+    threshold to its error, so one failing threshold does not stop the
+    others: ValueError for t <= b, NumericalError when one of the three
+    is not finite (a t too large for a double result, or not a number).
+    The lists hold nan at the failed indices.  eta and eta' are
+    evaluated once, over the array of every threshold past b.
     """
     eq = model.eq
     ts = np.asarray(ts, dtype=float)
-    t = ts[~(ts <= eq.b)]
+    past = ~(ts <= eq.b)
+    t = ts[past]
     eta_t, eta_prime_t = _eta(eq, t), _eta_prime(eq, t)
-    values = zip(_log_f(model, t, eta_t, eta_prime_t).tolist(), eta_t.tolist(),
-                 eta_prime_t.tolist())
-    out = []
-    for ti in ts.tolist():
-        if ti <= eq.b:
-            out.append(_edge_error(eq, ti))
-            continue
-        v = next(values)
-        out.append(v if all(map(math.isfinite, v)) else NumericalError(
+    terms = np.full((3, ts.size), np.nan)
+    terms[:, past] = _log_f(model, t, eta_t, eta_prime_t), eta_t, eta_prime_t
+    log_f, eta_ts, eta_prime_ts = terms.tolist()
+    errors = {}
+    for i in np.flatnonzero(~(past & np.isfinite(terms).all(axis=0))).tolist():
+        ti = float(ts[i])
+        errors[i] = _edge_error(eq, ti) if not past[i] else NumericalError(
             "tail approximation not finite at t = %r: log_F = %r, eta = %r, "
-            "eta_prime = %r" % ((ti,) + v)))
-    return out
+            "eta_prime = %r" % (ti, log_f[i], eta_ts[i], eta_prime_ts[i]))
+    return log_f, eta_ts, eta_prime_ts, errors
 
 
 def f_approx(model, t):
@@ -198,8 +200,8 @@ def tw_tail_asymptotic(s):
     return math.exp(-(4.0 / 3.0) * s ** 1.5) / (16.0 * math.pi * s ** 1.5)
 
 
-@dataclass(frozen=True)
-class Regime:
+@dataclass(init=False, repr=False, eq=False)
+class Regime(Record):
     """Classifier outcome: kind is one of 'tracy-widom', 'moderate',
     'large'; k the minimal correction order (None in the large regime)."""
 
@@ -210,6 +212,25 @@ class Regime:
         if self.kind == "moderate":
             return f"moderate({self.k})"
         return self.kind
+
+
+def _regime_bounds(N):
+    """Upper bounds on s of the regimes at matrix size N, in the order
+    of _REGIMES but for the last: TW_CUTOFF for the limiting law, then
+    max(TW_CUTOFF, MODERATE_MARGIN N^{alpha_k}) for k = 0..6.  The
+    regime of s is the first whose bound s does not exceed, as
+    np.searchsorted reads the ascending bounds, and past every bound
+    the large regime."""
+    return [TW_CUTOFF] + [max(TW_CUTOFF, MODERATE_MARGIN * N ** alpha_threshold(k))
+                          for k in range(K_MAX_SUPPORTED + 1)]
+
+
+def regime_labels(s, N):
+    """Regime labels (Regime.label) of the rescaled thresholds s, an
+    array, at matrix size N, as a list; regime_classify is the scalar
+    view, which also checks s >= 0 and N >= 1."""
+    index = np.searchsorted(_regime_bounds(N), s).tolist()
+    return list(map(_LABELS.__getitem__, index))
 
 
 def regime_classify(s, N):
@@ -224,9 +245,10 @@ def regime_classify(s, N):
         raise ValueError(f"s must be non-negative, got {s!r}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
-    if s <= TW_CUTOFF:
-        return Regime(kind="tracy-widom", k=0)
-    for k in range(K_MAX_SUPPORTED + 1):
-        if s <= MODERATE_MARGIN * N ** alpha_threshold(k):
-            return Regime(kind="moderate", k=k)
-    return Regime(kind="large", k=None)
+    return _REGIMES[int(np.searchsorted(_regime_bounds(N), s))]
+
+
+_REGIMES = (Regime(kind="tracy-widom", k=0),
+            *(Regime(kind="moderate", k=k) for k in range(K_MAX_SUPPORTED + 1)),
+            Regime(kind="large", k=None))
+_LABELS = tuple(regime.label() for regime in _REGIMES)

@@ -10,11 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loggas
 from loggas import tails
-from loggas.cli import COLUMNS, ConfigError, load_config, main
+from loggas.cli import COLUMNS, ConfigError, _write, load_config, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 GUE_POTENTIAL = {"coeffs": [0, 0, 0.5]}
 EXTREME_T = [-math.inf, 1.0, 2.5, 1e12, math.inf]
@@ -107,6 +110,26 @@ class TestLoadConfig:
             return
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, **keys))
+
+
+    @pytest.mark.parametrize("keys, named", [
+        ({"K": 6}, "'K'"),
+        ({"outputformat": "json"}, "'outputformat'"),
+        ({"potential": {"coeffs": [0, 0, 0.5], "ga_infinty": True}}, "'ga_infinty'"),
+    ])
+    def test_unknown_key_is_rejected(self, tmp_path, keys, named):
+        with pytest.raises(ConfigError, match=f"unknown (config|potential) key {named}"):
+            load_config(write_config(tmp_path, **keys))
+
+    @pytest.mark.parametrize("command", ["equilibrium", "tail", "compare", "cramer"])
+    def test_misspelt_keys_exit_2(self, tmp_path, capsys, command):
+        # a misspelt "k" and "output_format" ran with the defaults before
+        cfg = write_config(tmp_path, potential={"coeffs": [0, 0, 0.5], "ga_infinty": True},
+                           N_list=[4], t_grid=[2.5], K=6, outputformat="json")
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown config key 'K'; the keys are ")
 
 
 class TestEquilibriumCommand:
@@ -553,3 +576,90 @@ class TestPlumbing:
         assert main(["tail", "--config", cfg, "--out", str(out)]) == 1
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["gue", "quartic"])
+@pytest.mark.parametrize("command, fmt, suffix", [("tail", "csv", "tail.csv"),
+                                                  ("compare", "json", "compare.json")])
+def test_golden_output(tmp_path, capsys, field, command, fmt, suffix):
+    # tests/golden/<field>_<suffix> was written by `loggas <command> --config
+    # tests/golden/<field>.json --format <fmt>` before the tail loop and the
+    # CSV writer were rewritten: N_list [10, 40], 12 thresholds, the first
+    # below the support edge.  The files hold the last digits of numpy's
+    # log and sqrt and of OpenBLAS on an AVX-512 x86-64 host with numpy 2.4;
+    # a platform whose numpy rounds those differently prints other digits
+    out = tmp_path / suffix
+    status = main([command, "--config", str(GOLDEN / f"{field}.json"), "--format", fmt,
+                   "--out", str(out)])
+    assert (status, capsys.readouterr().err) == (1, "")
+    assert out.read_bytes() == (GOLDEN / f"{field}_{suffix}").read_bytes()
+
+
+def _reference_fmt_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return "%.17g" % float(value)
+
+
+def _reference_csv(fieldnames, rows, summary):
+    """The CSV writer as it was: csv.writer over the _fmt_cell strings."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([_reference_fmt_cell(cell) for cell in row] for row in rows)
+    for key, value in (summary or {}).items():
+        stream.write(f"# {key} = {_reference_fmt_cell(value)}\n")
+    return stream.getvalue()
+
+
+WRITER_TABLES = {
+    "error messages": [
+        (10, 2.5, None, None, 'error: got "1,5", expected t > b = 2.0'),
+        (10, 2.5, None, None, "error: a, b and c"),
+        (10, 2.5, None, None, "error: two\nlines"),
+        (10, 2.5, 0.1, 0.2, "ok"),
+    ],
+    # one table per character that needs quoting, so that each is the only
+    # one in its run of formatted rows
+    "comma in a label": [(10, 2.5, 0.1, 0.2, "ok, but a comma"), (10, 2.6, 0.1, 0.2, "ok")],
+    "quote in a label": [(10, 2.5, 0.1, 0.2, 'ok "quoted"'), (10, 2.6, 0.1, 0.2, "ok")],
+    "line break in a label": [(10, 2.5, 0.1, 0.2, "ok\nsplit"), (10, 2.6, 0.1, 0.2, "ok")],
+    "carriage return in a label": [(10, 2.5, 0.1, 0.2, "ok\rsplit"), (10, 2.6, 0.1, 0.2, "ok")],
+    "underflow tokens": [
+        (40, 6.0, -712.3, "underflow", "ok"),
+        (40, 6.5, -650.25, 1.5e-283, "ok"),
+        (40, 7.0, -1e300, "underflow", "ok"),
+    ],
+    "None cells": [
+        (0, None, None, None, ""),
+        (None, None, None, None, None),
+        (1, 0.26666666666666666, None, -0.004464285714285714, "moderate(0)"),
+    ],
+    "int cells": [
+        (5120, 2, True, False, "large"),
+        (-3, 10**30, 0, 7, "tracy-widom"),
+        (np.int64(4), np.float64(0.1), np.float32(0.1), 2.0, "ok"),
+        (1, math.inf, -math.inf, math.nan, "ok"),
+        (1, 0.1, 1e-320, -0.0, ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("table", list(WRITER_TABLES))
+def test_writer_matches_csv_writer(table):
+    rows = WRITER_TABLES[table]
+    fieldnames = ["N", "t", "a", "b", "status"]
+    summary = {"max_scaled_deviation": 0.125, "none": None}
+    stream = io.StringIO()
+    _write(stream, "csv", fieldnames, rows, summary)
+    assert stream.getvalue() == _reference_csv(fieldnames, rows, summary)
+    # the same rows as lists, in one table, and with one cell
+    stream = io.StringIO()
+    _write(stream, "csv", fieldnames, [list(row) for row in rows] * 2)
+    assert stream.getvalue() == _reference_csv(fieldnames, rows * 2, None)
+    for cells in ([""], [None], ["a,b"], [1.5], ["ok"]):
+        stream = io.StringIO()
+        _write(stream, "csv", ["x"], [cells])
+        assert stream.getvalue() == _reference_csv(["x"], [cells], None)

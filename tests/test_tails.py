@@ -7,11 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from loggas import tails
+
 from loggas import (NumericalError, alpha_threshold, build_tail_model,
                     cramer_coefficients, eta, eta_prime, eta_tilde, f_approx,
                     log_f_approx, moderate_leading, regime_classify, rescale,
                     tail_terms, tw_tail_asymptotic)
-from loggas.tails import K_MAX_SUPPORTED, LOG_UNDERFLOW
+from loggas.tails import (K_MAX_SUPPORTED, LOG_UNDERFLOW, MODERATE_MARGIN, TW_CUTOFF,
+                          regime_labels)
 
 
 def binom_half(m):
@@ -112,19 +115,24 @@ class TestTailTerms:
     def test_entries_match_scalar_functions(self, quartic_eq, quartic):
         m = build_tail_model(quartic_eq, quartic, 50)
         ts = quartic_eq.b + np.array([1e-6, 0.3, 2.0])
-        for t, (lf, e, ep) in zip(ts.tolist(), tail_terms(m, ts)):
+        log_f, eta_ts, eta_prime_ts, errors = tail_terms(m, ts)
+        assert errors == {}
+        for t, lf, e, ep in zip(ts.tolist(), log_f, eta_ts, eta_prime_ts):
             assert (lf, e, ep) == (log_f_approx(m, t), eta(quartic_eq, quartic, t),
                                    eta_prime(quartic_eq, quartic, t))
+            assert all(type(v) is float for v in (lf, e, ep))
 
     def test_each_threshold_fails_alone(self, gue_eq, gue):
         m = build_tail_model(gue_eq, gue, 10)
-        out = tail_terms(m, [-math.inf, 1.0, 2.5, 1e12, math.inf, math.nan])
-        assert [type(o) for o in out] == [ValueError, ValueError, tuple, tuple,
-                                          NumericalError, NumericalError]
-        assert str(out[1]) == "tail approximation needs t > b = 2.0, got 1.0"
-        assert all(math.isfinite(v) for v in out[3])
-        assert out[3][1] == pytest.approx(5e23, rel=1e-14)
-        assert "at t = inf:" in str(out[4]) and "at t = nan:" in str(out[5])
+        log_f, eta_ts, eta_prime_ts, errors = tail_terms(
+            m, [-math.inf, 1.0, 2.5, 1e12, math.inf, math.nan])
+        assert sorted(errors) == [0, 1, 4, 5]
+        assert [type(errors[i]) for i in (0, 1, 4, 5)] == [ValueError, ValueError,
+                                                           NumericalError, NumericalError]
+        assert str(errors[1]) == "tail approximation needs t > b = 2.0, got 1.0"
+        assert all(math.isfinite(v[3]) for v in (log_f, eta_ts, eta_prime_ts))
+        assert eta_ts[3] == pytest.approx(5e23, rel=1e-14)
+        assert "at t = inf:" in str(errors[4]) and "at t = nan:" in str(errors[5])
 
 
 class TestScalingMap:
@@ -206,3 +214,32 @@ class TestRegimes:
             cur = math.inf if r.kind == "large" else float(r.k)
             assert cur >= prev
             prev = cur
+
+    @pytest.mark.parametrize("N", [1, 10, 400, 5120, 10**6])
+    def test_array_labels_at_the_bounds(self, N):
+        # s = 8 and s = 0.5 N^{alpha_k}, each exactly and 1 ulp either side
+        bounds = [TW_CUTOFF] + [MODERATE_MARGIN * N ** alpha_threshold(k)
+                                for k in range(K_MAX_SUPPORTED + 1)]
+        s = sorted({float(x) for b in bounds
+                    for x in (np.nextafter(b, -math.inf), b, np.nextafter(b, math.inf))})
+        labels = regime_labels(np.array(s), N)
+        assert labels == [regime_classify(x, N).label() for x in s]
+        assert labels == [_seed_rule_label(x, N) for x in s]
+        if N == 10**6:
+            assert {"tracy-widom", "large"} | {f"moderate({k})" for k in range(7)} == set(labels)
+
+    def test_classify_returns_equal_records(self):
+        assert regime_classify(50.0, 10**6) == tails.Regime(kind="moderate", k=1)
+        assert regime_classify(3.0, 10).k == 0 and regime_classify(1e4, 10).k is None
+
+
+def _seed_rule_label(s, N):
+    """The regime rule as a loop, independent of the library's bounds:
+    s <= 8 is the limiting law, else the least k with s <= 0.5 N^{alpha_k}
+    is moderate(k), else large."""
+    if s <= 8.0:
+        return "tracy-widom"
+    for k in range(7):
+        if s <= 0.5 * N ** (2.0 / 3.0 - 2.0 / (2 * k + 5)):
+            return f"moderate({k})"
+    return "large"
