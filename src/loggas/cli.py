@@ -29,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -61,7 +61,6 @@ class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit status 2."""
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RunConfig(Record):
     """A validated run configuration (see load_config)."""
 
@@ -394,6 +393,12 @@ def cmd_cramer(args, config):
 
 
 _EPILOG = """\
+commands:
+  equilibrium     solve the support problem and report its constants
+  tail            tabulate the tail approximation over N and threshold grids
+  compare         tabulate exact oracle vs approximation with error ratios
+  cramer          tabulate correction coefficients and growth thresholds
+
 config JSON keys:
   potential       {"coeffs": [c0, c1, ...], "ga_infinity": bool}; c_k multiplies x^k;
                   "ga_infinity" is optional, must be a boolean and enters no result
@@ -423,6 +428,10 @@ run exits 1 after writing every row.
 """
 
 
+COMMANDS = {"equilibrium": cmd_equilibrium, "tail": cmd_tail, "compare": cmd_compare,
+            "cramer": cmd_cramer}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="loggas",
@@ -431,20 +440,12 @@ def _build_parser():
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in [
-        ("equilibrium", cmd_equilibrium, "solve the support problem and report its constants"),
-        ("tail", cmd_tail, "tabulate the tail approximation over N and threshold grids"),
-        ("compare", cmd_compare, "tabulate exact oracle vs approximation with error ratios"),
-        ("cramer", cmd_cramer, "tabulate correction coefficients and growth thresholds"),
-    ]:
-        p = sub.add_parser(name, help=help_text, epilog=_EPILOG,
-                           formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--config", required=True, help="path to JSON run config")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (overrides config)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(handler=handler)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, help="path to JSON run config")
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="output format (overrides config)")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -469,7 +470,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        return args.handler(args, config)
+        return COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

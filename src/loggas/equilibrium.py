@@ -17,7 +17,6 @@ finite sum of sinh(m Theta) / m (see eta).  No quadrature is left.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -36,7 +35,6 @@ RESIDUAL_TOL = 1e-12
 MAX_NEWTON_ITER = 100
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EquilibriumData(Record):
     """Solved equilibrium problem: support endpoints and derived constants.
 

@@ -5,7 +5,7 @@ Argument and domain violations raise plain ValueError; the classes here
 cover failures of the numerical machinery itself.
 """
 
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 UNDERFLOW_LIMIT = 1e-300           # probabilities below this exist only in log space
 
@@ -13,19 +13,26 @@ UNDERFLOW_LIMIT = 1e-300           # probabilities below this exist only in log 
 class Record:
     """Frozen base of the library's records.
 
-    A record is declared as @dataclass(init=False, repr=False, eq=False)
-    over this class, so dataclasses.fields, replace and asdict work on
-    it, while the methods the decorator would generate, and compile with
-    exec at every import, come from here: __init__ (positional or
-    keyword, every field required, then __post_init__ where defined),
-    __setattr__ and __delattr__ raising FrozenInstanceError, the
-    dataclass repr, and equality and hash by the field values.  A record
-    compared by identity sets __eq__ = object.__eq__ and
-    __hash__ = object.__hash__ in its body.
+    A record is declared by subclassing this class alone, with annotated
+    fields.  __init_subclass__ makes the subclass a dataclass that
+    generates no method (init=False, repr=False, eq=False), so
+    dataclasses.fields, replace and asdict work on it, while the methods
+    the decorator would generate, and compile with exec at every import,
+    come from here: __init__ (positional or keyword, every field
+    required, then __post_init__ where defined), __setattr__ and
+    __delattr__ raising FrozenInstanceError, the dataclass repr, and
+    equality and hash by the field values.  A record compared by
+    identity sets __eq__ = object.__eq__ and __hash__ = object.__hash__
+    in its body.
     """
 
+    def __init_subclass__(cls):
+        dataclass(cls, init=False, repr=False, eq=False)
+        # (field names in declaration order, __post_init__ or None)
+        cls._spec = (tuple(f.name for f in fields(cls)), getattr(cls, "__post_init__", None))
+
     def __init__(self, *args, **kwargs):
-        names, post = _spec(type(self))
+        names, post = self._spec
         values = kwargs
         if args:
             if len(args) > len(names) or not kwargs.keys().isdisjoint(names[:len(args)]):
@@ -52,10 +59,10 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _values(self):
-        return tuple(map(self.__dict__.__getitem__, _spec(type(self))[0]))
+        return tuple(map(self.__dict__.__getitem__, self._spec[0]))
 
     def __repr__(self):
-        cells = map("{}={!r}".format, _spec(type(self))[0], self._values())
+        cells = map("{}={!r}".format, self._spec[0], self._values())
         return f"{type(self).__qualname__}({', '.join(cells)})"
 
     def __eq__(self, other):
@@ -67,19 +74,8 @@ class Record:
         return hash(self._values())
 
 
-def _spec(cls):
-    """(field names in declaration order, __post_init__ or None) of the
-    record class cls, kept on cls once the dataclass decorator has
-    collected its fields."""
-    spec = cls.__dict__.get("_spec")
-    if spec is None:
-        spec = cls._spec = (tuple(f.name for f in fields(cls)),
-                            getattr(cls, "__post_init__", None))
-    return spec
-
-
 def _arguments_error(record, args, kwargs):
-    names = ", ".join(_spec(type(record))[0])
+    names = ", ".join(record._spec[0])
     return TypeError(f"{type(record).__qualname__}() takes each of its fields ({names}) "
                      f"once, got {len(args)} positional and the keywords {sorted(kwargs)}")
 

@@ -47,7 +47,6 @@ identities: N - 1 small matrix products, no eigenvalue routine.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,7 +74,6 @@ SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 is checked for ever
 SERIES_LOG_CUTOFF = 80.0
 
 
-@dataclass(init=False, repr=False, eq=False)
 class OrthoBasis(Record):
     """Recurrence data of the polynomials orthonormal for exp(-N V).
 
@@ -99,7 +97,6 @@ class OrthoBasis(Record):
     __hash__ = object.__hash__
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GapResult(Record):
     """Exact survival probability of the rightmost particle past t.
 
@@ -110,22 +107,14 @@ class GapResult(Record):
     1: at GUE N = 20 the N x N tail Gram matrix gives 2.44e-88 at t = 0,
     where an eigenvalue of the pivoted factor rounds to 1 and gives 0.0,
     and the two differ by 0.3% at t = 0.5; survival rounds to 1 there.
-    eigenvalues has length N in ascending order: those of L^T L for the
-    r-column pivoted Cholesky factor L of M, r <= N, preceded by 0.0 for
-    the rest, as the kernel has rank N at most.  trace is the trace of
-    the whole of M, the kernel mass past t.
+    trace is the trace of the whole of M, the kernel mass past t.
     """
 
     t: float
     log_survival: float
     survival: object
     det_value: float
-    eigenvalues: np.ndarray
     trace: float
-
-    # compared and hashed by identity: the arrays have no single truth value
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 @lru_cache(maxsize=32)
@@ -602,25 +591,21 @@ def gram(basis, V, t):
     return _gram_matrix(_phi_matrix(basis, V, x), w)
 
 
-def _survival(basis, ts, eigenvalues, traces):
+def _survival(ts, eigenvalues, traces):
     """GapResult, or the NumericalError it fails with, at every threshold
-    of ts, from the ascending eigenvalues lambda, at most N, of L^T L for
-    its pivoted Cholesky factor L and the trace T of its tail kernel
-    matrix, in the trace-anchored form log det(I - M) = -T + sum
-    (log1p(-lambda) + lambda) (see gap_probability).
+    of ts, from the ascending eigenvalues lambda of L^T L for its pivoted
+    Cholesky factor L, one row per threshold (a stop group of
+    _pivoted_factors, as eigvalsh returns them), and the trace T of its
+    tail kernel matrix, in the trace-anchored form log det(I - M) = -T +
+    sum (log1p(-lambda) + lambda) (see gap_probability).
     The log determinants are summed as one array; -T + (a sum of terms
     <= 0) is below 0, so every log survival is finite."""
-    N = basis.N
-    lam = np.zeros((len(eigenvalues), N))
-    for row, block in zip(lam, eigenvalues):
-        row[N - block.size:] = block
-    np.clip(lam, 0.0, 1.0, out=lam)
+    lam = np.clip(eigenvalues, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         g = np.log1p(-lam) + lam
     log_dets = (np.sum(g, axis=1) - np.array(traces)).tolist()
-    lam.flags.writeable = False
     out = []
-    for t, block, row, log_det, trace in zip(ts, eigenvalues, lam, log_dets, traces):
+    for t, block, log_det, trace in zip(ts, eigenvalues, log_dets, traces):
         low, high = float(block[0]), float(block[-1])
         try:
             if not (low >= -1e-10 and high <= 1.0 + 1e-10):
@@ -641,7 +626,7 @@ def _survival(basis, ts, eigenvalues, traces):
                         f"survival {survival!r} violates first-order bracketing "
                         f"against trace {trace!r} at t = {t!r}")
             out.append(GapResult(t=t, log_survival=log_survival, survival=survival,
-                                 det_value=det_value, eigenvalues=row, trace=trace))
+                                 det_value=det_value, trace=trace))
         except NumericalError as exc:
             out.append(exc)
     return out
@@ -715,9 +700,18 @@ def gap_probabilities(basis, V, ts):
     def factor(rows, x, cd, trace):
         for sel, L, _ in _pivoted_factors(x, cd, trace, basis.N):
             lam = np.linalg.eigvalsh(L @ L.swapaxes(1, 2))
-            for i, item in zip(rows[sel], _survival(basis, ts[rows[sel]].tolist(), lam,
+            for i, item in zip(rows[sel], _survival(ts[rows[sel]].tolist(), lam,
                                                     trace[sel].tolist())):
                 out[i] = item
+
+    def settle(block):
+        # the block's settled grids are released on return, so the next
+        # block settles with one block's grids in memory, not two
+        groups, errors = _settle(basis, V, ts[block], _edge_widths(basis, V, ts[block], bulk))
+        for row, exc in errors.items():
+            out[block[row]] = exc
+        for rows, x, _, cd, trace in groups:
+            factor(block[rows], x, cd, trace)
 
     for i, t in enumerate(ts.tolist()):
         try:
@@ -731,12 +725,7 @@ def gap_probabilities(basis, V, ts):
         factor(np.array([i]), x[None], cd[:, None], np.array([trace]))
     bulk = _bulk_estimate(basis)
     for first in range(0, len(edge), EDGE_BLOCK):
-        block = np.array(edge[first:first + EDGE_BLOCK])
-        groups, errors = _settle(basis, V, ts[block], _edge_widths(basis, V, ts[block], bulk))
-        for row, exc in errors.items():
-            out[block[row]] = exc
-        for rows, x, _, cd, trace in groups:
-            factor(block[rows], x, cd, trace)
+        settle(np.array(edge[first:first + EDGE_BLOCK]))
     return out
 
 

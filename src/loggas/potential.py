@@ -7,15 +7,12 @@ and a one-cut regular equilibrium measure) is checked exactly by
 equilibrium.solve_mrs, not here.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import Record
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Potential(Record):
     """Polynomial field V(x) = sum_k coeffs[k] * x**k.
 

@@ -10,7 +10,6 @@ linear-space evaluator returns None for them.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -28,7 +27,6 @@ TW_CUTOFF = 8.0
 MODERATE_MARGIN = 0.5
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TailModel(Record):
     """Tail approximation family for one (potential, N) pair.
 
@@ -200,7 +198,6 @@ def tw_tail_asymptotic(s):
     return math.exp(-(4.0 / 3.0) * s ** 1.5) / (16.0 * math.pi * s ** 1.5)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Regime(Record):
     """Classifier outcome: kind is one of 'tracy-widom', 'moderate',
     'large'; k the minimal correction order (None in the large regime)."""

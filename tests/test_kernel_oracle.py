@@ -168,7 +168,7 @@ def refined_log_survival(basis, V, t):
     if not trace >= TRACE_FLOOR:
         raise NumericalError(f"refined trace {trace!r}")
     # the kernel has rank N: its largest N eigenvalues enter
-    (result,) = _survival(basis, [float(t)], [np.linalg.eigvalsh(M)[-basis.N:]], [trace])
+    (result,) = _survival([float(t)], [np.linalg.eigvalsh(M)[-basis.N:]], [trace])
     if isinstance(result, NumericalError):
         raise result
     return result.log_survival
@@ -494,7 +494,6 @@ class TestProjector:
         for r, e in zip(gap_probabilities(b, TILTED, ts), expected):
             assert isinstance(r, GapResult), r
             assert r.log_survival == e.log_survival and r.trace == e.trace
-            assert np.array_equal(r.eigenvalues, e.eigenvalues)
         assert sizes and max(sizes) <= 400, sizes
 
     def test_gram_reuses_grid_phi(self, gue, quartic):
@@ -580,8 +579,12 @@ class TestDeflation:
                 ((rank, rank2),) = sizes
                 assert rank == rank2 and rank <= N and (rank == N) == (t == NEG_INF), (t, sizes)
                 bulk_ranks.append(rank)
+                x, _, cd, T = _tail_grid(b, V, t)
+                ((_, L, _),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
+                assert L.shape[1] == rank, t
+                lam = np.pad(np.clip(np.linalg.eigvalsh(L[0] @ L[0].T), 0.0, 1.0), (N - rank, 0))
                 G = gram(b, V, t)
-                assert np.abs(r.eigenvalues - np.clip(np.linalg.eigvalsh(G), 0.0, 1.0)).max() <= 1e-13
+                assert np.abs(lam - np.clip(np.linalg.eigvalsh(G), 0.0, 1.0)).max() <= 1e-13
                 _, log_full = full_survival(G)
                 assert r.log_survival == pytest.approx(log_full, rel=1e-13, abs=1e-300), t
             ranks = []
@@ -599,8 +602,6 @@ class TestDeflation:
                 assert L.shape == (1, rank, x.size) and residual[0] <= DEFLATION_TOL * T, t
                 assert np.abs(_cd_kernel(x, cd) - L[0].T @ L[0]).max() <= 1e-12 * T, t
                 ranks.append(rank)
-                assert r.eigenvalues.shape == (N,)
-                assert (r.eigenvalues[:N - rank] == 0.0).all()
                 _, log_full = full_survival(gram(b, V, t))
                 assert r.log_survival == pytest.approx(log_full, rel=1e-13), t
             monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -772,13 +773,16 @@ class TestDeflation:
         assert working[1] <= working[0] + 8 * 400 * len(ts), working
 
     def test_memory_flat_in_threshold_count(self, gue, gue_eq):
-        # at N = 400, 6 x 32 thresholds need no more working memory than
-        # 32 thresholds plus their results: the thresholds past the edge go
-        # through the pass in blocks of EDGE_BLOCK
+        # at N = 400, 6 x 32 and 24 x 32 thresholds need at most 128 bytes
+        # of working memory per added threshold over 32 thresholds, beyond
+        # their results: the thresholds past the edge go through the pass
+        # in blocks of EDGE_BLOCK, and one block's grids are released
+        # before the next block settles (measured: about 35 bytes, the
+        # list of edge indices)
         b = build_basis(gue, 400)
         ts = [edge_point(gue_eq, 400, s) for s in np.geomspace(0.5, 32.0, 32)]
-        working, held = [], []
-        for batch in (ts, ts * 6):
+        working = []
+        for batch in (ts, ts * 6, ts * 24):
             gap_probabilities(b, gue, batch)
             tracemalloc.start()
             results = gap_probabilities(b, gue, batch)
@@ -786,8 +790,8 @@ class TestDeflation:
             tracemalloc.stop()
             assert all(isinstance(r, GapResult) for r in results)
             working.append(peak - kept)
-            held.append(kept)
-        assert working[1] <= working[0] + held[0], (working, held)
+        for count, work in zip((6, 24), working[1:]):
+            assert work <= working[0] + 128 * (count - 1) * len(ts), working
 
     def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
         # a ts with bulk and edge thresholds, and a failing one
@@ -807,7 +811,6 @@ class TestDeflation:
                 single = gap_probability(b, V, t)
                 for name in ("t", "log_survival", "survival", "det_value", "trace"):
                     assert getattr(r, name) == getattr(single, name), (t, name)
-                assert np.array_equal(r.eigenvalues, single.eigenvalues), t
 
     @FIELDS
     def test_grid_matches_panel_march(self, coeffs):
@@ -1287,17 +1290,9 @@ class TestGap:
         # weights scaled by 10 push the top eigenvalue past 1
         b = build_basis(gue, 10)
         _, _, G, trace = settled(b, gue, 0.0)
-        (error,) = _survival(b, [0.0], [np.linalg.eigvalsh(10.0 * G)], [10.0 * trace])
+        (error,) = _survival([0.0], [np.linalg.eigvalsh(10.0 * G)], [10.0 * trace])
         assert isinstance(error, NumericalError) and "outside" in str(error)
         assert "np." not in str(error)
-
-    def test_eigenvalues_sorted_in_unit_interval(self, gue):
-        b = build_basis(gue, 9)
-        r = gap_probability(b, gue, 1.8)
-        lam = r.eigenvalues
-        assert lam.shape == (9,)
-        assert (np.diff(lam) >= 0.0).all()
-        assert lam[0] >= 0.0 and lam[-1] <= 1.0
 
 
 class TestTracyWidom:

@@ -4,7 +4,6 @@ behaviour of frozen dataclasses and none of their generated methods."""
 import dataclasses
 import pickle
 
-import numpy as np
 import pytest
 
 from loggas import build_basis, build_tail_model, gap_probabilities, regime_classify
@@ -24,9 +23,9 @@ FIELDS = {
                 "max_oracle_n"],
     OrthoBasis: ["N", "alpha", "beta", "support_window", "v_min", "freud_residual",
                  "panels"],
-    GapResult: ["t", "log_survival", "survival", "det_value", "eigenvalues", "trace"],
+    GapResult: ["t", "log_survival", "survival", "det_value", "trace"],
 }
-BY_IDENTITY = (OrthoBasis, GapResult)
+BY_IDENTITY = (OrthoBasis,)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +123,25 @@ def test_post_init_runs_after_the_fields_are_set():
 
 
 def test_keyword_order_does_not_reorder_the_fields():
-    result = GapResult(trace=0.1, eigenvalues=np.zeros(2), det_value=0.9, survival=0.1,
-                       log_survival=-2.3, t=3.0)
+    result = GapResult(trace=0.1, det_value=0.9, survival=0.1, log_survival=-2.3, t=3.0)
     assert list(vars(result)) == FIELDS[GapResult]
 
+
+
+def test_subclassing_record_alone_declares_a_record():
+    # no decorator: the base makes the subclass a dataclass of its
+    # annotated fields, with the base's methods
+    class Tmp(Record):
+        x: int
+
+    assert [f.name for f in dataclasses.fields(Tmp)] == ["x"]
+    assert "__init__" not in Tmp.__dict__ and "__eq__" not in Tmp.__dict__
+    record = Tmp(1)
+    assert repr(record) == "test_subclassing_record_alone_declares_a_record.<locals>.Tmp(x=1)"
+    assert dataclasses.asdict(record) == {"x": 1}
+    copy = dataclasses.replace(record, x=2)
+    assert type(copy) is Tmp and copy.x == 2 and record.x == 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="'x'"):
+        record.x = 3
+    assert record == Tmp(x=1) and hash(record) == hash(Tmp(x=1))
+    assert record != copy
