@@ -24,8 +24,7 @@ _EXPORTS = {
               "moderate_leading", "regime_classify", "rescale", "tail_terms",
               "tw_tail_asymptotic"),
     "kernel_oracle": ("GapResult", "OrthoBasis", "brute_force_survival", "build_basis",
-                      "gap_probabilities", "gap_probability", "gram", "hadamard_check",
-                      "tail_trace"),
+                      "gap_probabilities", "gap_probability", "gram", "hadamard_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

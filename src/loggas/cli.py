@@ -282,14 +282,16 @@ def _table(config, name, cells, max_n=None):
     For each N it derives the thresholds t and their edge-scaled s from
     the grid, evaluates the tail approximation at every t in one pass
     (tail_terms) and, when the oracle cap max_n is given (compare), the
-    oracle at every t in one pass.  cells(model, ts, s, terms, results)
-    gives, for the rows of one N, the columns after N and t (one
+    oracle in one pass at every t where the tail did not fail; results
+    hold the tail's error at the others.  cells(model, ts, s, terms,
+    results) gives, for the rows of one N, the columns after N and t (one
     sequence of cells each, in grid order) from the thresholds, the tail
     terms and the oracle results (None without the oracle), and a dict
     from the index of each failed row to its ValueError or
     NumericalError; such a row carries an "error: ..." status and empty
     cells.  Where the oracle basis of one N raises NumericalError, every
-    row of that N carries that error and the other N are unaffected.
+    row of that N that the tail did not fail carries that error, and the
+    other N are unaffected.
     Returns (the equilibrium, the rows as tuples, the exit status)."""
     if config.n_list is None:
         raise ConfigError(f'{name} needs "N_list"')
@@ -319,17 +321,21 @@ def _table(config, name, cells, max_n=None):
             s = (np.array(ts) - eq.b) * scale
         else:
             s = np.array(config.s_grid)
-            ts = (eq.b + s / scale).tolist()
-        results = None
+            with np.errstate(over="ignore"):  # an overflowing t is a tail error row
+                ts = (eq.b + s / scale).tolist()
+        terms = tail_terms(model, ts)
+        failed, results = terms[3], None
         if max_n is not None:
             # gap_probabilities returns its per-threshold errors as
             # entries, so only build_basis raises here
             try:
-                results = kernel_oracle.gap_probabilities(
-                    kernel_oracle.build_basis(V, N), V, ts)
+                found = iter(kernel_oracle.gap_probabilities(
+                    kernel_oracle.build_basis(V, N), V,
+                    [t for i, t in enumerate(ts) if i not in failed]))
             except NumericalError as exc:
-                results = [exc] * len(ts)
-        columns, errors = cells(model, ts, s, tail_terms(model, ts), results)
+                found = repeat(exc)
+            results = [failed[i] if i in failed else next(found) for i in range(len(ts))]
+        columns, errors = cells(model, ts, s, terms, results)
         block = list(zip(repeat(N), ts, *columns))
         for i, exc in errors.items():
             block[i] = (N, ts[i], *blank, f"error: {exc}")
@@ -351,15 +357,12 @@ def cmd_tail(args, config):
 
 
 def _compare_cells(model, ts, s, terms, results):
-    log_f, _, _, term_errors = terms
+    log_f = terms[0]
     N, b, blank = model.N, model.eq.b, (None,) * (len(COLUMNS["compare"]) - 2)
     cells, errors = [], {}
     for i, (t, lf, result) in enumerate(zip(ts, log_f, results)):
         try:
-            # an oracle error wins over the threshold's tail error
             result = _value(result)
-            if i in term_errors:
-                raise term_errors[i]
             cells.append((result.log_survival,
                           "underflow" if result.survival is None else result.survival,
                           lf, math.expm1(result.log_survival - lf), result.trace,

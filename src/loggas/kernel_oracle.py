@@ -36,10 +36,11 @@ blocks of EDGE_BLOCK, over their grids as one (T, m) array, in O(N T m)
 time and O(T m) memory.  No kernel matrix is formed: a pivoted Cholesky
 pass forms one kernel column per pivot (_pivoted_factors), r <= N columns
 per threshold, until the Schur complement's trace is at most
-DEFLATION_TOL of the trace (see gap_probability), in O(r^2 m) time, and
-one stacked eigvalsh call per r takes the eigenvalues of the r x r
-matrices L^T L (see gap_probabilities).  gram alone takes the dense phi_j,
-for the N x N tail Gram matrix.
+DEFLATION_TOL of the trace, or one column from a trace of CERTIFIED_TRACE
+on, where the survival rounds to 1 (see gap_probability), in O(r^2 m)
+time, and one stacked eigvalsh call per r takes the eigenvalues of the
+r x r matrices L^T L (see gap_probabilities).  gram alone takes the
+dense phi_j, for the N x N tail Gram matrix.
 
 brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
 by the series on a two-panel 24-node box rule, from tr(M^i) by Newton's
@@ -69,6 +70,7 @@ EDGE_SHARE_TOL = 1e-17             # tail-mass share the last edge panel may car
 MAX_EDGE_PANELS = 12
 EDGE_BLOCK = 32                    # edge thresholds per array pass; bounds its working memory
 DEFLATION_TOL = 1e-30              # tail-mass share gap_probability leaves out of its eigenproblem
+CERTIFIED_TRACE = 38.0             # log det <= -T (gap_probability), e^-38 < eps/4: survival is 1.0
 TRACE_FLOOR = float(np.finfo(float).tiny)  # below it the kernel mass sums lose precision
 SERIES_SIZE_LIMIT = 16             # |det - series| <= 1e-10 is checked for every N up to here
 SERIES_LOG_CUTOFF = 80.0
@@ -101,19 +103,15 @@ class GapResult(Record):
     """Exact survival probability of the rightmost particle past t.
 
     log_survival is always finite; survival is None when the value sits
-    below 1e-300.  det_value is the gap probability det(I - M) for the
-    tail kernel matrix M (see gap_probability), to absolute accuracy
-    only once it is far below 1, as 1 - lambda cancels for lambda near
-    1: at GUE N = 20 the N x N tail Gram matrix gives 2.44e-88 at t = 0,
-    where an eigenvalue of the pivoted factor rounds to 1 and gives 0.0,
-    and the two differ by 0.3% at t = 0.5; survival rounds to 1 there.
-    trace is the trace of the whole of M, the kernel mass past t.
+    below 1e-300.  trace is the trace of the whole of the tail kernel
+    matrix M (see gap_probability), the kernel mass past t; from
+    CERTIFIED_TRACE on it alone certifies survival 1.0 and log_survival
+    0.0.
     """
 
     t: float
     log_survival: float
     survival: object
-    det_value: float
     trace: float
 
 
@@ -570,13 +568,6 @@ def _gram_matrix(Phi, w):
     return 0.5 * (G + G.T)
 
 
-def tail_trace(basis, V, t):
-    """Integral of the kernel diagonal over (t, infinity), on the tail
-    grid: the same float as gap_probability's trace, and it raises where
-    that trace check raises.  The tail kernel matrix is never formed."""
-    return _tail_grid(basis, V, _threshold(t))[3]
-
-
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
     construction, from the dense phi_j on the nodes of gap_probability's
@@ -612,7 +603,6 @@ def _survival(ts, eigenvalues, traces):
                 raise NumericalError(
                     f"tail kernel eigenvalues outside [0, 1]: range "
                     f"[{low!r}, {high!r}] at t = {t!r}")
-            det_value = math.exp(log_det) if log_det > -745.0 else 0.0
             sur = -math.expm1(log_det)
             if sur >= UNDERFLOW_LIMIT:
                 survival, log_survival = sur, math.log(sur)
@@ -625,8 +615,7 @@ def _survival(ts, eigenvalues, traces):
                     raise NumericalError(
                         f"survival {survival!r} violates first-order bracketing "
                         f"against trace {trace!r} at t = {t!r}")
-            out.append(GapResult(t=t, log_survival=log_survival, survival=survival,
-                                 det_value=det_value, trace=trace))
+            out.append(GapResult(t=t, log_survival=log_survival, survival=survival, trace=trace))
         except NumericalError as exc:
             out.append(exc)
     return out
@@ -641,7 +630,8 @@ def _pivoted_factors(x, cd, trace, rank):
     of largest residual diagonal r, forms column p of M only
     (_cd_kernel), and sets l = (M e_p - L L^T e_p) / sqrt(r_p), then r -=
     l^2 and r_p = 0.  A row stops once its Schur-complement trace sum(r)
-    is at most DEFLATION_TOL of its trace, or at min(rank, m) columns.
+    is at most DEFLATION_TOL of its trace, at min(rank, m) columns, or
+    after one column from a trace of CERTIFIED_TRACE on (gap_probability).
     Yields (rows, L, residual) once per step at which rows stop: their
     indices into the block, their factors as a (len(rows), k, m) array,
     column j of each in L[:, j], and their Schur-complement traces.
@@ -656,7 +646,8 @@ def _pivoted_factors(x, cd, trace, rank):
     L = np.empty((trace.size, 1, x.shape[1]))
     for k in range(width + 1):
         residual = np.sum(r, axis=1)
-        stop = (residual <= DEFLATION_TOL * trace) | (k == width)
+        stop = ((residual <= DEFLATION_TOL * trace) | (k == width)
+                | ((trace >= CERTIFIED_TRACE) & (k > 0)))
         if stop.any():
             yield rows[stop], L[stop, :k], residual[stop]
             keep = ~stop
@@ -684,13 +675,14 @@ def gap_probabilities(basis, V, ts):
     its tail grid, O(N m) on m nodes, then the pivoted Cholesky factor of
     its kernel matrix, O(r m) kernel entries and O(r^2 m) updates for its
     r <= N columns (2 to 9 on the benchmark grids, 6 to 18 just below the
-    edge, N on the whole line), and the eigenvalues of L^T L, O(r^3), in
-    one stacked eigvalsh call per r.  A threshold in the bulk takes its cut
-    basis rule alone.  Those past _edge_start go in blocks of EDGE_BLOCK:
-    one recurrence over the first panels of the block's edge grids as one
-    (T, m) array, O(N T m) time and O(T m) memory whatever N, one more per
-    added panel on the grids that have not settled, and one factor pass
-    per group of equal panel count.  Every step is element-wise in the
+    edge, 1 from a trace of CERTIFIED_TRACE on, as deep in the bulk, by the
+    certificate gap_probability proves), and the eigenvalues of L^T L,
+    O(r^3), in one stacked eigvalsh call per r.  A threshold in the bulk
+    takes its cut basis rule alone.  Those past _edge_start go in blocks
+    of EDGE_BLOCK: one recurrence over the first panels of the block's
+    edge grids as one (T, m) array, O(N T m) time and O(T m) memory
+    whatever N, one more per added panel on the grids that have not
+    settled, and one factor pass per group of equal panel count.  Every step is element-wise in the
     nodes, or per matrix, or per row, so each result is the one
     gap_probability gives, bit for bit.
     """
@@ -744,11 +736,11 @@ def gap_probability(basis, V, t):
     moves the survival by at most eps: 0 <= survival(M) - survival <=
     eps.  As survival(M) >= (1 - e^-1) min(T, 1), that is a relative
     error of at most 2 DEFLATION_TOL max(T, 1).  A pivoted Cholesky
-    factor L, m x r
-    (_pivoted_factors), leaves the Schur complement E = M - L L^T, PSD,
-    with eps = tr E at most DEFLATION_TOL * T, or r = N, the rank of K,
-    where E = 0.  With lambda the eigenvalues of L^T L, which sum to T -
-    eps, and g(mu) = log1p(-mu) + mu, the trace-anchored form
+    factor L, m x r (_pivoted_factors), leaves the Schur complement E =
+    M - L L^T, PSD, with eps = tr E at most DEFLATION_TOL * T, or r = N,
+    the rank of K, where E = 0, or T >= CERTIFIED_TRACE (see below).  With
+    lambda the eigenvalues of L^T L, which sum to T - eps, and g(mu) =
+    log1p(-mu) + mu, the trace-anchored form
 
         log det(I - M) = -T + sum g(mu)  ~  -T + sum g(lambda)
                                          = log det(I - L L^T) - eps
@@ -772,11 +764,16 @@ def gap_probability(basis, V, t):
     differences; the survival is within 2.2e-16 max(1, |log survival|)
     of that of the dense matrix on the nodes within the window.
 
+    The certificate: from T >= CERTIFIED_TRACE the factor stops after one
+    column.  As g <= 0, the computed log det = -T + sum g(lambda) is at
+    most -T whatever the factor's width, and as log(1 - mu) <= -mu, so is
+    the true one; e^-38 < 2^-54, so -expm1 of either rounds to 1.0.
+
     Raises NumericalError if the trace is not a finite normal double (no
     representable kernel mass past t), if the tail grid does not
-    terminate, if L^T L has eigenvalues outside [0, 1]
-    beyond 1e-10, or if the result violates the first-order bracketing
-    trace - trace^2/2 <= survival <= trace (trace < 1).
+    terminate, if L^T L has eigenvalues outside [0, 1] beyond 1e-10, or
+    if the result violates the first-order bracketing trace - trace^2/2
+    <= survival <= trace (trace < 1).
     """
     result = gap_probabilities(basis, V, [t])[0]
     if not isinstance(result, GapResult):

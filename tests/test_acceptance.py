@@ -14,7 +14,7 @@ import pytest
 from loggas import (brute_force_survival, build_basis, build_tail_model,
                     cramer_coefficients, effective_potential, eta, f_approx,
                     gap_probability, gram, hadamard_check, log_f_approx,
-                    rescale, solve_mrs, tail_trace)
+                    rescale, solve_mrs)
 
 
 @pytest.fixture
@@ -139,7 +139,7 @@ def test_criterion_09_orthonormality_and_mass(report, gue):
         G = gram(basis, gue, neg_inf)
         worst_gram = max(worst_gram, float(np.abs(G - np.eye(N)).max()))
         worst_trace = max(worst_trace,
-                          abs(tail_trace(basis, gue, neg_inf) - N) / N)
+                          abs(gap_probability(basis, gue, neg_inf).trace - N) / N)
     ok = worst_gram <= 1e-8 and worst_trace <= 1e-6
     report(9, ok, f"max |Gram-I| = {worst_gram:.1e} (<=1e-8), "
                    f"max rel trace err = {worst_trace:.1e} (<=1e-6)")

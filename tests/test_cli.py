@@ -309,19 +309,22 @@ class TestCompareCommand:
             out.append([row["log_survival_oracle"] for row in rows])
         assert out[0] == out[1]
 
-    @pytest.mark.parametrize("grid, ok_row", [({"t_grid": EXTREME_T}, 2),
-                                              ({"s_grid": EXTREME_S}, 3)],
-                             ids=["t_grid", "s_grid"])
-    def test_extreme_thresholds(self, tmp_path, capsys, grid, ok_row):
-        # below the ok row the oracle runs and the tail approximation fails;
-        # above it the oracle's error comes first
+    @pytest.mark.parametrize("grid, ok_row, above", [
+        ({"t_grid": EXTREME_T}, 2, ["threshold 1000000000000.0: ", "tail approximation not finite"]),
+        ({"s_grid": EXTREME_S}, 3, ["tail approximation not finite"])], ids=["t_grid", "s_grid"])
+    def test_extreme_thresholds(self, tmp_path, capsys, grid, ok_row, above):
+        # below the ok row the tail approximation fails; above it the tail
+        # fails where log_F is not finite (t = inf, 2.2e299), and the
+        # oracle where it is (t = 1e12: no kernel mass past t)
         cfg = write_config(tmp_path, N_list=[10], **grid)
         assert main(["compare", "--config", cfg]) == 1
         rows, summary = parse_csv(capsys.readouterr().out)
         for row in rows[:ok_row]:
             assert row["status"] == f"error: tail approximation needs t > b = 2.0, got {float(row['t'])!r}"
         assert rows[ok_row]["status"] == "ok"
-        assert all(row["status"].startswith("error: threshold ") for row in rows[ok_row + 1:])
+        assert len(rows) == ok_row + 1 + len(above)
+        for row, start in zip(rows[ok_row + 1:], above):
+            assert row["status"].startswith("error: " + start), row
         t = float(rows[ok_row]["t"])
         scaled = abs(float(rows[ok_row]["ratio_minus_1"])) * 10 * (t - 2.0) ** 1.5
         assert float(summary["max_scaled_deviation"]) == pytest.approx(scaled, rel=1e-12)
@@ -336,21 +339,37 @@ class TestCompareCommand:
         assert float(rows[0]["log_survival_oracle"]) == pytest.approx(-182.54006053165756,
                                                                       rel=1e-13)
 
-    def test_failing_basis_fails_its_rows_only(self, tmp_path, capsys):
+    def test_failing_basis_fails_its_rows_only(self, tmp_path, capsys, monkeypatch):
         # GUE N = 700 reaches past the oracle window, so its basis raises;
-        # its rows carry that error and the N = 10 rows still print
-        cfg = write_config(tmp_path, N_list=[10, 700], t_grid=[2.5, 3.0],
+        # its rows carry that error and the N = 10 rows still print.  The
+        # oracle gets only the thresholds the tail did not fail (t > b,
+        # finite log_F); those rows carry the tail's error at both N
+        from loggas import kernel_oracle
+        calls = []
+        batch = kernel_oracle.gap_probabilities
+
+        def recording(basis, V, ts):
+            calls.append(list(ts))
+            return batch(basis, V, ts)
+
+        monkeypatch.setattr(kernel_oracle, "gap_probabilities", recording)
+        cfg = write_config(tmp_path, N_list=[10, 700], t_grid=[0.5, 2.5, 3.0, math.inf],
                            max_oracle_n=1000)
         assert main(["compare", "--config", cfg]) == 1
         captured = capsys.readouterr()
-        assert captured.err == ""
+        assert captured.err == "" and calls == [[2.5, 3.0]]
         rows, summary = parse_csv(captured.out)
-        assert [(row["N"], row["status"]) for row in rows[:2]] == [("10", "ok")] * 2
-        for row in rows[2:]:
-            assert row["N"] == "700" and row["log_survival_oracle"] == ""
+        assert [row["N"] for row in rows] == ["10"] * 4 + ["700"] * 4
+        for row in rows[::4]:
+            assert row["status"] == "error: tail approximation needs t > b = 2.0, got 0.5"
+        for row in rows[3::4]:
+            assert row["status"].startswith("error: tail approximation not finite at t = inf")
+        assert [row["status"] for row in rows[1:3]] == ["ok"] * 2
+        for row in rows[5:7]:
+            assert row["log_survival_oracle"] == ""
             assert row["status"].startswith("error: window [")
             assert "cuts off kernel mass at N = 700" in row["status"]
-        assert len(rows) == 4 and float(summary["max_scaled_deviation"]) > 0.0
+        assert float(summary["max_scaled_deviation"]) > 0.0
 
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])
@@ -452,14 +471,19 @@ class TestPlumbing:
         # non-finite and huge thresholds end as error rows, and numpy says
         # nothing on stderr
         src = os.path.dirname(os.path.dirname(loggas.__file__))
-        cfg = write_config(tmp_path, N_list=[10, 50], t_grid=EXTREME_T)
-        for command in ("tail", "compare"):
-            proc = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-m", "loggas.cli",
-                 command, "--config", cfg],
-                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-            assert (proc.returncode, proc.stderr) == (1, ""), command
-            assert proc.stdout.count(",ok\n") == 2 + 2 * (command == "tail")
+        extreme = write_config(tmp_path, N_list=[10, 50], t_grid=EXTREME_T)
+        # an s_grid entry whose threshold overflows to +inf
+        overflow = write_config(tmp_path, "overflow.json", potential={"coeffs": [0, 0, 5e-5]},
+                                N_list=[4], s_grid=[1.0, 1e308])
+        for cfg, ok_rows in ((extreme, {"tail": 4, "compare": 2}),
+                             (overflow, {"tail": 1, "compare": 1})):
+            for command, ok in ok_rows.items():
+                proc = subprocess.run(
+                    [sys.executable, "-W", "error::RuntimeWarning", "-m", "loggas.cli",
+                     command, "--config", cfg],
+                    capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+                assert (proc.returncode, proc.stderr) == (1, ""), (cfg, command)
+                assert proc.stdout.count(",ok\n") == ok, (cfg, command)
 
     @pytest.mark.parametrize("command", ["tail", "compare"])
     def test_json_row_keys(self, tmp_path, capsys, command):

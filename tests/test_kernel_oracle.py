@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from loggas import (Potential, brute_force_survival, build_basis, gap_probability,
-                    gram, hadamard_check, solve_mrs, tail_trace)
+                    gram, hadamard_check, solve_mrs)
 from loggas import kernel_oracle
-from loggas.kernel_oracle import (BASE_PANEL_NODES, DEFLATION_TOL, SERIES_SIZE_LIMIT,
-                                  TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult, _cd_kernel,
-                                  _cd_values, _gram_matrix, _level_roots, _phi_matrix,
-                                  _pivoted_factors, _series_kernel, _support_window, _survival,
-                                  _tail_grid, composite_gl, gap_probabilities, gl_rule)
+from loggas.kernel_oracle import (BASE_PANEL_NODES, CERTIFIED_TRACE, DEFLATION_TOL,
+                                  SERIES_SIZE_LIMIT, TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult,
+                                  _cd_kernel, _cd_values, _gram_matrix, _level_roots,
+                                  _phi_matrix, _pivoted_factors, _series_kernel, _support_window,
+                                  _survival, _tail_grid, composite_gl, gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -428,46 +428,12 @@ class TestProjector:
 
     def test_total_mass(self, gue):
         b = build_basis(gue, 14)
-        assert tail_trace(b, gue, NEG_INF) == pytest.approx(14.0, rel=1e-12)
+        assert gap_probability(b, gue, NEG_INF).trace == pytest.approx(14.0, rel=1e-12)
 
     def test_trace_decreasing_in_t(self, gue):
         b = build_basis(gue, 10)
-        vals = [tail_trace(b, gue, t) for t in (1.0, 1.5, 2.0, 2.5, 3.0)]
+        vals = [gap_probability(b, gue, t).trace for t in (1.0, 1.5, 2.0, 2.5, 3.0)]
         assert all(x > y > 0.0 for x, y in zip(vals, vals[1:]))
-
-    def test_tail_trace_is_gram_trace(self, gue, quartic):
-        for V, N in ((gue, 12), (quartic, 9)):
-            b = build_basis(V, N)
-            for t in (NEG_INF, -0.5, 1.1, 2.3):
-                assert tail_trace(b, V, t) == gap_probability(b, V, t).trace
-            # no kernel mass in the normal double range past t = 40: both
-            # raise rather than return 0 and -inf
-            for f in (tail_trace, gap_probability):
-                with pytest.raises(NumericalError, match="normal double"):
-                    f(b, V, 40.0)
-            # phi_0 underflows past the window, so the dense Gram matrix
-            # is refused there
-            with pytest.raises(NumericalError, match="past the oracle window"):
-                gram(b, V, 40.0)
-
-    def test_tail_trace_forms_no_matrix(self, gue, quartic, monkeypatch):
-        # tail_trace stops at the settled trace: in the bulk and past the
-        # edge it returns gap_probability's trace with the matrix-forming
-        # steps and the dense phi_j made to raise
-        cases = [(V, build_basis(V, N), t) for V, N, edge in ((gue, 400, 2.1), (quartic, 50, 1.2))
-                 for t in (NEG_INF, 0.5, edge)]
-        traces = [gap_probability(b, V, t).trace for V, b, t in cases]
-
-        def refuse(*args):
-            raise AssertionError("tail matrix formed")
-
-        monkeypatch.setattr(kernel_oracle, "_gram_matrix", refuse)
-        monkeypatch.setattr(kernel_oracle, "_cd_kernel", refuse)
-        monkeypatch.setattr(kernel_oracle, "_phi_matrix", refuse)
-        assert [tail_trace(b, V, t) for V, b, t in cases] == traces
-        for t in (0.5, 2.1):
-            with pytest.raises(AssertionError, match="tail matrix formed"):
-                gap_probability(cases[0][1], gue, t)
 
     def test_one_path_takes_no_dense_phi(self, monkeypatch):
         # every threshold, in the bulk and past the window (1.979) below
@@ -519,7 +485,8 @@ class TestDeflation:
         # (so taken as at least 0), or 0 where the factor has min(N, m)
         # columns; M is the Christoffel-Darboux matrix past the edge and
         # the dense Gram matrix in the bulk; past the edge the result is
-        # that of the dense Gram matrix
+        # that of the dense Gram matrix.  From a trace of CERTIFIED_TRACE
+        # on, the certificate instead: one column, survival exactly 1
         V = Potential(coeffs)
         eq = solve_mrs(V)
         b = build_basis(V, N)
@@ -533,13 +500,16 @@ class TestDeflation:
                 with pytest.raises(NumericalError):
                     gap_probability(b, V, t)
                 continue
-            eps = 0.0
             x, _, cd, _ = _tail_grid(b, V, t)
             ((_, L, residual),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
+            r = gap_probability(b, V, t)
+            if T >= CERTIFIED_TRACE:
+                assert L.shape[1] == 1 and (r.survival, r.log_survival) == (1.0, 0.0), t
+                continue
+            eps = 0.0
             if L.shape[1] < min(N, x.size):
                 assert residual[0] <= DEFLATION_TOL * T, t
                 eps = max(float(residual[0]), 0.0)
-            r = gap_probability(b, V, t)
             sur = 0.0 if r.survival is None else r.survival
             sur_full, _ = full_survival(M)
             assert -1e-15 <= sur_full - sur <= eps + 1e-15, (t, sur_full, sur, eps)
@@ -556,8 +526,9 @@ class TestDeflation:
         # reproduces the whole kernel matrix to 1e-12 of the trace; the
         # batch of all 32 stacks the matrices of equal r, one call per r.
         # A threshold in the bulk hands eigvalsh the r x r matrix L^T L of
-        # its own factor, one call each, r = N on the whole line, and gives
-        # the survival and the eigenvalues of the dense N x N Gram matrix
+        # its own factor, one call each, and gives the survival and the
+        # eigenvalues of the dense N x N Gram matrix; from a trace of
+        # CERTIFIED_TRACE on (t = -inf and 0) r = 1 and the survival is 1
         sizes, stacks = [], []
         eigvalsh = np.linalg.eigvalsh
 
@@ -577,11 +548,14 @@ class TestDeflation:
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
                 ((rank, rank2),) = sizes
-                assert rank == rank2 and rank <= N and (rank == N) == (t == NEG_INF), (t, sizes)
+                assert rank == rank2 and rank < N, (t, sizes)
                 bulk_ranks.append(rank)
                 x, _, cd, T = _tail_grid(b, V, t)
                 ((_, L, _),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
                 assert L.shape[1] == rank, t
+                if T >= CERTIFIED_TRACE:
+                    assert rank == 1 and (r.survival, r.log_survival) == (1.0, 0.0), t
+                    continue
                 lam = np.pad(np.clip(np.linalg.eigvalsh(L[0] @ L[0].T), 0.0, 1.0), (N - rank, 0))
                 G = gram(b, V, t)
                 assert np.abs(lam - np.clip(np.linalg.eigvalsh(G), 0.0, 1.0)).max() <= 1e-13
@@ -655,6 +629,28 @@ class TestDeflation:
                     assert abs(r.log_survival - ref) <= 3e-14 * max(1.0, abs(ref)), (N, t)
                     checked += 1
         assert checked >= 200, checked
+
+    @pytest.mark.parametrize("V", [Potential((0.0, 0.0, 0.5)), Potential((0.0, 0.0, 0.0, 0.0, 1.0)),
+                                   Potential(ASYMMETRIC), TILTED],
+                             ids=["gue", "quartic", "asymmetric", "tilted"])
+    def test_certificate_matches_dense_reference(self, V):
+        # across the Gershgorin bulk +-0.3 and on the whole line, every
+        # threshold with a trace of at least CERTIFIED_TRACE gives survival
+        # 1.0 and log_survival 0.0 exactly, as every eigenvalue of the
+        # dense N x N Gram matrix does, and its trace is the tail grid's
+        certified = 0
+        for N in (20, 100, 200):
+            b = build_basis(V, N)
+            blo, bhi = kernel_oracle._bulk_estimate(b)
+            ts = [NEG_INF, *np.linspace(blo - 0.3, bhi + 0.3, 40).tolist()]
+            for t, r in zip(ts, gap_probabilities(b, V, ts)):
+                if isinstance(r, NumericalError) or r.trace < CERTIFIED_TRACE:
+                    continue
+                assert (r.survival, r.log_survival) == (1.0, 0.0), (N, t)
+                assert full_survival(gram(b, V, t)) == (1.0, 0.0), (N, t)
+                assert r.trace == _tail_grid(b, V, t)[3], (N, t)
+                certified += 1
+        assert certified >= 25, certified
 
     def test_one_phi_recurrence_per_threshold(self, gue, quartic, monkeypatch):
         # gap_probability runs one Christoffel-Darboux pass over an edge
@@ -809,7 +805,7 @@ class TestDeflation:
                     continue
                 assert isinstance(r, GapResult)
                 single = gap_probability(b, V, t)
-                for name in ("t", "log_survival", "survival", "det_value", "trace"):
+                for name in ("t", "log_survival", "survival", "trace"):
                     assert getattr(r, name) == getattr(single, name), (t, name)
 
     @FIELDS
@@ -1120,7 +1116,7 @@ class TestGap:
         # term k = 1 of the series is e_1 = tr M, on the series rule
         b = build_basis(gue, 3)
         assert np.trace(_series_kernel(b, gue, 2.2)) == pytest.approx(
-            tail_trace(b, gue, 2.2), rel=1e-10)
+            gap_probability(b, gue, 2.2).trace, rel=1e-10)
 
     def test_subsets_match_ordered_tuples(self, gue, quartic):
         # reference: every ordered k-tuple of rule nodes, over k!
@@ -1256,7 +1252,6 @@ class TestGap:
         assert r.survival is None
         assert -708.0 < r.log_survival < math.log(1e-300)
         assert r.log_survival == pytest.approx(refined_log_survival(b, gue, 4.95), rel=1e-12)
-        assert r.det_value == 1.0
 
     def test_no_silent_minus_infinity(self, gue):
         # t = 12 lies past the N = 50 window; past t = 5 at N = 90 the
@@ -1270,11 +1265,14 @@ class TestGap:
         # at N = 500 the window ends at sqrt(2800/500) = 2.366; past it
         # phi_0 is subnormal, but the Christoffel-Darboux kernel, in log
         # form, still gives the survival (about e^-182.5 at t = 2.4),
-        # within 1e-12 of a grid with twice the panels and nodes
+        # within 1e-12 of a grid with twice the panels and nodes; the dense
+        # Gram matrix, which needs phi_0, is refused there
         b = build_basis(gue, 500)
         hi = b.support_window[1]
         assert hi == pytest.approx(math.sqrt(2800.0 / 500.0), rel=1e-9)
         assert gap_probability(b, gue, hi).log_survival < -100.0
+        with pytest.raises(NumericalError, match="past the oracle window"):
+            gram(b, gue, 2.4)
         for t, expected in ((2.4, -182.54006053165756), (2.6, -333.01035839272936)):
             r = gap_probability(b, gue, t)
             assert r.log_survival == pytest.approx(expected, rel=1e-13)

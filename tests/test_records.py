@@ -23,7 +23,7 @@ FIELDS = {
                 "max_oracle_n"],
     OrthoBasis: ["N", "alpha", "beta", "support_window", "v_min", "freud_residual",
                  "panels"],
-    GapResult: ["t", "log_survival", "survival", "det_value", "trace"],
+    GapResult: ["t", "log_survival", "survival", "trace"],
 }
 BY_IDENTITY = (OrthoBasis,)
 
@@ -123,7 +123,7 @@ def test_post_init_runs_after_the_fields_are_set():
 
 
 def test_keyword_order_does_not_reorder_the_fields():
-    result = GapResult(trace=0.1, det_value=0.9, survival=0.1, log_survival=-2.3, t=3.0)
+    result = GapResult(trace=0.1, survival=0.1, log_survival=-2.3, t=3.0)
     assert list(vars(result)) == FIELDS[GapResult]
 
 
