@@ -19,10 +19,9 @@ _EXPORTS = {
     "potential": ("Potential", "potential_from_json"),
     "equilibrium": ("EquilibriumData", "density", "effective_potential", "eta",
                     "eta_prime", "g_factor", "solve_mrs"),
-    "tails": ("Regime", "TailModel", "alpha_threshold", "build_tail_model",
-              "cramer_coefficients", "eta_tilde", "f_approx", "log_f_approx",
-              "moderate_leading", "regime_classify", "rescale", "tail_terms",
-              "tw_tail_asymptotic"),
+    "tails": ("TailModel", "alpha_threshold", "build_tail_model", "cramer_coefficients",
+              "eta_tilde", "f_approx", "log_f_approx", "moderate_leading", "rescale",
+              "tail_terms", "tw_tail_asymptotic"),
     "kernel_oracle": ("GapResult", "OrthoBasis", "brute_force_survival", "build_basis",
                       "gap_probabilities", "gap_probability", "gram", "hadamard_check"),
 }

@@ -186,8 +186,9 @@ def _write(stream, fmt, fieldnames, rows, summary=None, single=None):
         for row in (fieldnames, *rows):
             row = tuple(row)
             types = tuple(map(type, row))
-            form = formats.get(types)
-            if form is None:
+            try:
+                form = formats[types]
+            except KeyError:
                 form = formats[types] = _row_format(types)
             if form is None:
                 parts += [_format_run(run), _csv_lines([row])]
@@ -327,11 +328,12 @@ def _table(config, name, cells, max_n=None):
         failed, results = terms[3], None
         if max_n is not None:
             # gap_probabilities returns its per-threshold errors as
-            # entries, so only build_basis raises here
+            # entries, so only build_basis raises here; an N whose every
+            # threshold failed the tail builds no basis
+            kept = [t for i, t in enumerate(ts) if i not in failed]
             try:
                 found = iter(kernel_oracle.gap_probabilities(
-                    kernel_oracle.build_basis(V, N), V,
-                    [t for i, t in enumerate(ts) if i not in failed]))
+                    kernel_oracle.build_basis(V, N), V, kept) if kept else [])
             except NumericalError as exc:
                 found = repeat(exc)
             results = [failed[i] if i in failed else next(found) for i in range(len(ts))]

@@ -319,21 +319,14 @@ def build_basis(V, N):
 
 def _phi_matrix(basis, V, x):
     """phi_0..phi_{N-1} at the points x as one (N, len(x)) array, by the
-    three-term recurrence."""
+    three-term recurrence; the extra last row of zeros is phi_{-1}."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
-    out = np.empty((basis.N, x.size))
-    np.divide(np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)), sqrt_beta[0], out=out[0])
-    term = np.empty_like(x)
+    phi = np.zeros((basis.N + 1, x.size))
+    phi[0] = np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)) / sqrt_beta[0]
     for j in range(1, basis.N):
-        row = out[j]
-        np.subtract(x, alpha[j - 1], out=row)
-        row *= out[j - 1]
-        if j > 1:
-            np.multiply(out[j - 2], sqrt_beta[j - 1], out=term)
-            row -= term
-        row /= sqrt_beta[j]
-    return out
+        phi[j] = ((x - alpha[j - 1]) * phi[j - 1] - sqrt_beta[j - 1] * phi[j - 2]) / sqrt_beta[j]
+    return phi[:-1]
 
 
 def _renormalisation_period(basis, x):

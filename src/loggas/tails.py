@@ -2,8 +2,9 @@
 
 Houses the leading-order tail approximation F(t) for the largest
 particle, the edge rescaling t(s), the correction-series coefficients
-d_j of the rescaled exponent, and the growth thresholds alpha_k that
-delimit how many corrections the leading order needs.
+d_j of the rescaled exponent, the growth thresholds alpha_k that
+delimit how many corrections the leading order needs, and the regime
+labels of the `tail` table (regime_labels), which they define.
 
 Probabilities below 1e-300 exist only in log space here; the
 linear-space evaluator returns None for them.
@@ -22,7 +23,7 @@ from .equilibrium import (_compose, _eta, _eta_prime, _points, _require_field,  
 from .errors import UNDERFLOW_LIMIT, NumericalError, Record
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
-K_MAX_SUPPORTED = 6      # highest correction order regime_classify selects
+K_MAX_SUPPORTED = 6      # highest correction order regime_labels names
 TW_CUTOFF = 8.0
 MODERATE_MARGIN = 0.5
 
@@ -198,54 +199,28 @@ def tw_tail_asymptotic(s):
     return math.exp(-(4.0 / 3.0) * s ** 1.5) / (16.0 * math.pi * s ** 1.5)
 
 
-class Regime(Record):
-    """Classifier outcome: kind is one of 'tracy-widom', 'moderate',
-    'large'; k the minimal correction order (None in the large regime)."""
-
-    kind: str
-    k: object
-
-    def label(self):
-        if self.kind == "moderate":
-            return f"moderate({self.k})"
-        return self.kind
-
-
 def _regime_bounds(N):
-    """Upper bounds on s of the regimes at matrix size N, in the order
-    of _REGIMES but for the last: TW_CUTOFF for the limiting law, then
-    max(TW_CUTOFF, MODERATE_MARGIN N^{alpha_k}) for k = 0..6.  The
-    regime of s is the first whose bound s does not exceed, as
-    np.searchsorted reads the ascending bounds, and past every bound
-    the large regime."""
+    """Ascending upper bounds on s at matrix size N, one for each label
+    of _LABELS but the last: TW_CUTOFF, then max(TW_CUTOFF,
+    MODERATE_MARGIN N^{alpha_k}) for k = 0..6."""
     return [TW_CUTOFF] + [max(TW_CUTOFF, MODERATE_MARGIN * N ** alpha_threshold(k))
                           for k in range(K_MAX_SUPPORTED + 1)]
 
 
+_LABELS = ("tracy-widom", "moderate(0)", "moderate(1)", "moderate(2)", "moderate(3)",
+           "moderate(4)", "moderate(5)", "moderate(6)", "large")
+
+
 def regime_labels(s, N):
-    """Regime labels (Regime.label) of the rescaled thresholds s, an
-    array, at matrix size N, as a list; regime_classify is the scalar
-    view, which also checks s >= 0 and N >= 1."""
+    """Regime labels of the rescaled thresholds s, an array, at matrix
+    size N, as a list.
+
+    Fixed desk-scale margins: s <= 8 is 'tracy-widom', the limiting-law
+    regime; otherwise the least k <= 6 with s <= 0.5 N^{alpha_k} gives
+    'moderate(k)', the moderate regime with k corrections; past every
+    bound s is of edge order N^{2/3} and reads 'large'.  A negative s
+    reads 'tracy-widom'; the CLI never prints that label, as such a row
+    is a tail error.
+    """
     index = np.searchsorted(_regime_bounds(N), s).tolist()
     return list(map(_LABELS.__getitem__, index))
-
-
-def regime_classify(s, N):
-    """Classify the rescaled threshold s at matrix size N.
-
-    Fixed desk-scale margins: s <= 8 counts as the limiting-law regime;
-    otherwise the least k <= 6 with s <= 0.5 N^{alpha_k} selects the
-    moderate regime with k corrections; past all thresholds s is of
-    edge order N^{2/3} and classifies as large.
-    """
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s!r}")
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    return _REGIMES[int(np.searchsorted(_regime_bounds(N), s))]
-
-
-_REGIMES = (Regime(kind="tracy-widom", k=0),
-            *(Regime(kind="moderate", k=k) for k in range(K_MAX_SUPPORTED + 1)),
-            Regime(kind="large", k=None))
-_LABELS = tuple(regime.label() for regime in _REGIMES)

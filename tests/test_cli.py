@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import loggas
-from loggas import tails
+from loggas import cli, tails
 from loggas.cli import COLUMNS, ConfigError, _write, load_config, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -371,6 +371,29 @@ class TestCompareCommand:
             assert "cuts off kernel mass at N = 700" in row["status"]
         assert float(summary["max_scaled_deviation"]) > 0.0
 
+    def test_no_basis_without_oracle_rows(self, tmp_path, capsys, monkeypatch):
+        # every threshold lies below b = 2, so the tail fails every row and
+        # no N builds a basis, not even N = 700, whose basis would fail
+        from loggas import kernel_oracle
+        built = []
+        build = kernel_oracle.build_basis
+
+        def recording(V, N):
+            built.append(N)
+            return build(V, N)
+
+        monkeypatch.setattr(kernel_oracle, "build_basis", recording)
+        cfg = write_config(tmp_path, N_list=[400, 700], t_grid=[0.5, 1.0], max_oracle_n=700)
+        assert main(["compare", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and built == []
+        rows, summary = parse_csv(captured.out)
+        assert [(row["N"], row["t"]) for row in rows] == [
+            ("400", "0.5"), ("400", "1"), ("700", "0.5"), ("700", "1")]
+        for row in rows:
+            assert row["status"].startswith("error: tail approximation needs t > b = 2.0")
+        assert summary["max_scaled_deviation"] == ""
+
     def test_oracle_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, N_list=[500], t_grid=[2.5])
         assert main(["compare", "--config", cfg]) == 2
@@ -602,21 +625,32 @@ class TestPlumbing:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["gue", "quartic"])
-@pytest.mark.parametrize("command, fmt, suffix", [("tail", "csv", "tail.csv"),
-                                                  ("compare", "json", "compare.json")])
-def test_golden_output(tmp_path, capsys, field, command, fmt, suffix):
+GOLDEN_RUNS = [(command, fmt, suffix, field)
+               for command, fmt, suffix in (("tail", "csv", "tail.csv"),
+                                            ("compare", "json", "compare.json"))
+               for field in ("gue", "quartic")] + [("tail", "csv", "tail.csv", "regimes")]
+
+
+@pytest.mark.parametrize("command, fmt, suffix, field", GOLDEN_RUNS)
+def test_golden_output(tmp_path, capsys, command, fmt, suffix, field):
     # tests/golden/<field>_<suffix> was written by `loggas <command> --config
-    # tests/golden/<field>.json --format <fmt>` before the tail loop and the
-    # CSV writer were rewritten: N_list [10, 40], 12 thresholds, the first
-    # below the support edge.  The files hold the last digits of numpy's
-    # log and sqrt and of OpenBLAS on an AVX-512 x86-64 host with numpy 2.4;
-    # a platform whose numpy rounds those differently prints other digits
+    # tests/golden/<field>.json --format <fmt>`: for gue and quartic before
+    # the tail loop and the CSV writer were rewritten (N_list [10, 40], 12
+    # thresholds, the first below the support edge, so the run exits 1);
+    # for regimes before the regime rule had one implementation (GUE,
+    # N_list [5120, 100000], 10 thresholds s, every label at N = 100000).
+    # The files hold the last digits of numpy's log and sqrt and of
+    # OpenBLAS on an AVX-512 x86-64 host with numpy 2.4; a platform whose
+    # numpy rounds those differently prints other digits
     out = tmp_path / suffix
     status = main([command, "--config", str(GOLDEN / f"{field}.json"), "--format", fmt,
                    "--out", str(out)])
-    assert (status, capsys.readouterr().err) == (1, "")
+    assert (status, capsys.readouterr().err) == (0 if field == "regimes" else 1, "")
     assert out.read_bytes() == (GOLDEN / f"{field}_{suffix}").read_bytes()
+    if field == "regimes":
+        rows, _ = parse_csv(out.read_text())
+        labels = {row["regime"] for row in rows if row["N"] == "100000"}
+        assert labels == {"tracy-widom", "large"} | {f"moderate({k})" for k in range(7)}
 
 
 def _reference_fmt_cell(value):
@@ -672,13 +706,20 @@ WRITER_TABLES = {
 
 
 @pytest.mark.parametrize("table", list(WRITER_TABLES))
-def test_writer_matches_csv_writer(table):
+def test_writer_matches_csv_writer(table, monkeypatch):
     rows = WRITER_TABLES[table]
     fieldnames = ["N", "t", "a", "b", "status"]
     summary = {"max_scaled_deviation": 0.125, "none": None}
+    # each row type is looked up once, also one with no format (an error
+    # row, with its empty cells)
+    calls = []
+    row_format = cli._row_format
+    monkeypatch.setattr(cli, "_row_format", lambda types: calls.append(types) or row_format(types))
     stream = io.StringIO()
     _write(stream, "csv", fieldnames, rows, summary)
     assert stream.getvalue() == _reference_csv(fieldnames, rows, summary)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {tuple(map(type, row)) for row in [fieldnames, *rows]}
     # the same rows as lists, in one table, and with one cell
     stream = io.StringIO()
     _write(stream, "csv", fieldnames, [list(row) for row in rows] * 2)
@@ -687,3 +728,4 @@ def test_writer_matches_csv_writer(table):
         stream = io.StringIO()
         _write(stream, "csv", ["x"], [cells])
         assert stream.getvalue() == _reference_csv(["x"], [cells], None)
+

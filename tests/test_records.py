@@ -6,19 +6,18 @@ import pickle
 
 import pytest
 
-from loggas import build_basis, build_tail_model, gap_probabilities, regime_classify
+from loggas import build_basis, build_tail_model, gap_probabilities
 from loggas.cli import RunConfig
 from loggas.equilibrium import EquilibriumData
 from loggas.errors import Record
 from loggas.kernel_oracle import GapResult, OrthoBasis
 from loggas.potential import Potential
-from loggas.tails import Regime, TailModel
+from loggas.tails import TailModel
 
 FIELDS = {
     Potential: ["coeffs"],
     EquilibriumData: ["a", "b", "gamma", "ell", "g_coeffs", "residuals", "coeffs"],
     TailModel: ["eq", "N", "cramer"],
-    Regime: ["kind", "k"],
     RunConfig: ["potential", "n_list", "t_grid", "s_grid", "k", "output_format",
                 "max_oracle_n"],
     OrthoBasis: ["N", "alpha", "beta", "support_window", "v_min", "freud_residual",
@@ -35,7 +34,6 @@ def records(gue, gue_eq):
         Potential: gue,
         EquilibriumData: gue_eq,
         TailModel: build_tail_model(gue_eq, gue, 10, k=2),
-        Regime: regime_classify(50.0, 10**6),
         RunConfig: RunConfig(potential=gue, n_list=[10], t_grid=[2.5], s_grid=None, k=3,
                              output_format="csv", max_oracle_n=200),
         OrthoBasis: basis,

@@ -7,12 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loggas import tails
-
 from loggas import (NumericalError, alpha_threshold, build_tail_model,
                     cramer_coefficients, eta, eta_prime, eta_tilde, f_approx,
-                    log_f_approx, moderate_leading, regime_classify, rescale,
-                    tail_terms, tw_tail_asymptotic)
+                    log_f_approx, moderate_leading, rescale, tail_terms,
+                    tw_tail_asymptotic)
 from loggas.tails import (K_MAX_SUPPORTED, LOG_UNDERFLOW, MODERATE_MARGIN, TW_CUTOFF,
                           regime_labels)
 
@@ -199,21 +197,17 @@ class TestRegimes:
         assert alpha_threshold(0) == pytest.approx(4.0 / 15.0, rel=1e-15)
 
     def test_classification(self):
-        assert regime_classify(3.0, 100).label() == "tracy-widom"
-        assert regime_classify(8.0, 10).label() == "tracy-widom"
-        assert regime_classify(10.0, 10**6).label() == "moderate(0)"
-        assert regime_classify(50.0, 10**6).label() == "moderate(1)"
-        assert regime_classify(10.0, 50).label() == "large"
-        assert regime_classify(2000.0, 10**6).label() == "large"
+        for s, N, label in [(3.0, 100, "tracy-widom"), (8.0, 10, "tracy-widom"),
+                            (10.0, 10**6, "moderate(0)"), (50.0, 10**6, "moderate(1)"),
+                            (10.0, 50, "large"), (2000.0, 10**6, "large"),
+                            (-1.0, 10**6, "tracy-widom")]:
+            assert regime_labels(np.array([s]), N) == [label]
 
     def test_order_never_decreases_with_s(self):
-        N = 10**6
-        prev = -1.0
-        for s in np.geomspace(8.1, 5000.0, 40):
-            r = regime_classify(float(s), N)
-            cur = math.inf if r.kind == "large" else float(r.k)
-            assert cur >= prev
-            prev = cur
+        labels = regime_labels(np.geomspace(8.1, 5000.0, 40), 10**6)
+        order = [math.inf if label == "large" else int(label[len("moderate("):-1])
+                 for label in labels]
+        assert order == sorted(order)
 
     @pytest.mark.parametrize("N", [1, 10, 400, 5120, 10**6])
     def test_array_labels_at_the_bounds(self, N):
@@ -223,14 +217,9 @@ class TestRegimes:
         s = sorted({float(x) for b in bounds
                     for x in (np.nextafter(b, -math.inf), b, np.nextafter(b, math.inf))})
         labels = regime_labels(np.array(s), N)
-        assert labels == [regime_classify(x, N).label() for x in s]
         assert labels == [_seed_rule_label(x, N) for x in s]
         if N == 10**6:
             assert {"tracy-widom", "large"} | {f"moderate({k})" for k in range(7)} == set(labels)
-
-    def test_classify_returns_equal_records(self):
-        assert regime_classify(50.0, 10**6) == tails.Regime(kind="moderate", k=1)
-        assert regime_classify(3.0, 10).k == 0 and regime_classify(1e4, 10).k is None
 
 
 def _seed_rule_label(s, N):
