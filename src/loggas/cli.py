@@ -270,13 +270,6 @@ def cmd_equilibrium(args, config):
     return 0
 
 
-def _value(entry):
-    """entry of a batch result list, raised if it is a threshold's error."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
-
-
 def _table(config, name, cells, max_n=None):
     """The table loop of tail and compare, over N_list x grid.
 
@@ -303,11 +296,6 @@ def _table(config, name, cells, max_n=None):
         raise ConfigError(
             f"N = {too_big[0]} exceeds the oracle feasibility limit "
             f"{max_n} (raise \"max_oracle_n\" to override)")
-    if max_n is not None:
-        # imported for compare only, so tail, equilibrium and cramer never
-        # compile the oracle; its functions are looked up on the module,
-        # where perfbench/child.py wraps them when it traces a run
-        from . import kernel_oracle
     V = config.potential
     blank = (None,) * (len(COLUMNS[name]) - 3)
     eq = solve_mrs(V)
@@ -327,15 +315,21 @@ def _table(config, name, cells, max_n=None):
         terms = tail_terms(model, ts)
         failed, results = terms[3], None
         if max_n is not None:
-            # gap_probabilities returns its per-threshold errors as
-            # entries, so only build_basis raises here; an N whose every
-            # threshold failed the tail builds no basis
+            # an N whose every threshold failed the tail builds no basis,
+            # and the oracle is imported at the first N with one left, so
+            # only a compare run that reaches it compiles it; its functions
+            # are looked up on the module, where perfbench/child.py wraps
+            # them when it traces a run.  gap_probabilities returns its
+            # per-threshold errors as entries, so only build_basis raises
             kept = [t for i, t in enumerate(ts) if i not in failed]
-            try:
-                found = iter(kernel_oracle.gap_probabilities(
-                    kernel_oracle.build_basis(V, N), V, kept) if kept else [])
-            except NumericalError as exc:
-                found = repeat(exc)
+            found = iter(())
+            if kept:
+                from . import kernel_oracle
+                try:
+                    found = iter(kernel_oracle.gap_probabilities(
+                        kernel_oracle.build_basis(V, N), V, kept))
+                except NumericalError as exc:
+                    found = repeat(exc)
             results = [failed[i] if i in failed else next(found) for i in range(len(ts))]
         columns, errors = cells(model, ts, s, terms, results)
         block = list(zip(repeat(N), ts, *columns))
@@ -363,15 +357,14 @@ def _compare_cells(model, ts, s, terms, results):
     N, b, blank = model.N, model.eq.b, (None,) * (len(COLUMNS["compare"]) - 2)
     cells, errors = [], {}
     for i, (t, lf, result) in enumerate(zip(ts, log_f, results)):
-        try:
-            result = _value(result)
+        if isinstance(result, Exception):
+            errors[i] = result
+            cells.append(blank)
+        else:
             cells.append((result.log_survival,
                           "underflow" if result.survival is None else result.survival,
                           lf, math.expm1(result.log_survival - lf), result.trace,
                           1.0 / (N * (t - b) ** 1.5), "ok"))
-        except (ValueError, NumericalError) as exc:
-            errors[i] = exc
-            cells.append(blank)
     return zip(*cells), errors
 
 

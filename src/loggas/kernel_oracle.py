@@ -196,45 +196,39 @@ def _basis_rule(lo, hi, panels, t=-math.inf):
 def _stieltjes(V, N, rows, lo, hi, v_min, n_nodes):
     """alpha and beta of rows polynomials by discretized Stieltjes
     orthonormalization on the basis rule of ceil(n_nodes /
-    BASE_PANEL_NODES) panels over [lo, hi], and the kernel diagonal
-    sum_{j<N} phi_j^2 at lo and hi.
+    BASE_PANEL_NODES) panels over [lo, hi].
 
     The recurrence runs on u_j = sqrt(w) phi_j for the quadrature
-    weights w, so every discrete inner product is a dot product.  lo
-    and hi ride along as two more points of weight 1, the last two,
-    which the dot products leave out."""
+    weights w, so every discrete inner product is a dot product."""
     x, w = _basis_rule(lo, hi, math.ceil(n_nodes / BASE_PANEL_NODES))
-    x, w = np.append(x, (lo, hi)), np.append(w, (1.0, 1.0))
     u = np.sqrt(w) * np.exp(-0.5 * N * _excess(V, v_min, x))
-    beta0 = float(u[:-2] @ u[:-2])
+    beta0 = float(u @ u)
     if not beta0 > 0.0:
         raise NumericalError("weight exp(-N (V - Vmin)) underflows on the whole window")
 
     alpha = np.zeros(rows)
     beta = np.zeros(rows)
     beta[0] = beta0
-    edges = np.empty((rows, 2))
     u /= math.sqrt(beta0)
     u_prev = np.zeros_like(x)
     xu = np.empty_like(x)
     for j in range(rows):
-        edges[j] = u[-2:]
         np.multiply(x, u, out=xu)
-        alpha[j] = float(xu[:-2] @ u[:-2])
+        alpha[j] = float(xu @ u)
         if j == rows - 1:
             break
         # psi = (x - alpha_j) u_j - sqrt(beta_j) u_{j-1}, built in u_prev
         u_prev *= -math.sqrt(beta[j])
         u_prev += xu
         u_prev -= alpha[j] * u
-        b_next = float(u_prev[:-2] @ u_prev[:-2])
+        b_next = float(u_prev @ u_prev)
         if not b_next > 0.0:
             raise NumericalError(
                 f"orthonormalization lost positivity at beta[{j + 1}] = {b_next!r}")
         beta[j + 1] = b_next
         u_prev /= math.sqrt(b_next)
         u, u_prev = u_prev, u
-    return alpha, beta, np.sum(np.square(edges[:N]), axis=0)
+    return alpha, beta
 
 
 def _freud_residual(V, N, alpha, beta):
@@ -276,10 +270,10 @@ def build_basis(V, N):
 
     The first rule has max(BASIS_MIN_NODES, BASIS_NODES_PER_N N) nodes
     and N + floor((deg V - 1)/2) rows, and the window-edge check runs on
-    it, from the kernel diagonal at the edges that its own recurrence
-    carries (_stieltjes).  Rules grow by BASIS_REFINE until
-    _freud_residual certifies one, whose first N rows are kept, with the
-    residual and the rule's panel count.
+    its first N rows: the kernel diagonal at the edges lo and hi comes
+    from _cd_values, the kernel evaluator gap_probability uses.  Rules
+    grow by BASIS_REFINE until _freud_residual certifies one, whose
+    first N rows are kept, with the residual and the rule's panel count.
 
     Raises
     ------
@@ -300,16 +294,18 @@ def build_basis(V, N):
     (lo, hi), v_min = _support_window(V, N)
     n_nodes = max(BASIS_MIN_NODES, BASIS_NODES_PER_N * N)
     for rule in range(BASIS_MAX_RULES):
-        alpha, beta, edge = _stieltjes(V, N, N + (V.degree - 1) // 2, lo, hi, v_min, n_nodes)
+        alpha, beta = _stieltjes(V, N, N + (V.degree - 1) // 2, lo, hi, v_min, n_nodes)
         alpha.flags.writeable = beta.flags.writeable = False
         residual, tol = _freud_residual(V, N, alpha, beta)
         basis = OrthoBasis(N=N, alpha=alpha[:N], beta=beta[:N], freud_residual=residual,
                            support_window=(float(lo), float(hi)), v_min=float(v_min),
                            panels=math.ceil(n_nodes / BASE_PANEL_NODES))
-        if rule == 0 and not np.all(edge * (hi - lo) <= WINDOW_EDGE_TOL * N):
-            raise NumericalError(
-                f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge kernel "
-                f"share {float(np.max(edge)) * (hi - lo) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
+        if rule == 0:
+            edge = _cd_values(basis, V, np.array([lo, hi]), np.ones(2))[2]
+            if not np.all(edge * (hi - lo) <= WINDOW_EDGE_TOL * N):
+                raise NumericalError(
+                    f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge kernel "
+                    f"share {float(np.max(edge)) * (hi - lo) / N!r} exceeds {WINDOW_EDGE_TOL!r}")
         if residual <= tol:
             return basis
         n_nodes = math.ceil(BASIS_REFINE * n_nodes)
@@ -583,7 +579,9 @@ def _survival(ts, eigenvalues, traces):
     tail kernel matrix, in the trace-anchored form log det(I - M) = -T +
     sum (log1p(-lambda) + lambda) (see gap_probability).
     The log determinants are summed as one array; -T + (a sum of terms
-    <= 0) is below 0, so every log survival is finite."""
+    <= 0) is below 0, so every log survival is finite.  A threshold that
+    fails one of gap_probability's two checks on the result gets its
+    NumericalError as its entry; the others are unaffected."""
     lam = np.clip(eigenvalues, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         g = np.log1p(-lam) + lam
@@ -591,26 +589,23 @@ def _survival(ts, eigenvalues, traces):
     out = []
     for t, block, log_det, trace in zip(ts, eigenvalues, log_dets, traces):
         low, high = float(block[0]), float(block[-1])
-        try:
-            if not (low >= -1e-10 and high <= 1.0 + 1e-10):
-                raise NumericalError(
-                    f"tail kernel eigenvalues outside [0, 1]: range "
-                    f"[{low!r}, {high!r}] at t = {t!r}")
-            sur = -math.expm1(log_det)
-            if sur >= UNDERFLOW_LIMIT:
-                survival, log_survival = sur, math.log(sur)
-            else:
-                # -expm1(u) = -u to better than |u|/2 relative here
-                survival, log_survival = None, math.log(-log_det)
-            if survival is not None and trace < 1.0:
-                slack = 1e-12
-                if not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack):
-                    raise NumericalError(
-                        f"survival {survival!r} violates first-order bracketing "
-                        f"against trace {trace!r} at t = {t!r}")
+        if not (low >= -1e-10 and high <= 1.0 + 1e-10):
+            out.append(NumericalError(f"tail kernel eigenvalues outside [0, 1]: range "
+                                      f"[{low!r}, {high!r}] at t = {t!r}"))
+            continue
+        sur = -math.expm1(log_det)
+        if sur >= UNDERFLOW_LIMIT:
+            survival, log_survival = sur, math.log(sur)
+        else:
+            # -expm1(u) = -u to better than |u|/2 relative here
+            survival, log_survival = None, math.log(-log_det)
+        slack = 1e-12
+        if (survival is not None and trace < 1.0
+                and not (trace - 0.5 * trace * trace - slack <= survival <= trace + slack)):
+            out.append(NumericalError(f"survival {survival!r} violates first-order bracketing "
+                                      f"against trace {trace!r} at t = {t!r}"))
+        else:
             out.append(GapResult(t=t, log_survival=log_survival, survival=survival, trace=trace))
-        except NumericalError as exc:
-            out.append(exc)
     return out
 
 
@@ -675,9 +670,9 @@ def gap_probabilities(basis, V, ts):
     of EDGE_BLOCK: one recurrence over the first panels of the block's
     edge grids as one (T, m) array, O(N T m) time and O(T m) memory
     whatever N, one more per added panel on the grids that have not
-    settled, and one factor pass per group of equal panel count.  Every step is element-wise in the
-    nodes, or per matrix, or per row, so each result is the one
-    gap_probability gives, bit for bit.
+    settled, and one factor pass per group of equal panel count.  Every
+    step is element-wise in the nodes, or per matrix, or per row, so
+    each result is the one gap_probability gives, bit for bit.
     """
     ts = np.array([float(t) for t in ts])
     out, edge, start = [None] * ts.size, [], _edge_start(basis)

@@ -18,8 +18,8 @@ from numpy.polynomial import polynomial as npoly
 
 # eta and eta_prime are not called here, but perfbench/child.py wraps
 # loggas.tails.eta and loggas.tails.eta_prime when it traces a run
-from .equilibrium import (_compose, _eta, _eta_prime, _points, _require_field,  # noqa: F401
-                          eta, eta_prime)
+from .equilibrium import (_compose, _eta, _eta_prime, _require_field, eta,  # noqa: F401
+                          eta_prime)
 from .errors import UNDERFLOW_LIMIT, NumericalError, Record
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
@@ -99,28 +99,17 @@ def cramer_coefficients(eq, V, k):
     return [float(v) for v in d]
 
 
-def _edge_error(eq, t):
-    return ValueError(f"tail approximation needs t > b = {eq.b!r}, got {t!r}")
-
-
-def _log_f(model, t, eta_t, eta_prime_t):
-    """log F at t from eta(t) and eta'(t), without forming exp(-N eta)."""
-    eq, N = model.eq, model.N
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (math.log((eq.b - eq.a) / (8.0 * math.pi)) - N * eta_t
-                - np.log(N * (t - eq.b) * (t - eq.a) * eta_prime_t))
-
-
 def log_f_approx(model, t):
-    """log F(t) for a scalar or an array t > b, assembled without forming
-    exp(-N eta); eta and eta' are one closed-form array evaluation each.
-    Any t <= b raises ValueError."""
-    eq = model.eq
+    """log F(t) for a scalar or an array t, shaped like t: tail_terms on
+    the flattened t.  Raises the error tail_terms reports at the first
+    failing threshold in C order: ValueError for a t <= b, NumericalError
+    where the tail table prints an error row for a t past b."""
     t_arr = np.asarray(t, dtype=float)
-    low = t_arr <= eq.b
-    if low.any():
-        raise _edge_error(eq, float(t_arr[low][0]))
-    return _points(lambda eq, t: _log_f(model, t, _eta(eq, t), _eta_prime(eq, t)), eq, t_arr)
+    log_f, _, _, errors = tail_terms(model, t_arr.reshape(-1))
+    if errors:
+        raise errors[min(errors)]
+    out = np.array(log_f).reshape(t_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def tail_terms(model, ts):
@@ -133,30 +122,37 @@ def tail_terms(model, ts):
     others: ValueError for t <= b, NumericalError when one of the three
     is not finite (a t too large for a double result, or not a number).
     The lists hold nan at the failed indices.  eta and eta' are
-    evaluated once, over the array of every threshold past b.
+    evaluated once, over the array of every threshold past b, and log F
+    is assembled from them without forming exp(-N eta).
     """
-    eq = model.eq
+    eq, N = model.eq, model.N
     ts = np.asarray(ts, dtype=float)
     past = ~(ts <= eq.b)
     t = ts[past]
     eta_t, eta_prime_t = _eta(eq, t), _eta_prime(eq, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_f_t = (math.log((eq.b - eq.a) / (8.0 * math.pi)) - N * eta_t
+                   - np.log(N * (t - eq.b) * (t - eq.a) * eta_prime_t))
     terms = np.full((3, ts.size), np.nan)
-    terms[:, past] = _log_f(model, t, eta_t, eta_prime_t), eta_t, eta_prime_t
+    terms[:, past] = log_f_t, eta_t, eta_prime_t
     log_f, eta_ts, eta_prime_ts = terms.tolist()
     errors = {}
     for i in np.flatnonzero(~(past & np.isfinite(terms).all(axis=0))).tolist():
         ti = float(ts[i])
-        errors[i] = _edge_error(eq, ti) if not past[i] else NumericalError(
-            "tail approximation not finite at t = %r: log_F = %r, eta = %r, "
-            "eta_prime = %r" % (ti, log_f[i], eta_ts[i], eta_prime_ts[i]))
+        if not past[i]:
+            errors[i] = ValueError(f"tail approximation needs t > b = {eq.b!r}, got {ti!r}")
+        else:
+            errors[i] = NumericalError(
+                "tail approximation not finite at t = %r: log_F = %r, eta = %r, "
+                "eta_prime = %r" % (ti, log_f[i], eta_ts[i], eta_prime_ts[i]))
     return log_f, eta_ts, eta_prime_ts, errors
 
 
 def f_approx(model, t):
-    """Leading-order tail approximation F(t), t > b.
+    """Leading-order tail approximation F(t), t > b, a scalar.
 
     Returns None when the value sits below the linear-space floor of
-    1e-300; use log_f_approx there.
+    1e-300; use log_f_approx there.  Raises where log_f_approx raises.
     """
     lf = log_f_approx(model, t)
     if lf < LOG_UNDERFLOW:

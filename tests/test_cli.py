@@ -477,18 +477,25 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("command", ["equilibrium", "tail", "cramer", "compare"])
     def test_only_compare_imports_the_oracle(self, tmp_path, command):
-        # loggas.cli loads the oracle module only when compare runs
+        # loggas.cli loads the oracle module only when compare runs, and
+        # then only at an N with a threshold the tail did not fail: every
+        # threshold of the second config lies below the support edge
         src = os.path.dirname(os.path.dirname(loggas.__file__))
-        cfg = write_config(tmp_path, N_list=[4], t_grid=[2.5])
-        code = ("import sys, loggas.cli; "
-                "loaded = lambda: 'loggas.kernel_oracle' in sys.modules; "
-                "before = loaded(); "
-                f"status = loggas.cli.main([{command!r}, '--config', {cfg!r}]); "
-                "print(before, status, loaded(), file=sys.stderr)")
-        err = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}).stderr
-        assert err.split() == ["False", "0", str(command == "compare")]
+        small = write_config(tmp_path, N_list=[4], t_grid=[2.5])
+        bulk = write_config(tmp_path, "bulk.json", N_list=[400, 700], t_grid=[0.5, 1.0],
+                            max_oracle_n=700)
+        rows_fail = command in ("tail", "compare")
+        for cfg, expected in ((small, ["False", "0", str(command == "compare")]),
+                              (bulk, ["False", str(int(rows_fail)), "False"])):
+            code = ("import sys, loggas.cli; "
+                    "loaded = lambda: 'loggas.kernel_oracle' in sys.modules; "
+                    "before = loaded(); "
+                    f"status = loggas.cli.main([{command!r}, '--config', {cfg!r}]); "
+                    "print(before, status, loaded(), file=sys.stderr)")
+            err = subprocess.run([sys.executable, "-c", code], check=True,
+                                 capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src}).stderr
+            assert err.split() == expected, cfg
 
     def test_no_runtime_warning(self, tmp_path):
         # non-finite and huge thresholds end as error rows, and numpy says
@@ -627,25 +634,30 @@ class TestPlumbing:
 
 GOLDEN_RUNS = [(command, fmt, suffix, field)
                for command, fmt, suffix in (("tail", "csv", "tail.csv"),
-                                            ("compare", "json", "compare.json"))
+                                            ("compare", "json", "compare.json"),
+                                            ("equilibrium", "json", "equilibrium.json"),
+                                            ("cramer", "csv", "cramer.csv"))
                for field in ("gue", "quartic")] + [("tail", "csv", "tail.csv", "regimes")]
 
 
 @pytest.mark.parametrize("command, fmt, suffix, field", GOLDEN_RUNS)
 def test_golden_output(tmp_path, capsys, command, fmt, suffix, field):
     # tests/golden/<field>_<suffix> was written by `loggas <command> --config
-    # tests/golden/<field>.json --format <fmt>`: for gue and quartic before
-    # the tail loop and the CSV writer were rewritten (N_list [10, 40], 12
-    # thresholds, the first below the support edge, so the run exits 1);
-    # for regimes before the regime rule had one implementation (GUE,
-    # N_list [5120, 100000], 10 thresholds s, every label at N = 100000).
+    # tests/golden/<field>.json --format <fmt>`: tail and compare for gue
+    # and quartic before the tail loop and the CSV writer were rewritten
+    # (N_list [10, 40], 12 thresholds, the first below the support edge, so
+    # the run exits 1), equilibrium and cramer for them before the oracle's
+    # window-edge check and log_f_approx were rewritten; tail for regimes
+    # before the regime rule had one implementation (GUE, N_list [5120,
+    # 100000], 10 thresholds s, every label at N = 100000).
     # The files hold the last digits of numpy's log and sqrt and of
     # OpenBLAS on an AVX-512 x86-64 host with numpy 2.4; a platform whose
     # numpy rounds those differently prints other digits
     out = tmp_path / suffix
     status = main([command, "--config", str(GOLDEN / f"{field}.json"), "--format", fmt,
                    "--out", str(out)])
-    assert (status, capsys.readouterr().err) == (0 if field == "regimes" else 1, "")
+    failing = command in ("tail", "compare") and field != "regimes"
+    assert (status, capsys.readouterr().err) == (int(failing), "")
     assert out.read_bytes() == (GOLDEN / f"{field}_{suffix}").read_bytes()
     if field == "regimes":
         rows, _ = parse_csv(out.read_text())

@@ -239,7 +239,7 @@ class TestBasis:
             assert counts[0] == max(256, 8 * N)
             assert counts[1:] == [math.ceil(1.5 * n) for n in counts[:-1]]
             lo, hi = b.support_window
-            rules = [kernel_oracle._stieltjes(V, N, rows, lo, hi, b.v_min, n)[:2]
+            rules = [kernel_oracle._stieltjes(V, N, rows, lo, hi, b.v_min, n)
                      for n in counts + [math.ceil(1.5 * counts[-1])]]
             certified = [res <= tol for res, tol in
                          (kernel_oracle._freud_residual(V, N, *r) for r in rules[:-1])]
@@ -297,7 +297,7 @@ class TestBasis:
         V, N = Potential(coeffs), 40
         (lo, hi), v_min = _support_window(V, N)
         rows = N + (V.degree - 1) // 2
-        alpha, beta, _ = kernel_oracle._stieltjes(V, N, rows + 3, lo, hi, v_min, 2 * N)
+        alpha, beta = kernel_oracle._stieltjes(V, N, rows + 3, lo, hi, v_min, 2 * N)
         residual, tol = kernel_oracle._freud_residual(V, N, alpha[:rows], beta[:rows])
         s = np.sqrt(beta[1:])
         J = np.diag(alpha) + np.diag(s, 1) + np.diag(s, -1)
@@ -315,7 +315,7 @@ class TestBasis:
         # rule sits at the roundoff floor, 1.1e-13
         for N, nodes, accepted in ((200, 2400, False), (400, 4800, True)):
             (lo, hi), v_min = _support_window(TILTED, N)
-            rule = kernel_oracle._stieltjes(TILTED, N, N + 1, lo, hi, v_min, nodes)[:2]
+            rule = kernel_oracle._stieltjes(TILTED, N, N + 1, lo, hi, v_min, nodes)
             residual, tol = kernel_oracle._freud_residual(TILTED, N, *rule)
             assert (residual <= tol) == accepted, (N, residual, tol)
             assert 1e-13 <= residual <= 2e-12
@@ -348,24 +348,28 @@ class TestBasis:
     @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0),
                                         ASYMMETRIC, TILTED.coeffs],
                              ids=["gue", "quartic", "asymmetric", "tilted"])
-    def test_window_edge_check_rides_the_rule(self, coeffs, monkeypatch):
-        # the kernel diagonal at the window edges comes from the first
-        # rule's own recurrence, within 1e-13 of kernel_diag on that
-        # rule's coefficients; build_basis runs no other recurrence
+    def test_window_edge_share_is_the_kernel_diagonal(self, coeffs, monkeypatch):
+        # the window-edge check reads the kernel diagonal at (lo, hi) from
+        # _cd_values on the first rule's coefficients, within 1e-13 of
+        # kernel_diag; build_basis runs no dense recurrence
         V = Potential(coeffs)
+        cd_values = kernel_oracle._cd_values
         for N in (1, 50, 400, 550):
-            (lo, hi), v_min = _support_window(V, N)
-            rows = N + (V.degree - 1) // 2
-            alpha, beta, edge = kernel_oracle._stieltjes(V, N, rows, lo, hi, v_min,
-                                                         max(256, 8 * N))
-            rule = kernel_oracle.OrthoBasis(N=N, alpha=alpha[:N], beta=beta[:N],
-                                            support_window=(lo, hi), v_min=v_min,
-                                            freud_residual=0.0, panels=0)
-            ref = kernel_diag(rule, V, np.array([lo, hi]))
-            assert edge == pytest.approx(ref, rel=1e-13, abs=0.0), (N, edge, ref)
+            calls = []
+
+            def recording(basis, V, x, w):
+                calls.append((basis, x, w, cd_values(basis, V, x, w)))
+                return calls[-1][-1]
+
             with monkeypatch.context() as patch:
+                patch.setattr(kernel_oracle, "_cd_values", recording)
                 patch.setattr(kernel_oracle, "_phi_matrix", None)
-                build_basis(V, N)
+                b = build_basis(V, N)
+            ((rule, x, w, cd),) = calls
+            assert list(x) == list(b.support_window) and list(w) == [1.0, 1.0]
+            assert rule.N == N and rule.support_window == b.support_window
+            ref = kernel_diag(rule, V, x)
+            assert cd[2] == pytest.approx(ref, rel=1e-13, abs=0.0), (N, cd[2], ref)
 
     def test_constant_shift(self, gue):
         # exp(-N V) and exp(-N (V + 100)) give the same kernel
@@ -1291,6 +1295,16 @@ class TestGap:
         (error,) = _survival([0.0], [np.linalg.eigvalsh(10.0 * G)], [10.0 * trace])
         assert isinstance(error, NumericalError) and "outside" in str(error)
         assert "np." not in str(error)
+
+    def test_bracketing_refusal_fails_its_threshold_only(self):
+        # trace 0.1: an eigenvalue 0.9 gives survival 0.78, past the
+        # first-order bracket [T - T^2/2, T]; 0.05 gives 0.0963, inside it
+        results = _survival([2.5, 2.6], np.array([[0.0, 0.9], [0.0, 0.05]]), [0.1, 0.1])
+        error, result = results
+        assert isinstance(error, NumericalError) and "bracketing" in str(error)
+        assert "t = 2.5" in str(error)
+        assert isinstance(result, GapResult) and result.t == 2.6
+        assert 0.1 - 0.005 <= result.survival <= 0.1
 
 
 class TestTracyWidom:

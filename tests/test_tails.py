@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +108,18 @@ class TestLogF:
         m = build_tail_model(gue_eq, gue, 20)
         with pytest.raises(ValueError, match=r"^tail approximation needs t > b = 2\.0, got 1\.5$"):
             log_f_approx(m, np.array([2.5, 1.5, 2.0]))
+
+    def test_raises_where_the_table_has_an_error_row(self, gue_eq, gue):
+        # log F is -inf at 1e153 and nan at 1e200 and nan: tail_terms
+        # reports these thresholds as errors, and so do log_f_approx and
+        # f_approx, for a scalar and at the first failing entry of an array
+        m = build_tail_model(gue_eq, gue, 10)
+        for t in (1e153, 1e200, math.nan):
+            message = f"^{re.escape(str(tail_terms(m, [t])[3][0]))}$"
+            for fn, arg in ((log_f_approx, t), (f_approx, t),
+                            (log_f_approx, np.array([[2.5, t], [1.5, 1e153]]))):
+                with pytest.raises(NumericalError, match=message):
+                    fn(m, arg)
 
 
 class TestTailTerms:
