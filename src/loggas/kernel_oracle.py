@@ -28,19 +28,21 @@ projection kernel K on (t, infinity) at the nodes of a tail grid
 
 for psi = sqrt(beta_N) phi_N = (x - alpha_{N-1}) phi_{N-1} - sqrt(beta_{N-1})
 phi_{N-2}: three functions per node, not N, from one recurrence
-(_cd_values) that holds at every x, in O(N m) time on m nodes.  Below the
-Gershgorin edge of the Jacobi matrix the tail grid is the certified basis
-rule cut at t; past it (or past the window edge, where the cut rule ends)
-it is an edge grid settled panel by panel, and the thresholds there run in
-blocks of EDGE_BLOCK, over their grids as one (T, m) array, in O(N T m)
-time and O(T m) memory.  No kernel matrix is formed: a pivoted Cholesky
-pass forms one kernel column per pivot (_pivoted_factors), r <= N columns
-per threshold, until the Schur complement's trace is at most
-DEFLATION_TOL of the trace, or one column from a trace of CERTIFIED_TRACE
-on, where the survival rounds to 1 (see gap_probability), in O(r^2 m)
-time, and one stacked eigvalsh call per r takes the eigenvalues of the
-r x r matrices L^T L (see gap_probabilities).  gram alone takes the
-dense phi_j, for the N x N tail Gram matrix.
+(_cd_values) that holds at every x, in O(N m) time on m nodes.  Every
+threshold's grid, trace check and error come from one place, _tail_grids.
+Below the Gershgorin edge of the Jacobi matrix the tail grid is the
+certified basis rule cut at t; past it (or past the window edge, where the
+cut rule ends) it is an edge grid settled panel by panel, and the
+thresholds there run in blocks of EDGE_BLOCK, over their grids as one
+(T, m) array, in O(N T m) time and O(T m) memory.  No kernel matrix is
+formed: a pivoted Cholesky pass forms one kernel column per pivot
+(_pivoted_factors), r <= N columns per threshold, until the Schur
+complement's trace is at most DEFLATION_TOL of the trace, or one column
+from a trace of CERTIFIED_TRACE on, where the survival rounds to 1 (see
+gap_probability), in O(r^2 m) time, and one stacked eigvalsh call per r
+takes the eigenvalues of the r x r matrices L^T L (see
+gap_probabilities).  gram alone takes the dense phi_j, for the N x N
+tail Gram matrix.
 
 brute_force_survival checks the determinant for N <= SERIES_SIZE_LIMIT
 by the series on a two-panel 24-node box rule, from tr(M^i) by Newton's
@@ -433,13 +435,6 @@ def _threshold(t):
     return t
 
 
-def _trace_error(t, trace):
-    """The NumericalError of a threshold past which the kernel mass is not
-    a finite normal double."""
-    return NumericalError(f"threshold {t!r}: the kernel mass past it, {trace!r}, is not "
-                          f"a finite normal double")
-
-
 def _edge_widths(basis, V, t, bulk):
     """First-panel widths of the edge grids at the thresholds t (an
     array), given the bulk estimate: the edge scale, the Jacobi span times
@@ -477,8 +472,8 @@ def _panel_sums(cd):
 
 
 def _settle(basis, V, t, width):
-    """The edge grids at the thresholds t (an array, all past _edge_start)
-    with first-panel widths width, settled.
+    """The edge grids at the thresholds t (an array, all routed to the edge
+    by _tail_grids) with first-panel widths width, settled.
 
     A grid starts with EDGE_PANELS panels and gets one more panel until
     its last panel carries at most EDGE_SHARE_TOL of its trace, the sum of
@@ -486,23 +481,19 @@ def _settle(basis, V, t, width):
     the first panels of all the grids, a (len(t), m) array, and one per
     added panel over the grids that have not settled, on that panel's
     nodes only.  Returns the groups (rows, x, w, cd, trace) of the
-    settled grids with equal panel counts, rows indexing t, and a dict
-    {row: NumericalError} for the grids that have not settled at
-    MAX_EDGE_PANELS panels or whose trace is not a finite normal double.
+    settled grids with equal panel counts, rows indexing t, and the rows
+    of the grids that have not settled at MAX_EDGE_PANELS panels.
     """
     rows = np.arange(t.size)
     x, w = _edge_panels(t, width, range(EDGE_PANELS))
     cd = _cd_values(basis, V, x, w)
     sums = _panel_sums(cd)
     last, trace = sums[:, -1], np.cumsum(sums, axis=1)[:, -1]
-    groups, errors = [], {}
+    groups = []
     for p in range(EDGE_PANELS, MAX_EDGE_PANELS + 1):
         done = last <= EDGE_SHARE_TOL * trace
-        ok = done & np.isfinite(trace) & (trace >= TRACE_FLOOR)
-        for i in np.flatnonzero(done & ~ok):
-            errors[int(rows[i])] = _trace_error(float(t[rows[i]]), float(trace[i]))
-        if ok.any():
-            groups.append((rows[ok], x[ok], w[ok], cd[:, ok], trace[ok]))
+        if done.any():
+            groups.append((rows[done], x[done], w[done], cd[:, done], trace[done]))
         rows, x, w, cd, trace = rows[~done], x[~done], w[~done], cd[:, ~done], trace[~done]
         if not rows.size or p == MAX_EDGE_PANELS:
             break
@@ -511,44 +502,60 @@ def _settle(basis, V, t, width):
         last = _panel_sums(cdp)[:, 0]
         trace = trace + last
         x, w, cd = np.hstack((x, xp)), np.hstack((w, wp)), np.concatenate((cd, cdp), axis=2)
-    for row in rows:
-        errors[int(row)] = NumericalError("tail quadrature did not terminate")
-    return groups, errors
+    return groups, rows
 
 
-def _edge_start(basis):
-    """Where the edge grids take over from the cut basis rule: the
-    Gershgorin edge (_bulk_estimate), or the window edge hi where that
-    comes first, as the cut rule ends at hi."""
-    return min(_bulk_estimate(basis)[1], basis.support_window[1])
+def _tail_grids(basis, V, ts, out):
+    """Tail grids of the thresholds ts (a float array), the one place a
+    threshold's grid, trace check and error come from: groups (rows, x, w,
+    cd, trace) of equal node count, rows indexing ts, nodes x and weights
+    w as (len(rows), m) arrays, their _cd_values cd and traces.
 
-
-def _tail_grid(basis, V, t):
-    """Nodes, weights, _cd_values and trace of the tail grid at one
-    threshold t: past _edge_start the settled edge grid (_settle on a
-    block of one), below it the basis rule build_basis certified, cut at
-    t (_basis_rule).
-
-    From a threshold in the bulk the cut rule resolves every phi_j phi_k
-    on its panels, so also on the part of a panel past t.  It ends at the
-    window edge hi, where build_basis certified the kernel negligible, and
-    it is final.  Raises NumericalError if the trace is not a finite normal
-    double, or if the edge grid does not settle.
+    Each threshold is checked once (_threshold).  Below the Gershgorin
+    edge (_bulk_estimate), or the window edge hi where that comes first,
+    the grid is the basis rule build_basis certified, cut at t
+    (_basis_rule), a group of one, in the order of ts: the rule resolves
+    every phi_j phi_k on its panels, so also on the part of a panel past
+    t, and ends at hi, where build_basis certified the kernel negligible,
+    so it is final.  The rest follow in blocks of EDGE_BLOCK, each settled
+    (_settle) in a generator of its own, so a block's grids are released
+    before the next block settles.  A threshold that fails gets no group
+    and its error in out[i]: the ValueError of _threshold, or a
+    NumericalError where its edge grid does not settle or its trace is
+    not a finite normal double.
     """
-    lo, hi = basis.support_window
-    if t >= _edge_start(basis):
-        ta = np.array([t])
-        groups, errors = _settle(basis, V, ta, _edge_widths(basis, V, ta, _bulk_estimate(basis)))
-        if errors:
-            raise errors[0]
-        ((_, x, w, cd, trace),) = groups
-        return x[0], w[0], cd[:, 0], float(trace[0])
-    x, w = _basis_rule(lo, hi, basis.panels, t)
-    cd = _cd_values(basis, V, x, w)
-    trace = float(np.sum(cd[2]))
-    if not (math.isfinite(trace) and trace >= TRACE_FLOOR):
-        raise _trace_error(t, trace)
-    return x, w, cd, trace
+    (lo, hi), bulk = basis.support_window, _bulk_estimate(basis)
+    cut, edge = [], []
+    for i, t in enumerate(ts.tolist()):
+        try:
+            (cut if _threshold(t) < min(bulk[1], hi) else edge).append(i)
+        except ValueError as exc:
+            out[i] = exc
+
+    def grids(block, settle):
+        if settle:
+            t = ts[block]
+            groups, unsettled = _settle(basis, V, t, _edge_widths(basis, V, t, bulk))
+            for i in block[unsettled]:
+                out[i] = NumericalError("tail quadrature did not terminate")
+        else:
+            x, w = _basis_rule(lo, hi, basis.panels, float(ts[block[0]]))
+            cd = _cd_values(basis, V, x[None], w[None])
+            groups = [(np.arange(1), x[None], w[None], cd, np.sum(cd[2], axis=1))]
+        for rows, x, w, cd, trace in groups:
+            ok = np.isfinite(trace) & (trace >= TRACE_FLOOR)
+            for i, mass in zip(block[rows[~ok]], trace[~ok].tolist()):
+                out[i] = NumericalError(f"threshold {float(ts[i])!r}: the kernel mass past it, "
+                                        f"{mass!r}, is not a finite normal double")
+            if not ok.all():
+                rows, x, w, cd, trace = rows[ok], x[ok], w[ok], cd[:, ok], trace[ok]
+            if rows.size:
+                yield block[rows], x, w, cd, trace
+
+    for i in cut:
+        yield from grids(np.array([i]), False)
+    for first in range(0, len(edge), EDGE_BLOCK):
+        yield from grids(np.array(edge[first:first + EDGE_BLOCK]), True)
 
 
 def _gram_matrix(Phi, w):
@@ -560,15 +567,17 @@ def _gram_matrix(Phi, w):
 def gram(basis, V, t):
     """Tail Gram matrix G_{jk} = int_t^inf phi_j phi_k dx, symmetric by
     construction, from the dense phi_j on the nodes of gap_probability's
-    tail grid (_tail_grid).  Raises NumericalError for a threshold past
-    the window, where phi_0 is not a normal double, or past which the
-    kernel mass is not a finite normal double."""
+    tail grid (_tail_grids).  Raises NumericalError for a threshold past
+    the window, where phi_0 is not a normal double, and otherwise the
+    error _tail_grids records for t."""
     t, (lo, hi) = _threshold(t), basis.support_window
     if t > hi:
         raise NumericalError(f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], "
                              f"where phi_0 is no longer a normal double")
-    x, w = _tail_grid(basis, V, t)[:2]
-    return _gram_matrix(_phi_matrix(basis, V, x), w)
+    out = [None]
+    for _, x, w, _, _ in _tail_grids(basis, V, np.array([t]), out):
+        return _gram_matrix(_phi_matrix(basis, V, x[0]), w[0])
+    raise out[0]
 
 
 def _survival(ts, eigenvalues, traces):
@@ -612,7 +621,7 @@ def _survival(ts, eigenvalues, traces):
 def _pivoted_factors(x, cd, trace, rank):
     """Pivoted Cholesky factors of the tail kernel matrices M of a block
     of tail grids with equal node counts, from their nodes x, _cd_values
-    cd and traces (as _settle groups them), for a kernel of rank rank.
+    cd and traces (as _tail_grids groups them), for a kernel of rank rank.
 
     One array pass over the rows still active: step k takes the node p
     of largest residual diagonal r, forms column p of M only
@@ -665,47 +674,25 @@ def gap_probabilities(basis, V, ts):
     r <= N columns (2 to 9 on the benchmark grids, 6 to 18 just below the
     edge, 1 from a trace of CERTIFIED_TRACE on, as deep in the bulk, by the
     certificate gap_probability proves), and the eigenvalues of L^T L,
-    O(r^3), in one stacked eigvalsh call per r.  A threshold in the bulk
-    takes its cut basis rule alone.  Those past _edge_start go in blocks
-    of EDGE_BLOCK: one recurrence over the first panels of the block's
-    edge grids as one (T, m) array, O(N T m) time and O(T m) memory
-    whatever N, one more per added panel on the grids that have not
-    settled, and one factor pass per group of equal panel count.  Every
-    step is element-wise in the nodes, or per matrix, or per row, so
-    each result is the one gap_probability gives, bit for bit.
+    O(r^3), in one stacked eigvalsh call per r.  The grids and the errors
+    come from _tail_grids: a threshold in the bulk takes its cut basis
+    rule alone, and the others go in blocks of EDGE_BLOCK, one recurrence
+    over the first panels of the block's edge grids as one (T, m) array,
+    O(N T m) time and O(T m) memory whatever N, one more per added panel
+    on the grids that have not settled, and one factor pass per group of
+    equal panel count.  Every step is element-wise in the nodes, or per
+    matrix, or per row, so each result is the one gap_probability gives,
+    bit for bit.
     """
     ts = np.array([float(t) for t in ts])
-    out, edge, start = [None] * ts.size, [], _edge_start(basis)
-
-    def factor(rows, x, cd, trace):
+    out = [None] * ts.size
+    for rows, x, _, cd, trace in _tail_grids(basis, V, ts, out):
         for sel, L, _ in _pivoted_factors(x, cd, trace, basis.N):
             lam = np.linalg.eigvalsh(L @ L.swapaxes(1, 2))
             for i, item in zip(rows[sel], _survival(ts[rows[sel]].tolist(), lam,
                                                     trace[sel].tolist())):
                 out[i] = item
-
-    def settle(block):
-        # the block's settled grids are released on return, so the next
-        # block settles with one block's grids in memory, not two
-        groups, errors = _settle(basis, V, ts[block], _edge_widths(basis, V, ts[block], bulk))
-        for row, exc in errors.items():
-            out[block[row]] = exc
-        for rows, x, _, cd, trace in groups:
-            factor(block[rows], x, cd, trace)
-
-    for i, t in enumerate(ts.tolist()):
-        try:
-            if _threshold(t) >= start:
-                edge.append(i)
-                continue
-            x, _, cd, trace = _tail_grid(basis, V, t)
-        except (ValueError, NumericalError) as exc:
-            out[i] = exc
-            continue
-        factor(np.array([i]), x[None], cd[:, None], np.array([trace]))
-    bulk = _bulk_estimate(basis)
-    for first in range(0, len(edge), EDGE_BLOCK):
-        settle(np.array(edge[first:first + EDGE_BLOCK]))
+        del x, cd, L  # the group's grids and factor go before the next block settles
     return out
 
 
@@ -774,7 +761,9 @@ def _series_kernel(basis, V, t):
     on the two halves of the box [t, hi], where hi is the largest root of
     N(V - V(t)) = SERIES_LOG_CUTOFF: the weight is 80 e-foldings down
     from its value at t."""
-    hi = _level_roots(V, V.eval(t, 0), SERIES_LOG_CUTOFF / basis.N)[1]
+    with np.errstate(over="ignore"):
+        level = V.eval(t, 0)
+    hi = _level_roots(V, level, SERIES_LOG_CUTOFF / basis.N)[1]
     xm, wm = composite_gl(np.linspace(t, hi, 3), 24)
     Phi = _phi_matrix(basis, V, xm)
     sw = np.sqrt(wm)

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from loggas.kernel_oracle import (BASE_PANEL_NODES, CERTIFIED_TRACE, DEFLATION_T
                                   SERIES_SIZE_LIMIT, TRACE_FLOOR, WINDOW_LOG_CUTOFF, GapResult,
                                   _cd_kernel, _cd_values, _gram_matrix, _level_roots,
                                   _phi_matrix, _pivoted_factors, _series_kernel, _support_window,
-                                  _survival, _tail_grid, composite_gl, gap_probabilities, gl_rule)
+                                  _survival, _tail_grids, composite_gl, gap_probabilities, gl_rule)
 from loggas.errors import NumericalError
 
 NEG_INF = float("-inf")
@@ -44,6 +45,33 @@ def thresholds(eq, N):
             + [edge_point(eq, N, s) for s in (0.5, 2.0, 8.0, 32.0)])
 
 
+def grid_at(basis, V, t):
+    """Nodes, weights, _cd_values and trace of the tail grid at one
+    threshold t, from _tail_grids on a one-element array; raises the
+    error it records for t."""
+    out = [None]
+    for _, x, w, cd, trace in _tail_grids(basis, V, np.array([float(t)]), out):
+        return x[0], w[0], cd[:, 0], float(trace[0])
+    raise out[0]
+
+
+class Routed(Exception):
+    """Raised by the stand-ins for _settle and _basis_rule in past_edge."""
+
+
+def past_edge(basis, V, t):
+    """Whether _tail_grids sends t to an edge grid (_settle) rather than
+    to the basis rule cut at t, stopped there before any Christoffel-
+    Darboux pass runs."""
+    with mock.patch.object(kernel_oracle, "_settle", side_effect=Routed) as settle, \
+            mock.patch.object(kernel_oracle, "_basis_rule", side_effect=Routed):
+        try:
+            list(_tail_grids(basis, V, np.array([float(t)]), [None]))
+        except Routed:
+            pass
+    return settle.called
+
+
 def reference_panels(basis, V, t):
     """The tail grid's panels from their definitions (_edge_widths and
     _edge_panels, _basis_rule), as a generator of (nodes, weights), and
@@ -53,7 +81,7 @@ def reference_panels(basis, V, t):
     lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
     xg, wg = gl_rule(BASE_PANEL_NODES)
-    if t >= kernel_oracle._edge_start(basis):
+    if past_edge(basis, V, t):
         width = max(bhi - blo, 1e-2 * (hi - lo)) * N ** (-2.0 / 3.0)
         if V.eval(t, 1) > 0.0:
             width = min(width, kernel_oracle.EDGE_CAP_EFOLDS / (N * float(V.eval(t, 1))))
@@ -82,7 +110,7 @@ def reference_panels(basis, V, t):
 
 def reference_march(basis, V, t):
     """Reference tail grid: panels marched one at a time, each with its
-    own phi call, under the stopping rules _settle and _tail_grid
+    own phi call, under the stopping rules _settle and _tail_grids
     document."""
     panels, stop = reference_panels(basis, V, t)
     total = 0.0
@@ -109,7 +137,7 @@ def tail_grid(basis, V, t):
     """The tail grid of one threshold: the certified rule cut at t in the
     bulk, the first edge panels past the edge."""
     bulk = kernel_oracle._bulk_estimate(basis)
-    if t < kernel_oracle._edge_start(basis):
+    if not past_edge(basis, V, t):
         lo, hi = basis.support_window
         x, w = kernel_oracle._basis_rule(lo, hi, basis.panels, t)
         return TailGrid(t, False, x, w, None)
@@ -126,7 +154,7 @@ def tail_grid(basis, V, t):
 
 def dense(basis, V, t):
     """Nodes, weights, dense phi_j and trace of the tail grid at t."""
-    x, w, _, trace = _tail_grid(basis, V, t)
+    x, w, _, trace = grid_at(basis, V, t)
     return x, w, _phi_matrix(basis, V, x), trace
 
 
@@ -134,8 +162,8 @@ def settled(basis, V, t):
     """Nodes, weights, whole tail kernel matrix and trace of the settled
     tail grid gap_probability takes: past the edge the Christoffel-Darboux
     matrix, in the bulk the dense N x N Gram matrix as a reference."""
-    if t >= kernel_oracle._edge_start(basis):
-        x, w, cd, trace = _tail_grid(basis, V, t)
+    if past_edge(basis, V, t):
+        x, w, cd, trace = grid_at(basis, V, t)
         return x, w, _cd_kernel(x, cd), trace
     x, w, Phi, trace = dense(basis, V, t)
     return x, w, _gram_matrix(Phi, w), trace
@@ -504,7 +532,7 @@ class TestDeflation:
                 with pytest.raises(NumericalError):
                     gap_probability(b, V, t)
                 continue
-            x, _, cd, _ = _tail_grid(b, V, t)
+            x, _, cd, _ = grid_at(b, V, t)
             ((_, L, residual),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
             r = gap_probability(b, V, t)
             if T >= CERTIFIED_TRACE:
@@ -554,7 +582,7 @@ class TestDeflation:
                 ((rank, rank2),) = sizes
                 assert rank == rank2 and rank < N, (t, sizes)
                 bulk_ranks.append(rank)
-                x, _, cd, T = _tail_grid(b, V, t)
+                x, _, cd, T = grid_at(b, V, t)
                 ((_, L, _),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
                 assert L.shape[1] == rank, t
                 if T >= CERTIFIED_TRACE:
@@ -572,7 +600,7 @@ class TestDeflation:
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                x, _, cd, T = _tail_grid(b, V, t)
+                x, _, cd, T = grid_at(b, V, t)
                 assert x.size == 3 * BASE_PANEL_NODES
                 ((rank, rank2),) = sizes
                 assert rank == rank2 and rank <= min(N, x.size) and rank <= 12, (t, sizes)
@@ -624,7 +652,7 @@ class TestDeflation:
                 b = build_basis(V, N)
                 ts = [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)]
                 for t, r in zip(ts, gap_probabilities(b, V, ts)):
-                    x, w = _tail_grid(b, V, t)[:2]
+                    x, w = grid_at(b, V, t)[:2]
                     if x[-1] > b.support_window[1]:
                         continue
                     Phi = _phi_matrix(b, V, x)
@@ -652,7 +680,7 @@ class TestDeflation:
                     continue
                 assert (r.survival, r.log_survival) == (1.0, 0.0), (N, t)
                 assert full_survival(gram(b, V, t)) == (1.0, 0.0), (N, t)
-                assert r.trace == _tail_grid(b, V, t)[3], (N, t)
+                assert r.trace == grid_at(b, V, t)[3], (N, t)
                 certified += 1
         assert certified >= 25, certified
 
@@ -794,18 +822,27 @@ class TestDeflation:
             assert work <= working[0] + 128 * (count - 1) * len(ts), working
 
     def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
-        # a ts with bulk and edge thresholds, and a failing one
+        # a ts that interleaves bulk, edge and failing thresholds (nan,
+        # +inf, b + 10), with more than EDGE_BLOCK edge thresholds out of
+        # order, so two blocks: every entry is gap_probability's result,
+        # field for field, or the error it raises, of the same type and text
         for V, eq, N in ((gue, gue_eq, 200), (quartic, quartic_eq, 120)):
             b = build_basis(V, N)
-            ts = ([NEG_INF, eq.b - 0.3] + [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 24)]
-                  + [eq.b + 10.0])
+            edge = [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 40)]
+            others = [NEG_INF, math.nan, eq.b - 0.3, math.inf, 0.0, eq.b + 10.0, eq.a]
+            ts = []
+            for i, t in enumerate(edge[1::2][::-1] + edge[::2]):
+                ts += [t] + ([others.pop()] if i % 6 == 0 and others else [])
+            assert not others and sum(past_edge(b, V, t) for t in ts) > kernel_oracle.EDGE_BLOCK
             batch = gap_probabilities(b, V, ts)
             assert len(batch) == len(ts)
             for t, r in zip(ts, batch):
-                if t == eq.b + 10.0:
-                    assert isinstance(r, NumericalError)
-                    with pytest.raises(NumericalError):
+                if not t < eq.b + 10.0:
+                    assert isinstance(r, ValueError if math.isnan(t) or t == math.inf
+                                      else NumericalError), t
+                    with pytest.raises(type(r)) as exc:
                         gap_probability(b, V, t)
+                    assert type(exc.value) is type(r) and str(exc.value) == str(r), t
                     continue
                 assert isinstance(r, GapResult)
                 single = gap_probability(b, V, t)
@@ -869,6 +906,8 @@ class TestDeflation:
         monkeypatch.setattr(kernel_oracle, "EDGE_SHARE_TOL", -1.0)
         with pytest.raises(NumericalError, match="did not terminate"):
             gap_probability(b, gue, 2.5)
+        with pytest.raises(NumericalError, match="did not terminate"):
+            gram(b, gue, 2.5)
 
     def test_non_finite_trace_raises(self, gue, monkeypatch):
         # an infinite kernel mass stops the edge grid and fails the trace
@@ -1089,9 +1128,10 @@ class TestWindow:
         # x^3 reaches the cutoff on the right only
         with pytest.raises(NumericalError, match="not on two sides"):
             build_basis(Potential((0.0, 0.0, 0.0, 1.0)), 10)
-        # no box starts at -inf
-        with pytest.raises(NumericalError, match="not on two sides"):
-            brute_force_survival(build_basis(gue, 3), gue, NEG_INF)
+        # no box starts at -inf, nor where V(t) overflows, with no warning
+        for t in (NEG_INF, 1e200):
+            with pytest.raises(NumericalError, match="not on two sides"):
+                brute_force_survival(build_basis(gue, 3), gue, t)
 
 
 class TestGap:
