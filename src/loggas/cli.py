@@ -276,16 +276,16 @@ def _table(config, name, cells, max_n=None):
     For each N it derives the thresholds t and their edge-scaled s from
     the grid, evaluates the tail approximation at every t in one pass
     (tail_terms) and, when the oracle cap max_n is given (compare), the
-    oracle in one pass at every t where the tail did not fail; results
-    hold the tail's error at the others.  cells(model, ts, s, terms,
-    results) gives, for the rows of one N, the columns after N and t (one
-    sequence of cells each, in grid order) from the thresholds, the tail
-    terms and the oracle results (None without the oracle), and a dict
-    from the index of each failed row to its ValueError or
-    NumericalError; such a row carries an "error: ..." status and empty
-    cells.  Where the oracle basis of one N raises NumericalError, every
-    row of that N that the tail did not fail carries that error, and the
-    other N are unaffected.
+    oracle in one pass at every t where the tail did not fail; its errors
+    join the tail's dict terms[3] from the index of each failed row to its
+    ValueError or NumericalError, and such a row carries an "error: ..."
+    status and empty cells.  Where the oracle basis of one N raises
+    NumericalError, every row of that N that the tail did not fail
+    carries that error, and the other N are unaffected.  cells(model, ts,
+    s, terms, results) gives the cells after N and t of the rows of one N,
+    one tuple per row in grid order, from the thresholds, the tail terms
+    and the oracle results (None at a row without one: every row of tail,
+    and every failed row, whose tuple is never read).
     Returns (the equilibrium, the rows as tuples, the exit status)."""
     if config.n_list is None:
         raise ConfigError(f'{name} needs "N_list"')
@@ -313,7 +313,7 @@ def _table(config, name, cells, max_n=None):
             with np.errstate(over="ignore"):  # an overflowing t is a tail error row
                 ts = (eq.b + s / scale).tolist()
         terms = tail_terms(model, ts)
-        failed, results = terms[3], None
+        errors, results = terms[3], [None] * len(ts)
         if max_n is not None:
             # an N whose every threshold failed the tail builds no basis,
             # and the oracle is imported at the first N with one left, so
@@ -321,28 +321,25 @@ def _table(config, name, cells, max_n=None):
             # are looked up on the module, where perfbench/child.py wraps
             # them when it traces a run.  gap_probabilities returns its
             # per-threshold errors as entries, so only build_basis raises
-            kept = [t for i, t in enumerate(ts) if i not in failed]
-            found = iter(())
+            kept = [i for i in range(len(ts)) if i not in errors]
             if kept:
                 from . import kernel_oracle
                 try:
-                    found = iter(kernel_oracle.gap_probabilities(
-                        kernel_oracle.build_basis(V, N), V, kept))
+                    found = kernel_oracle.gap_probabilities(
+                        kernel_oracle.build_basis(V, N), V, [ts[i] for i in kept])
                 except NumericalError as exc:
                     found = repeat(exc)
-            results = [failed[i] if i in failed else next(found) for i in range(len(ts))]
-        columns, errors = cells(model, ts, s, terms, results)
-        block = list(zip(repeat(N), ts, *columns))
-        for i, exc in errors.items():
-            block[i] = (N, ts[i], *blank, f"error: {exc}")
-        rows += block
+                for i, result in zip(kept, found):
+                    (errors if isinstance(result, Exception) else results)[i] = result
+        rows += [(N, t, *blank, f"error: {errors[i]}") if i in errors else (N, t, *row)
+                 for i, (t, row) in enumerate(zip(ts, cells(model, ts, s, terms, results)))]
         all_ok = all_ok and not errors
     return eq, rows, 0 if all_ok else 1
 
 
 def _tail_cells(model, ts, s, terms, results):
-    log_f, eta, eta_prime, errors = terms
-    return [log_f, regime_labels(s, model.N), eta, eta_prime, repeat("ok")], errors
+    log_f, eta, eta_prime, _ = terms
+    return zip(log_f, regime_labels(s, model.N), eta, eta_prime, repeat("ok"))
 
 
 def cmd_tail(args, config):
@@ -353,19 +350,10 @@ def cmd_tail(args, config):
 
 
 def _compare_cells(model, ts, s, terms, results):
-    log_f = terms[0]
-    N, b, blank = model.N, model.eq.b, (None,) * (len(COLUMNS["compare"]) - 2)
-    cells, errors = [], {}
-    for i, (t, lf, result) in enumerate(zip(ts, log_f, results)):
-        if isinstance(result, Exception):
-            errors[i] = result
-            cells.append(blank)
-        else:
-            cells.append((result.log_survival,
-                          "underflow" if result.survival is None else result.survival,
-                          lf, math.expm1(result.log_survival - lf), result.trace,
-                          1.0 / (N * (t - b) ** 1.5), "ok"))
-    return zip(*cells), errors
+    N, b = model.N, model.eq.b
+    return (r and (r.log_survival, "underflow" if r.survival is None else r.survival, lf,
+                   math.expm1(r.log_survival - lf), r.trace, 1.0 / (N * (t - b) ** 1.5), "ok")
+            for t, lf, r in zip(ts, terms[0], results))
 
 
 def cmd_compare(args, config):

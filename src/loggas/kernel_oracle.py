@@ -1,9 +1,9 @@
 """Exact finite-N oracle: orthonormal polynomials, projection kernel,
 and gap probabilities.
 
-Everything here is computed from the weight exp(-N V) alone, with no
-input from the equilibrium or tail modules, so it can serve as an
-independent ground truth for their asymptotic formulas.
+Everything here is computed from the weight exp(-N V) alone, V the field
+the basis carries, with no input from the equilibrium or tail modules, so
+it can serve as an independent ground truth for their asymptotic formulas.
 
 The recurrence coefficients come from a discretized Stieltjes
 orthonormalization on the window N(V - Vmin) <= 1400, where
@@ -84,8 +84,8 @@ class OrthoBasis(Record):
     beta[0] holds the weight normalizer, the integral of exp(-N (V -
     v_min)); beta[1:] the squared off-diagonal recurrence coefficients,
     certified by freud_residual on the _basis_rule of panels panels over
-    support_window.  v_min is the minimum of V.  Shifting V by a constant
-    changes neither v_min - V nor any of these.
+    support_window, for V of minimum v_min.  Shifting V by a constant changes
+    neither v_min - V nor these, yet public calls need the same coefficients.
     """
 
     N: int
@@ -95,6 +95,7 @@ class OrthoBasis(Record):
     v_min: float
     freud_residual: float
     panels: int
+    V: object
 
     # compared and hashed by identity: the arrays have no single truth value
     __eq__ = object.__eq__
@@ -301,9 +302,9 @@ def build_basis(V, N):
         residual, tol = _freud_residual(V, N, alpha, beta)
         basis = OrthoBasis(N=N, alpha=alpha[:N], beta=beta[:N], freud_residual=residual,
                            support_window=(float(lo), float(hi)), v_min=float(v_min),
-                           panels=math.ceil(n_nodes / BASE_PANEL_NODES))
+                           panels=math.ceil(n_nodes / BASE_PANEL_NODES), V=V)
         if rule == 0:
-            edge = _cd_values(basis, V, np.array([lo, hi]), np.ones(2))[2]
+            edge = _cd_values(basis, np.array([lo, hi]), np.ones(2))[2]
             if not np.all(edge * (hi - lo) <= WINDOW_EDGE_TOL * N):
                 raise NumericalError(
                     f"window [{lo!r}, {hi!r}] cuts off kernel mass at N = {N}: edge kernel "
@@ -315,13 +316,13 @@ def build_basis(V, N):
                          f"exceeds {tol!r} on the last of {BASIS_MAX_RULES} rules")
 
 
-def _phi_matrix(basis, V, x):
+def _phi_matrix(basis, x):
     """phi_0..phi_{N-1} at the points x as one (N, len(x)) array, by the
     three-term recurrence; the extra last row of zeros is phi_{-1}."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     phi = np.zeros((basis.N + 1, x.size))
-    phi[0] = np.exp(-0.5 * basis.N * _excess(V, basis.v_min, x)) / sqrt_beta[0]
+    phi[0] = np.exp(-0.5 * basis.N * _excess(basis.V, basis.v_min, x)) / sqrt_beta[0]
     for j in range(1, basis.N):
         phi[j] = ((x - alpha[j - 1]) * phi[j - 1] - sqrt_beta[j - 1] * phi[j - 2]) / sqrt_beta[j]
     return phi[:-1]
@@ -345,7 +346,7 @@ def _renormalisation_period(basis, x):
     return max(1, int(1021.0 / math.log2(growth)))
 
 
-def _cd_values(basis, V, x, w):
+def _cd_values(basis, x, w):
     """Christoffel-Darboux data of the kernel at points x, with quadrature
     weights w of the same shape: the (3,) + x.shape array of u = sqrt(w)
     phi_{N-1}, v = sqrt(w) psi and d = w sum_{j<N} phi_j^2, in terms of
@@ -375,7 +376,7 @@ def _cd_values(basis, V, x, w):
     alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     period = _renormalisation_period(basis, x)
     with np.errstate(over="ignore"):
-        c = -0.5 * basis.N * _excess(V, basis.v_min, x)
+        c = -0.5 * basis.N * _excess(basis.V, basis.v_min, x)
     k = np.where(np.exp(c) >= TRACE_FLOOR, 0.0, np.maximum(np.rint(c / math.log(2.0)), -2.0 ** 20))
     cur, exponent = np.frexp(np.exp(c - k * math.log(2.0)) / sqrt_beta[0])
     exponent += k.astype(np.intc)
@@ -435,7 +436,13 @@ def _threshold(t):
     return t
 
 
-def _edge_widths(basis, V, t, bulk):
+def _require_field(basis, V):
+    """Raise ValueError unless basis was built for the field V."""
+    if V.coeffs != basis.V.coeffs:
+        raise ValueError(f"basis built for the field {basis.V.coeffs!r}, used with {V.coeffs!r}")
+
+
+def _edge_widths(basis, t, bulk):
     """First-panel widths of the edge grids at the thresholds t (an
     array), given the bulk estimate: the edge scale, the Jacobi span times
     N^{-2/3}, capped by EDGE_CAP_EFOLDS decay lengths 1/(N V'(t)) of the
@@ -446,7 +453,7 @@ def _edge_widths(basis, V, t, bulk):
     N = basis.N
     width = max(bhi - blo, 1e-2 * (hi - lo)) * N ** (-2.0 / 3.0)
     with np.errstate(over="ignore", divide="ignore"):
-        slope = V.eval(t, 1)
+        slope = basis.V.eval(t, 1)
         cap = EDGE_CAP_EFOLDS / (N * slope)
     return np.where(slope > 0.0, np.minimum(width, cap), width)
 
@@ -471,7 +478,7 @@ def _panel_sums(cd):
     return np.sum(cd[2].reshape(cd.shape[1], -1, BASE_PANEL_NODES), axis=2)
 
 
-def _settle(basis, V, t, width):
+def _settle(basis, t, width):
     """The edge grids at the thresholds t (an array, all routed to the edge
     by _tail_grids) with first-panel widths width, settled.
 
@@ -486,7 +493,7 @@ def _settle(basis, V, t, width):
     """
     rows = np.arange(t.size)
     x, w = _edge_panels(t, width, range(EDGE_PANELS))
-    cd = _cd_values(basis, V, x, w)
+    cd = _cd_values(basis, x, w)
     sums = _panel_sums(cd)
     last, trace = sums[:, -1], np.cumsum(sums, axis=1)[:, -1]
     groups = []
@@ -498,14 +505,14 @@ def _settle(basis, V, t, width):
         if not rows.size or p == MAX_EDGE_PANELS:
             break
         xp, wp = _edge_panels(t[rows], width[rows], [p])
-        cdp = _cd_values(basis, V, xp, wp)
+        cdp = _cd_values(basis, xp, wp)
         last = _panel_sums(cdp)[:, 0]
         trace = trace + last
         x, w, cd = np.hstack((x, xp)), np.hstack((w, wp)), np.concatenate((cd, cdp), axis=2)
     return groups, rows
 
 
-def _tail_grids(basis, V, ts, out):
+def _tail_grids(basis, ts, out):
     """Tail grids of the thresholds ts (a float array), the one place a
     threshold's grid, trace check and error come from: groups (rows, x, w,
     cd, trace) of equal node count, rows indexing ts, nodes x and weights
@@ -535,12 +542,12 @@ def _tail_grids(basis, V, ts, out):
     def grids(block, settle):
         if settle:
             t = ts[block]
-            groups, unsettled = _settle(basis, V, t, _edge_widths(basis, V, t, bulk))
+            groups, unsettled = _settle(basis, t, _edge_widths(basis, t, bulk))
             for i in block[unsettled]:
                 out[i] = NumericalError("tail quadrature did not terminate")
         else:
             x, w = _basis_rule(lo, hi, basis.panels, float(ts[block[0]]))
-            cd = _cd_values(basis, V, x[None], w[None])
+            cd = _cd_values(basis, x[None], w[None])
             groups = [(np.arange(1), x[None], w[None], cd, np.sum(cd[2], axis=1))]
         for rows, x, w, cd, trace in groups:
             ok = np.isfinite(trace) & (trace >= TRACE_FLOOR)
@@ -570,13 +577,14 @@ def gram(basis, V, t):
     tail grid (_tail_grids).  Raises NumericalError for a threshold past
     the window, where phi_0 is not a normal double, and otherwise the
     error _tail_grids records for t."""
+    _require_field(basis, V)
     t, (lo, hi) = _threshold(t), basis.support_window
     if t > hi:
         raise NumericalError(f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], "
                              f"where phi_0 is no longer a normal double")
     out = [None]
-    for _, x, w, _, _ in _tail_grids(basis, V, np.array([t]), out):
-        return _gram_matrix(_phi_matrix(basis, V, x[0]), w[0])
+    for _, x, w, _, _ in _tail_grids(basis, np.array([t]), out):
+        return _gram_matrix(_phi_matrix(basis, x[0]), w[0])
     raise out[0]
 
 
@@ -684,9 +692,10 @@ def gap_probabilities(basis, V, ts):
     matrix, or per row, so each result is the one gap_probability gives,
     bit for bit.
     """
+    _require_field(basis, V)
     ts = np.array([float(t) for t in ts])
     out = [None] * ts.size
-    for rows, x, _, cd, trace in _tail_grids(basis, V, ts, out):
+    for rows, x, _, cd, trace in _tail_grids(basis, ts, out):
         for sel, L, _ in _pivoted_factors(x, cd, trace, basis.N):
             lam = np.linalg.eigvalsh(L @ L.swapaxes(1, 2))
             for i, item in zip(rows[sel], _survival(ts[rows[sel]].tolist(), lam,
@@ -756,16 +765,16 @@ def gap_probability(basis, V, t):
     return result
 
 
-def _series_kernel(basis, V, t):
+def _series_kernel(basis, t):
     """sqrt(w_i) K(x_i, x_j) sqrt(w_j) for 24-point Gauss-Legendre rules
     on the two halves of the box [t, hi], where hi is the largest root of
     N(V - V(t)) = SERIES_LOG_CUTOFF: the weight is 80 e-foldings down
     from its value at t."""
     with np.errstate(over="ignore"):
-        level = V.eval(t, 0)
-    hi = _level_roots(V, level, SERIES_LOG_CUTOFF / basis.N)[1]
+        level = basis.V.eval(t, 0)
+    hi = _level_roots(basis.V, level, SERIES_LOG_CUTOFF / basis.N)[1]
     xm, wm = composite_gl(np.linspace(t, hi, 3), 24)
-    Phi = _phi_matrix(basis, V, xm)
+    Phi = _phi_matrix(basis, xm)
     sw = np.sqrt(wm)
     return sw[:, None] * (Phi.T @ Phi) * sw[None, :]
 
@@ -784,10 +793,13 @@ def brute_force_survival(basis, V, t):
     most 3.4e-12 from t = b - 2 to b + 2 on four fields; 9.1e-11 up to
     N = 24).
     """
+    _require_field(basis, V)
     N = basis.N
     if N > SERIES_SIZE_LIMIT:
         raise ValueError(f"brute-force series restricted to N <= {SERIES_SIZE_LIMIT}")
-    M = _series_kernel(basis, V, t)
+    if _threshold(t) == -math.inf:
+        raise ValueError("brute-force series needs a finite threshold, got -inf")
+    M = _series_kernel(basis, t)
     p, e = [], [1.0]  # p[i] = tr(M^{i+1}), e[k] = e_k
     for k in range(1, N + 1):
         P = M if k == 1 else P @ M

@@ -30,7 +30,7 @@ FIELDS = pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0
 def kernel_diag(basis, V, x):
     """Diagonal of the rank-N projection kernel, sum_j phi_j(x)^2, from
     the dense recurrence."""
-    return np.sum(_phi_matrix(basis, V, x) ** 2, axis=0)
+    return np.sum(_phi_matrix(basis, x) ** 2, axis=0)
 
 
 def edge_point(eq, N, s):
@@ -50,7 +50,7 @@ def grid_at(basis, V, t):
     threshold t, from _tail_grids on a one-element array; raises the
     error it records for t."""
     out = [None]
-    for _, x, w, cd, trace in _tail_grids(basis, V, np.array([float(t)]), out):
+    for _, x, w, cd, trace in _tail_grids(basis, np.array([float(t)]), out):
         return x[0], w[0], cd[:, 0], float(trace[0])
     raise out[0]
 
@@ -66,7 +66,7 @@ def past_edge(basis, V, t):
     with mock.patch.object(kernel_oracle, "_settle", side_effect=Routed) as settle, \
             mock.patch.object(kernel_oracle, "_basis_rule", side_effect=Routed):
         try:
-            list(_tail_grids(basis, V, np.array([float(t)]), [None]))
+            list(_tail_grids(basis, np.array([float(t)]), [None]))
         except Routed:
             pass
     return settle.called
@@ -116,7 +116,7 @@ def reference_march(basis, V, t):
     total = 0.0
     xs, ws, phis = [], [], []
     for p, (xm, wm) in enumerate(panels):
-        Phi = _phi_matrix(basis, V, xm)
+        Phi = _phi_matrix(basis, xm)
         contrib = float(np.sum(wm * np.sum(Phi * Phi, axis=0)))
         xs.append(xm)
         ws.append(wm)
@@ -142,7 +142,7 @@ def tail_grid(basis, V, t):
         x, w = kernel_oracle._basis_rule(lo, hi, basis.panels, t)
         return TailGrid(t, False, x, w, None)
     ta = np.array([float(t)])
-    width = kernel_oracle._edge_widths(basis, V, ta, bulk)
+    width = kernel_oracle._edge_widths(basis, ta, bulk)
 
     def panel(p):
         xm, wm = kernel_oracle._edge_panels(ta, width, [p])
@@ -155,7 +155,7 @@ def tail_grid(basis, V, t):
 def dense(basis, V, t):
     """Nodes, weights, dense phi_j and trace of the tail grid at t."""
     x, w, _, trace = grid_at(basis, V, t)
-    return x, w, _phi_matrix(basis, V, x), trace
+    return x, w, _phi_matrix(basis, x), trace
 
 
 def settled(basis, V, t):
@@ -188,9 +188,9 @@ def refined_log_survival(basis, V, t):
             ws.append(0.5 * half * wg)
     xr, wr = np.concatenate(xs), np.concatenate(ws)
     if t > basis.support_window[1]:
-        M = _cd_kernel(xr, _cd_values(basis, V, xr, wr))
+        M = _cd_kernel(xr, _cd_values(basis, xr, wr))
     else:
-        Phi = _phi_matrix(basis, V, xr)
+        Phi = _phi_matrix(basis, xr)
         M = (Phi * wr) @ Phi.T
     trace = float(np.trace(M))
     if not trace >= TRACE_FLOOR:
@@ -207,9 +207,9 @@ def counting_passes(monkeypatch):
     passes = []
     cd_values = kernel_oracle._cd_values
 
-    def counting(basis, V, x, w):
+    def counting(basis, x, w):
         passes.append(x.size)
-        return cd_values(basis, V, x, w)
+        return cd_values(basis, x, w)
 
     monkeypatch.setattr(kernel_oracle, "_cd_values", counting)
     return passes
@@ -385,8 +385,8 @@ class TestBasis:
         for N in (1, 50, 400, 550):
             calls = []
 
-            def recording(basis, V, x, w):
-                calls.append((basis, x, w, cd_values(basis, V, x, w)))
+            def recording(basis, x, w):
+                calls.append((basis, x, w, cd_values(basis, x, w)))
                 return calls[-1][-1]
 
             with monkeypatch.context() as patch:
@@ -502,7 +502,7 @@ class TestProjector:
                         (quartic, 17, 0.9)):
             b = build_basis(V, N)
             x, w, _, _ = settled(b, V, t)
-            Phi = _phi_matrix(b, V, x)
+            Phi = _phi_matrix(b, x)
             G = (Phi * w) @ Phi.T
             assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
 
@@ -655,7 +655,7 @@ class TestDeflation:
                     x, w = grid_at(b, V, t)[:2]
                     if x[-1] > b.support_window[1]:
                         continue
-                    Phi = _phi_matrix(b, V, x)
+                    Phi = _phi_matrix(b, x)
                     sw = np.sqrt(w)
                     _, ref = full_survival(sw[:, None] * (Phi.T @ Phi) * sw[None, :])
                     assert abs(r.log_survival - ref) <= 3e-14 * max(1.0, abs(ref)), (N, t)
@@ -744,7 +744,7 @@ class TestDeflation:
         b = build_basis(V, N)
         edge = kernel_oracle._bulk_estimate(b)[1]
         x = np.linspace(edge, b.support_window[1], 257)
-        Phi = _phi_matrix(b, V, x)
+        Phi = _phi_matrix(b, x)
         assert (Phi > 0.0).all(), (N, np.argwhere(Phi <= 0.0)[:3])
         assert (Phi[1:] >= Phi[:-1]).all(), (N, np.argwhere(Phi[1:] < Phi[:-1])[:3])
 
@@ -768,9 +768,9 @@ class TestDeflation:
             if grid.t > b.support_window[1]:
                 continue
             x, w = grid.x, grid.w
-            M = _cd_kernel(x, _cd_values(b, V, x, w))
+            M = _cd_kernel(x, _cd_values(b, x, w))
             assert np.array_equal(M, M.T)
-            Phi = _phi_matrix(b, V, x)
+            Phi = _phi_matrix(b, x)
             sw = np.sqrt(w)
             dense = sw[:, None] * (Phi.T @ Phi) * sw[None, :]
             scale = np.abs(dense).max()
@@ -820,6 +820,14 @@ class TestDeflation:
             working.append(peak - kept)
         for count, work in zip((6, 24), working[1:]):
             assert work <= working[0] + 128 * (count - 1) * len(ts), working
+        # and one block, the 32 thresholds, at most 4 times the bytes of
+        # its grid arrays x, w and cd (measured: 3.6 times; a pass that
+        # copies every group through its trace mask holds both copies while
+        # it factors, 4.6 times)
+        assert len(ts) == kernel_oracle.EDGE_BLOCK
+        grids = sum(x.nbytes + w.nbytes + cd.nbytes
+                    for _, x, w, cd, _ in _tail_grids(b, np.array(ts), [None] * len(ts)))
+        assert working[0] <= 4 * grids, (working[0], grids)
 
     def test_batch_equals_single(self, gue, gue_eq, quartic, quartic_eq):
         # a ts that interleaves bulk, edge and failing thresholds (nan,
@@ -896,7 +904,7 @@ class TestDeflation:
             assert calls == [grid.x.size] + grown and (len(calls) > 1) == grid.edge
             assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
             if grid.edge:
-                assert np.array_equal(M, _cd_kernel(x, _cd_values(b, gue, x, w)))
+                assert np.array_equal(M, _cd_kernel(x, _cd_values(b, x, w)))
             else:
                 G = (ref_Phi * ref_w) @ ref_Phi.T
                 assert np.array_equal(M, 0.5 * (G + G.T))
@@ -967,11 +975,11 @@ class TestRatioRecurrence:
         bulk = kernel_oracle._bulk_estimate(b)
         lo, hi = b.support_window
         ts = bulk[1] + np.concatenate(([0.0], np.geomspace(1e-6, 1e150, 16)))
-        x, w = kernel_oracle._edge_panels(ts, kernel_oracle._edge_widths(b, V, ts, bulk),
+        x, w = kernel_oracle._edge_panels(ts, kernel_oracle._edge_widths(b, ts, bulk),
                                           range(kernel_oracle.EDGE_PANELS))
         assert (x[:, 0] > hi).any()
         xb, wb = kernel_oracle._basis_rule(lo, hi, b.panels)
-        cd, Phi = _cd_values(b, V, xb, wb), _phi_matrix(b, V, xb)
+        cd, Phi = _cd_values(b, xb, wb), _phi_matrix(b, xb)
         dense = wb * np.sum(Phi * Phi, axis=0)
         same = dense >= 1e-200
         assert np.array_equal(cd[0][same], np.sqrt(wb[same]) * Phi[-1][same])
@@ -979,10 +987,10 @@ class TestRatioRecurrence:
         periods = set()
         for xt, wt in [(xb, wb), *zip(x, w)]:
             periods.add(kernel_oracle._renormalisation_period(b, xt))
-            assert _cd_values(b, V, xt, wt).tobytes() == \
+            assert _cd_values(b, xt, wt).tobytes() == \
                 renormalised_at_every_step(b, V, xt, wt).tobytes(), xt[0]
         # and as one block, with the period of its largest node
-        assert _cd_values(b, V, x, w).tobytes() == renormalised_at_every_step(b, V, x, w).tobytes()
+        assert _cd_values(b, x, w).tobytes() == renormalised_at_every_step(b, V, x, w).tobytes()
         beta = b.beta[1:]
         for xt in (xb, x[0]):
             top = np.abs(xt).max() + np.abs(b.alpha).max()
@@ -1065,7 +1073,7 @@ class TestBulkGrid:
         for t, r in zip(ts, gap_probabilities(b, TILTED, ts)):
             assert isinstance(r, GapResult), (t, r)
             x, w = composite_gl(np.linspace(max(t, lo), hi, 257), BASE_PANEL_NODES)
-            Phi = _phi_matrix(b, TILTED, x)
+            Phi = _phi_matrix(b, x)
             _, ref = full_survival((Phi * w) @ Phi.T)
             assert abs(r.log_survival - ref) <= 1e-11 * max(abs(ref), 1.0), t
 
@@ -1128,10 +1136,22 @@ class TestWindow:
         # x^3 reaches the cutoff on the right only
         with pytest.raises(NumericalError, match="not on two sides"):
             build_basis(Potential((0.0, 0.0, 0.0, 1.0)), 10)
-        # no box starts at -inf, nor where V(t) overflows, with no warning
-        for t in (NEG_INF, 1e200):
-            with pytest.raises(NumericalError, match="not on two sides"):
-                brute_force_survival(build_basis(gue, 3), gue, t)
+        # no box starts where V(t) overflows, with no warning
+        with pytest.raises(NumericalError, match="not on two sides"):
+            brute_force_survival(build_basis(gue, 3), gue, 1e200)
+
+    def test_series_threshold_checked(self, gue):
+        # nan and +inf raise gap_probability's ValueError, and -inf, where
+        # the series box has no start, asks for a finite threshold
+        b = build_basis(gue, 3)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError) as expected:
+                gap_probability(b, gue, t)
+            with pytest.raises(ValueError) as raised:
+                brute_force_survival(b, gue, t)
+            assert str(raised.value) == str(expected.value), t
+        with pytest.raises(ValueError, match="needs a finite threshold, got -inf"):
+            brute_force_survival(b, gue, NEG_INF)
 
 
 class TestGap:
@@ -1159,14 +1179,14 @@ class TestGap:
     def test_first_series_term_is_trace(self, gue):
         # term k = 1 of the series is e_1 = tr M, on the series rule
         b = build_basis(gue, 3)
-        assert np.trace(_series_kernel(b, gue, 2.2)) == pytest.approx(
+        assert np.trace(_series_kernel(b, 2.2)) == pytest.approx(
             gap_probability(b, gue, 2.2).trace, rel=1e-10)
 
     def test_subsets_match_ordered_tuples(self, gue, quartic):
         # reference: every ordered k-tuple of rule nodes, over k!
         for V, N, t in ((gue, 2, 2.2), (gue, 3, 2.6), (quartic, 3, 1.3)):
             b = build_basis(V, N)
-            M = _series_kernel(b, V, t)
+            M = _series_kernel(b, t)
             ordered = 0.0
             for k in range(1, N + 1):
                 idx = np.array(list(itertools.product(range(len(M)), repeat=k)))
@@ -1188,8 +1208,8 @@ class TestGap:
             basis = build_basis(V, N)
             hi = _level_roots(V, V.eval(t, 0), kernel_oracle.SERIES_LOG_CUTOFF / N)[1]
             x, w = composite_gl(np.linspace(t, hi, 3), 24)
-            A = _phi_matrix(basis, V, x) * np.sqrt(w)
-            M = _series_kernel(basis, V, t)
+            A = _phi_matrix(basis, x) * np.sqrt(w)
+            M = _series_kernel(basis, t)
             assert np.abs(A.T @ A - M).max() <= 1e-15 * np.abs(M).max()
             G = A @ A.T
             total = 0.0
@@ -1204,7 +1224,7 @@ class TestGap:
         # V, a companion-matrix eigenvalue the kernel plays no part in
         basis = build_basis(quartic, 5)
         expected = brute_force_survival(basis, quartic, 1.5)
-        M = _series_kernel(basis, quartic, 1.5)
+        M = _series_kernel(basis, 1.5)
         monkeypatch.setattr(kernel_oracle, "_series_kernel", lambda *args: M)
 
         def refuse(*args, **kwargs):
@@ -1255,7 +1275,7 @@ class TestGap:
         t, hi = 2.45, basis.support_window[1]
         assert tail_grid(basis, TILTED, t).edge
         x, w = composite_gl(np.linspace(t, hi, 129), BASE_PANEL_NODES)
-        Phi = _phi_matrix(basis, TILTED, x)
+        Phi = _phi_matrix(basis, x)
         lam = np.clip(np.linalg.eigvalsh((Phi * w) @ Phi.T), 0.0, 1.0)
         ref = math.log(-math.expm1(float(np.sum(np.log1p(-lam)))))
         assert gap_probability(basis, TILTED, t).log_survival == pytest.approx(ref, rel=1e-13)
@@ -1345,6 +1365,26 @@ class TestGap:
         assert "t = 2.5" in str(error)
         assert isinstance(result, GapResult) and result.t == 2.6
         assert 0.1 - 0.005 <= result.survival <= 0.1
+
+
+class TestField:
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0, 1.0)],
+                             ids=["shifted", "quartic"])
+    def test_other_field_raises(self, gue, coeffs):
+        # the basis carries the field it was built for; every public
+        # function refuses a V of other coefficients, even a constant shift
+        # that leaves the kernel as it is, and takes an equal V of its own
+        b = build_basis(gue, 4)
+        assert b.V is gue
+        same, other = Potential([0.0, 0.0, 0.5, 0.0]), Potential(coeffs)
+        calls = (lambda V: gap_probabilities(b, V, [2.5])[0], lambda V: gap_probability(b, V, 2.5),
+                 lambda V: gram(b, V, 2.5), lambda V: brute_force_survival(b, V, 2.5))
+        for call in calls:
+            call(same)
+            with pytest.raises(ValueError) as raised:
+                call(other)
+            assert str(raised.value) == (f"basis built for the field {gue.coeffs!r}, "
+                                         f"used with {other.coeffs!r}")
 
 
 class TestTracyWidom:

@@ -21,7 +21,7 @@ FIELDS = {
     RunConfig: ["potential", "n_list", "t_grid", "s_grid", "k", "output_format",
                 "max_oracle_n"],
     OrthoBasis: ["N", "alpha", "beta", "support_window", "v_min", "freud_residual",
-                 "panels"],
+                 "panels", "V"],
     GapResult: ["t", "log_survival", "survival", "trace"],
 }
 BY_IDENTITY = (OrthoBasis,)
