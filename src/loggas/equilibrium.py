@@ -264,7 +264,9 @@ def _eta(eq, x):
         total = h[1] * sinhc_m1[0]
         for hm, row in zip(h[2:], sinhc_m1[1:]):
             total = total + hm * row
-        return r * r * theta * total
+        out = r * r * theta * total
+    # past b, an overflow leaves nan from inf/inf or inf - inf where eta is +inf
+    return np.where(np.isnan(out) & (x > eq.b), np.inf, out)
 
 
 def eta(eq, V, x):
@@ -289,7 +291,7 @@ def eta(eq, V, x):
     [1e-13, 1e6] on four fields of degree 2 to 6, the relative error is
     at most 1.2e-15.  The cost is O(deg G) per point for every x, and
     all points are one array evaluation.  Where e^{m Theta} overflows
-    the value is inf or nan, without a warning.
+    the value is +inf, without a warning; only a nan x gives nan.
 
     x below b by more than 1e-12 (1 + |b|) raises ValueError; closer
     points count as b, where eta is 0.
@@ -308,7 +310,8 @@ def _eta_prime(eq, x):
         root = np.sqrt((x - eq.b) * (x - eq.a))
         big = np.isinf(root)
         root[big] = np.sqrt(x[big] - eq.b) * np.sqrt(x[big] - eq.a)
-        return root * _g(eq, x)
+        out = root * _g(eq, x)
+    return np.where(np.isnan(out) & (x > eq.b), np.inf, out)
 
 
 def eta_prime(eq, V, x):
@@ -316,8 +319,8 @@ def eta_prime(eq, V, x):
     scalar or an array x > b; any x <= b raises ValueError.  Where the
     product (x-b)(x-a) overflows (from about x = 1.3e154) its root is
     sqrt(x-b) sqrt(x-a), so the value is finite wherever the true value
-    is; where that is past the double range the value is inf, without a
-    warning."""
+    is; where that is past the double range, x = inf included, the value
+    is +inf, without a warning; only a nan x gives nan."""
     _require_field(eq, V)
     x_arr = np.asarray(x, dtype=float)
     low = x_arr <= eq.b

@@ -229,7 +229,7 @@ class TestTailCommand:
         assert rows[3]["status"] == "ok"
         # eta overflows at t = 2.15e299; eta' = sqrt(t^2 - 4) does not
         assert rows[4]["status"] == (f"error: tail approximation not finite at t = {rows[4]['t']!r}: "
-                                     "log_F = nan, eta = nan, eta_prime = 2.1544346900318846e+299")
+                                     "log_F = -inf, eta = inf, eta_prime = 2.1544346900318846e+299")
         assert rows[4]["eta"] is None
 
     def test_needs_grids(self, tmp_path, capsys):

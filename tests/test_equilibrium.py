@@ -330,6 +330,23 @@ class TestEta:
         assert not np.isfinite(values).any()
         assert not np.isfinite(slopes).any()
 
+    @pytest.mark.parametrize("coeffs", FIELDS.values(), ids=FIELDS.keys())
+    def test_overflow_is_plus_infinity(self, coeffs):
+        # past the double range eta and eta' are +inf, x = inf included
+        # (eta is 5e307 at GUE x = 1e154 and past the range from 1e155 on
+        # every field); only a nan x gives nan
+        V = Potential(coeffs)
+        eq = solve_mrs(V)
+        x = np.array([1e154, 1e155, 1e200, 1e300, math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (eta, eta_prime):
+                values = fn(eq, V, x)
+                assert np.isnan(values).tolist() == [False] * 5 + [True], fn.__name__
+                assert (values[:5] > 0.0).all() and values[4] == math.inf, fn.__name__
+                assert [fn(eq, V, xi) for xi in x[:5].tolist()] == values[:5].tolist()
+            assert eta(eq, V, x[1:5]).tolist() == [math.inf] * 4
+
 
 class TestEffectivePotential:
     def test_constant_inside_support(self, gue_eq, gue):

@@ -27,7 +27,7 @@ FIELDS = pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 0.0
                                             ASYMMETRIC], ids=["gue", "quartic", "asymmetric"])
 
 
-def kernel_diag(basis, V, x):
+def kernel_diag(basis, x):
     """Diagonal of the rank-N projection kernel, sum_j phi_j(x)^2, from
     the dense recurrence."""
     return np.sum(_phi_matrix(basis, x) ** 2, axis=0)
@@ -45,7 +45,7 @@ def thresholds(eq, N):
             + [edge_point(eq, N, s) for s in (0.5, 2.0, 8.0, 32.0)])
 
 
-def grid_at(basis, V, t):
+def grid_at(basis, t):
     """Nodes, weights, _cd_values and trace of the tail grid at one
     threshold t, from _tail_grids on a one-element array; raises the
     error it records for t."""
@@ -59,7 +59,7 @@ class Routed(Exception):
     """Raised by the stand-ins for _settle and _basis_rule in past_edge."""
 
 
-def past_edge(basis, V, t):
+def past_edge(basis, t):
     """Whether _tail_grids sends t to an edge grid (_settle) rather than
     to the basis rule cut at t, stopped there before any Christoffel-
     Darboux pass runs."""
@@ -72,7 +72,7 @@ def past_edge(basis, V, t):
     return settle.called
 
 
-def reference_panels(basis, V, t):
+def reference_panels(basis, t):
     """The tail grid's panels from their definitions (_edge_widths and
     _edge_panels, _basis_rule), as a generator of (nodes, weights), and
     its stopping rule stop(p, contrib, total): a posteriori past the
@@ -81,10 +81,10 @@ def reference_panels(basis, V, t):
     lo, hi = basis.support_window
     blo, bhi = kernel_oracle._bulk_estimate(basis)
     xg, wg = gl_rule(BASE_PANEL_NODES)
-    if past_edge(basis, V, t):
+    if past_edge(basis, t):
         width = max(bhi - blo, 1e-2 * (hi - lo)) * N ** (-2.0 / 3.0)
-        if V.eval(t, 1) > 0.0:
-            width = min(width, kernel_oracle.EDGE_CAP_EFOLDS / (N * float(V.eval(t, 1))))
+        if basis.V.eval(t, 1) > 0.0:
+            width = min(width, kernel_oracle.EDGE_CAP_EFOLDS / (N * float(basis.V.eval(t, 1))))
         growth = kernel_oracle.EDGE_GROWTH
 
         def panel(p):
@@ -108,11 +108,11 @@ def reference_panels(basis, V, t):
     return panels, stop
 
 
-def reference_march(basis, V, t):
+def reference_march(basis, t):
     """Reference tail grid: panels marched one at a time, each with its
     own phi call, under the stopping rules _settle and _tail_grids
     document."""
-    panels, stop = reference_panels(basis, V, t)
+    panels, stop = reference_panels(basis, t)
     total = 0.0
     xs, ws, phis = [], [], []
     for p, (xm, wm) in enumerate(panels):
@@ -133,11 +133,11 @@ def reference_march(basis, V, t):
 TailGrid = namedtuple("TailGrid", "t edge x w panel")
 
 
-def tail_grid(basis, V, t):
+def tail_grid(basis, t):
     """The tail grid of one threshold: the certified rule cut at t in the
     bulk, the first edge panels past the edge."""
     bulk = kernel_oracle._bulk_estimate(basis)
-    if not past_edge(basis, V, t):
+    if not past_edge(basis, t):
         lo, hi = basis.support_window
         x, w = kernel_oracle._basis_rule(lo, hi, basis.panels, t)
         return TailGrid(t, False, x, w, None)
@@ -152,29 +152,29 @@ def tail_grid(basis, V, t):
     return TailGrid(t, True, x[0], w[0], panel)
 
 
-def dense(basis, V, t):
+def dense(basis, t):
     """Nodes, weights, dense phi_j and trace of the tail grid at t."""
-    x, w, _, trace = grid_at(basis, V, t)
+    x, w, _, trace = grid_at(basis, t)
     return x, w, _phi_matrix(basis, x), trace
 
 
-def settled(basis, V, t):
+def settled(basis, t):
     """Nodes, weights, whole tail kernel matrix and trace of the settled
     tail grid gap_probability takes: past the edge the Christoffel-Darboux
     matrix, in the bulk the dense N x N Gram matrix as a reference."""
-    if past_edge(basis, V, t):
-        x, w, cd, trace = grid_at(basis, V, t)
+    if past_edge(basis, t):
+        x, w, cd, trace = grid_at(basis, t)
         return x, w, _cd_kernel(x, cd), trace
-    x, w, Phi, trace = dense(basis, V, t)
+    x, w, Phi, trace = dense(basis, t)
     return x, w, _gram_matrix(Phi, w), trace
 
 
-def refined_log_survival(basis, V, t):
+def refined_log_survival(basis, t):
     """log survival on the tail grid with every panel split in two and
     twice the nodes per half: from the dense Gram matrix within the
     window, from the Christoffel-Darboux kernel past it."""
-    x = settled(basis, V, t)[0]
-    grid = tail_grid(basis, V, t)
+    x = settled(basis, t)[0]
+    grid = tail_grid(basis, t)
     n_panels = x.size // BASE_PANEL_NODES
     assert n_panels * BASE_PANEL_NODES == x.size
     xg, wg = gl_rule(2 * BASE_PANEL_NODES)
@@ -396,7 +396,7 @@ class TestBasis:
             ((rule, x, w, cd),) = calls
             assert list(x) == list(b.support_window) and list(w) == [1.0, 1.0]
             assert rule.N == N and rule.support_window == b.support_window
-            ref = kernel_diag(rule, V, x)
+            ref = kernel_diag(rule, x)
             assert cd[2] == pytest.approx(ref, rel=1e-13, abs=0.0), (N, cd[2], ref)
 
     def test_constant_shift(self, gue):
@@ -501,7 +501,7 @@ class TestProjector:
         for V, N, t in ((gue, 30, NEG_INF), (gue, 30, 1.7), (gue, 30, 2.1),
                         (quartic, 17, 0.9)):
             b = build_basis(V, N)
-            x, w, _, _ = settled(b, V, t)
+            x, w, _, _ = settled(b, t)
             Phi = _phi_matrix(b, x)
             G = (Phi * w) @ Phi.T
             assert np.array_equal(gram(b, V, t), 0.5 * (G + G.T))
@@ -524,7 +524,7 @@ class TestDeflation:
         b = build_basis(V, N)
         for t in thresholds(eq, N):
             try:
-                _, _, M, T = settled(b, V, t)
+                _, _, M, T = settled(b, t)
             except NumericalError:
                 # s = 32 at N = 3 and 12 on the quartic fields: no
                 # normal-range mass past t
@@ -532,7 +532,7 @@ class TestDeflation:
                 with pytest.raises(NumericalError):
                     gap_probability(b, V, t)
                 continue
-            x, _, cd, _ = grid_at(b, V, t)
+            x, _, cd, _ = grid_at(b, t)
             ((_, L, residual),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
             r = gap_probability(b, V, t)
             if T >= CERTIFIED_TRACE:
@@ -582,7 +582,7 @@ class TestDeflation:
                 ((rank, rank2),) = sizes
                 assert rank == rank2 and rank < N, (t, sizes)
                 bulk_ranks.append(rank)
-                x, _, cd, T = grid_at(b, V, t)
+                x, _, cd, T = grid_at(b, t)
                 ((_, L, _),) = _pivoted_factors(x[None], cd[:, None], np.array([T]), N)
                 assert L.shape[1] == rank, t
                 if T >= CERTIFIED_TRACE:
@@ -600,7 +600,7 @@ class TestDeflation:
                 sizes.clear()
                 r = gap_probability(b, V, t)
                 monkeypatch.undo()
-                x, _, cd, T = grid_at(b, V, t)
+                x, _, cd, T = grid_at(b, t)
                 assert x.size == 3 * BASE_PANEL_NODES
                 ((rank, rank2),) = sizes
                 assert rank == rank2 and rank <= min(N, x.size) and rank <= 12, (t, sizes)
@@ -652,7 +652,7 @@ class TestDeflation:
                 b = build_basis(V, N)
                 ts = [edge_point(eq, N, s) for s in np.geomspace(0.5, 32.0, 32)]
                 for t, r in zip(ts, gap_probabilities(b, V, ts)):
-                    x, w = grid_at(b, V, t)[:2]
+                    x, w = grid_at(b, t)[:2]
                     if x[-1] > b.support_window[1]:
                         continue
                     Phi = _phi_matrix(b, x)
@@ -680,7 +680,7 @@ class TestDeflation:
                     continue
                 assert (r.survival, r.log_survival) == (1.0, 0.0), (N, t)
                 assert full_survival(gram(b, V, t)) == (1.0, 0.0), (N, t)
-                assert r.trace == grid_at(b, V, t)[3], (N, t)
+                assert r.trace == grid_at(b, t)[3], (N, t)
                 certified += 1
         assert certified >= 25, certified
 
@@ -701,7 +701,7 @@ class TestDeflation:
                 passes = counting_passes(monkeypatch)
                 monkeypatch.setattr(kernel_oracle, "_phi_matrix", counting)
                 for t in thresholds(eq, N):
-                    grid = tail_grid(b, V, t)
+                    grid = tail_grid(b, t)
                     calls.clear()
                     passes.clear()
                     try:
@@ -723,7 +723,7 @@ class TestDeflation:
             for N in (12, 50, 200):
                 b = build_basis(V, N)
                 for ts in (thresholds(eq, N) * 6, thresholds(eq, N) * 20):
-                    grids = [tail_grid(b, V, t) for t in ts]
+                    grids = [tail_grid(b, t) for t in ts]
                     edge = [g.x.size for g in grids if g.edge]
                     passes = counting_passes(monkeypatch)
                     gap_probabilities(b, V, ts)
@@ -763,7 +763,7 @@ class TestDeflation:
         b = build_basis(V, N)
         checked = 0
         for s in (0.5, 4.0, 16.0, 32.0):
-            grid = tail_grid(b, V, edge_point(eq, N, s))
+            grid = tail_grid(b, edge_point(eq, N, s))
             assert grid.edge
             if grid.t > b.support_window[1]:
                 continue
@@ -777,7 +777,7 @@ class TestDeflation:
             if not scale >= TRACE_FLOOR:
                 continue
             assert np.linalg.norm((M - dense) / scale) <= 1e-12 * np.linalg.norm(dense / scale), s
-            diag = w * kernel_diag(b, V, x)
+            diag = w * kernel_diag(b, x)
             assert np.abs(np.diag(M) - diag).max() <= 2e-13 * diag.max(), s
             checked += 1
         assert checked >= 2
@@ -841,7 +841,7 @@ class TestDeflation:
             ts = []
             for i, t in enumerate(edge[1::2][::-1] + edge[::2]):
                 ts += [t] + ([others.pop()] if i % 6 == 0 and others else [])
-            assert not others and sum(past_edge(b, V, t) for t in ts) > kernel_oracle.EDGE_BLOCK
+            assert not others and sum(past_edge(b, t) for t in ts) > kernel_oracle.EDGE_BLOCK
             batch = gap_probabilities(b, V, ts)
             assert len(batch) == len(ts)
             for t, r in zip(ts, batch):
@@ -869,20 +869,20 @@ class TestDeflation:
         for N in (12, 30, 60):
             b = build_basis(V, N)
             for t in thresholds(eq, N):
-                grid = tail_grid(b, V, t)
+                grid = tail_grid(b, t)
                 try:
-                    x, w, Phi, T = dense(b, V, t)
+                    x, w, Phi, T = dense(b, t)
                 except NumericalError as exc:
                     # s = 32 at N = 12 on the quartic fields
                     assert "normal double" in str(exc) and N == 12, (N, t)
                     continue
-                ref_x, ref_w, ref_Phi = reference_march(b, V, t)
+                ref_x, ref_w, ref_Phi = reference_march(b, t)
                 assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w), (N, t)
                 assert np.array_equal(Phi, ref_Phi), (N, t)
                 assert T == pytest.approx(float(np.sum(ref_w * np.sum(ref_Phi ** 2, axis=0))),
                                           rel=1e-14)
                 if grid.edge:
-                    assert np.array_equal(settled(b, V, t)[0], x), (N, t)
+                    assert np.array_equal(settled(b, t)[0], x), (N, t)
                 cut += not grid.edge and x[0] > b.support_window[0]
         assert cut > 0
 
@@ -894,11 +894,11 @@ class TestDeflation:
         b = build_basis(gue, 12)
         monkeypatch.setattr(kernel_oracle, "EDGE_SHARE_TOL", 1e-300)
         for t in (1.5, 2.5):
-            grid = tail_grid(b, gue, t)
-            ref_x, ref_w, ref_Phi = reference_march(b, gue, t)
+            grid = tail_grid(b, t)
+            ref_x, ref_w, ref_Phi = reference_march(b, t)
             with monkeypatch.context() as patch:
                 calls = counting_passes(patch)
-                x, w, M, _ = settled(b, gue, t)
+                x, w, M, _ = settled(b, t)
             first = kernel_oracle.EDGE_PANELS
             grown = [grid.panel(p)[0].size for p in range(first, first + len(calls) - 1)]
             assert calls == [grid.x.size] + grown and (len(calls) > 1) == grid.edge
@@ -930,11 +930,11 @@ class TestDeflation:
             monkeypatch.undo()
 
 
-def renormalised_at_every_step(basis, V, x, w):
+def renormalised_at_every_step(basis, x, w):
     """_cd_values with the pair and the sum renormalised before every step."""
     alpha, sqrt_beta = basis.alpha, np.sqrt(basis.beta)
     with np.errstate(over="ignore"):
-        c = -0.5 * basis.N * kernel_oracle._excess(V, basis.v_min, x)
+        c = -0.5 * basis.N * kernel_oracle._excess(basis.V, basis.v_min, x)
     k = np.where(np.exp(c) >= TRACE_FLOOR, 0.0, np.maximum(np.rint(c / math.log(2.0)), -2.0 ** 20))
     cur, exponent = np.frexp(np.exp(c - k * math.log(2.0)) / sqrt_beta[0])
     prev, total, exponent = np.zeros_like(x), cur * cur, exponent + k.astype(np.intc)
@@ -988,9 +988,9 @@ class TestRatioRecurrence:
         for xt, wt in [(xb, wb), *zip(x, w)]:
             periods.add(kernel_oracle._renormalisation_period(b, xt))
             assert _cd_values(b, xt, wt).tobytes() == \
-                renormalised_at_every_step(b, V, xt, wt).tobytes(), xt[0]
+                renormalised_at_every_step(b, xt, wt).tobytes(), xt[0]
         # and as one block, with the period of its largest node
-        assert _cd_values(b, x, w).tobytes() == renormalised_at_every_step(b, V, x, w).tobytes()
+        assert _cd_values(b, x, w).tobytes() == renormalised_at_every_step(b, x, w).tobytes()
         beta = b.beta[1:]
         for xt in (xb, x[0]):
             top = np.abs(xt).max() + np.abs(b.alpha).max()
@@ -1016,7 +1016,7 @@ class TestEdgeGrid:
             t = edge_point(eq, N, s)
             assert t >= kernel_oracle._bulk_estimate(b)[1]
             try:
-                ref = refined_log_survival(b, V, t)
+                ref = refined_log_survival(b, t)
             except NumericalError:
                 # s = 32 at N <= 12 on quartic fields: no normal-range mass
                 # past t
@@ -1026,7 +1026,7 @@ class TestEdgeGrid:
                 continue
             r = gap_probability(b, V, t)
             assert r.log_survival == pytest.approx(ref, rel=1e-12, abs=1e-300), (N, s)
-            assert settled(b, V, t)[0].size == 3 * BASE_PANEL_NODES
+            assert settled(b, t)[0].size == 3 * BASE_PANEL_NODES
 
 
 class TestBulkGrid:
@@ -1052,14 +1052,14 @@ class TestBulkGrid:
         assert x.size == b.panels * BASE_PANEL_NODES
         lo, hi = b.support_window
         for t in (NEG_INF, lo - 1.0, lo):
-            grid = tail_grid(b, V, t)
+            grid = tail_grid(b, t)
             assert not grid.edge
             assert np.array_equal(grid.x, x) and np.array_equal(grid.w, w), t
         assert np.abs(gram(b, V, NEG_INF) - np.eye(N)).max() <= 1e-13
         if N == 1:
             edge = kernel_oracle._bulk_estimate(b)[1]
             for t in np.linspace(lo, min(hi, edge), 24, endpoint=False):
-                assert 0 < tail_grid(b, V, t).x.size <= x.size, t
+                assert 0 < tail_grid(b, t).x.size <= x.size, t
 
     def test_tilted_well_sweep(self):
         # 24 bulk thresholds of the tilted well at N = 50, from -inf to
@@ -1128,7 +1128,7 @@ class TestWindow:
             assert lo == pytest.approx(-1.9314, abs=1e-4)
             assert hi == pytest.approx(2.0109, abs=1e-4)
         x, w = composite_gl(np.linspace(lo, hi, 201), BASE_PANEL_NODES)
-        mass = w * kernel_diag(basis, V, x)
+        mass = w * kernel_diag(basis, x)
         assert float(np.sum(mass)) == pytest.approx(N, rel=1e-10)
         assert float(np.sum(mass[x < 0.0])) > 100.0
 
@@ -1273,7 +1273,7 @@ class TestGap:
         # path gives the survival of a 128-panel dense Gram matrix
         basis = build_basis(TILTED, 50)
         t, hi = 2.45, basis.support_window[1]
-        assert tail_grid(basis, TILTED, t).edge
+        assert tail_grid(basis, t).edge
         x, w = composite_gl(np.linspace(t, hi, 129), BASE_PANEL_NODES)
         Phi = _phi_matrix(basis, x)
         lam = np.clip(np.linalg.eigvalsh((Phi * w) @ Phi.T), 0.0, 1.0)
@@ -1292,7 +1292,7 @@ class TestGap:
         for t in (1.98, 1.985):
             assert hi < t < edge
             r = gap_probability(basis, TILTED, t)
-            assert r.log_survival == pytest.approx(refined_log_survival(basis, TILTED, t),
+            assert r.log_survival == pytest.approx(refined_log_survival(basis, t),
                                                    rel=1e-12)
         for N in (200, 400):
             basis = build_basis(TILTED, N)
@@ -1315,7 +1315,7 @@ class TestGap:
         r = gap_probability(b, gue, 4.95)
         assert r.survival is None
         assert -708.0 < r.log_survival < math.log(1e-300)
-        assert r.log_survival == pytest.approx(refined_log_survival(b, gue, 4.95), rel=1e-12)
+        assert r.log_survival == pytest.approx(refined_log_survival(b, 4.95), rel=1e-12)
 
     def test_no_silent_minus_infinity(self, gue):
         # t = 12 lies past the N = 50 window; past t = 5 at N = 90 the
@@ -1340,7 +1340,7 @@ class TestGap:
         for t, expected in ((2.4, -182.54006053165756), (2.6, -333.01035839272936)):
             r = gap_probability(b, gue, t)
             assert r.log_survival == pytest.approx(expected, rel=1e-13)
-            assert r.log_survival == pytest.approx(refined_log_survival(b, gue, t), rel=1e-12)
+            assert r.log_survival == pytest.approx(refined_log_survival(b, t), rel=1e-12)
 
     def test_threshold_far_below_support(self, gue):
         b = build_basis(gue, 6)
@@ -1351,7 +1351,7 @@ class TestGap:
     def test_eigenvalue_error_prints_plain_floats(self, gue):
         # weights scaled by 10 push the top eigenvalue past 1
         b = build_basis(gue, 10)
-        _, _, G, trace = settled(b, gue, 0.0)
+        _, _, G, trace = settled(b, 0.0)
         (error,) = _survival([0.0], [np.linalg.eigvalsh(10.0 * G)], [10.0 * trace])
         assert isinstance(error, NumericalError) and "outside" in str(error)
         assert "np." not in str(error)

@@ -110,7 +110,7 @@ class TestLogF:
             log_f_approx(m, np.array([2.5, 1.5, 2.0]))
 
     def test_raises_where_the_table_has_an_error_row(self, gue_eq, gue):
-        # log F is -inf at 1e153 and nan at 1e200 and nan: tail_terms
+        # log F is -inf at 1e153 and 1e200, and nan at nan: tail_terms
         # reports these thresholds as errors, and so do log_f_approx and
         # f_approx, for a scalar and at the first failing entry of an array
         m = build_tail_model(gue_eq, gue, 10)
