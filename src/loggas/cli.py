@@ -96,12 +96,14 @@ def load_config(path):
         raise ConfigError(f"bad potential entry: {exc}") from None
 
     # integers are tested by type(v) is int: a JSON true or false loads as
-    # a bool, which isinstance(v, int) accepts
+    # a bool, which isinstance(v, int) accepts; each N must also fit a double
     n_list = raw.get("N_list")
     if n_list is not None:
         if (not isinstance(n_list, list) or not n_list
-                or not all(type(n) is int and n >= 1 for n in n_list)):
-            raise ConfigError('"N_list" must be a non-empty list of positive integers')
+                or not all(type(n) is int and n >= 1 and math.isfinite(json_float(n))
+                           for n in n_list)):
+            raise ConfigError('"N_list" must be a non-empty list of positive integers '
+                              'that fit a double')
 
     grids = {}
     for name in ("t_grid", "s_grid"):
@@ -276,11 +278,12 @@ def _table(config, name, cells, max_n=None):
     For each N it derives the thresholds t and their edge-scaled s from
     the grid, evaluates the tail approximation at every t in one pass
     (tail_terms) and, when the oracle cap max_n is given (compare), the
-    oracle in one pass at every t where the tail did not fail; its errors
-    join the tail's dict terms[3] from the index of each failed row to its
-    ValueError or NumericalError, and such a row carries an "error: ..."
-    status and empty cells.  Where the oracle basis of one N raises
-    NumericalError, every row of that N that the tail did not fail
+    oracle in one pass at every t where the tail did not fail and the
+    bound column (_bound) is a finite double; the bound's errors and the
+    oracle's join the tail's dict terms[3] from the index of each failed
+    row to its ValueError or NumericalError, and such a row carries an
+    "error: ..." status and empty cells.  Where the oracle basis of one N
+    raises NumericalError, every row of that N that has not failed
     carries that error, and the other N are unaffected.  cells(model, ts,
     s, terms, results) gives the cells after N and t of the rows of one N,
     one tuple per row in grid order, from the thresholds, the tail terms
@@ -315,7 +318,11 @@ def _table(config, name, cells, max_n=None):
         terms = tail_terms(model, ts)
         errors, results = terms[3], [None] * len(ts)
         if max_n is not None:
-            # an N whose every threshold failed the tail builds no basis,
+            for i, t in enumerate(ts):
+                if i not in errors and not math.isfinite(_bound(N, eq.b, t)):
+                    errors[i] = NumericalError(f"bound 1/(N (t-b)^(3/2)) is not a finite "
+                                               f"double at t = {t!r}")
+            # an N whose every threshold failed builds no basis,
             # and the oracle is imported at the first N with one left, so
             # only a compare run that reaches it compiles it; its functions
             # are looked up on the module, where perfbench/child.py wraps
@@ -349,10 +356,17 @@ def cmd_tail(args, config):
     return status
 
 
+def _bound(N, b, t):
+    """The bound column of compare, 1/(N (t-b)^{3/2}) at t > b; inf where
+    N (t-b)^{3/2} underflows to zero."""
+    scale = N * (t - b) ** 1.5
+    return 1.0 / scale if scale else math.inf
+
+
 def _compare_cells(model, ts, s, terms, results):
     N, b = model.N, model.eq.b
     return (r and (r.log_survival, "underflow" if r.survival is None else r.survival, lf,
-                   math.expm1(r.log_survival - lf), r.trace, 1.0 / (N * (t - b) ** 1.5), "ok")
+                   math.expm1(r.log_survival - lf), r.trace, _bound(N, b, t), "ok")
             for t, lf, r in zip(ts, terms[0], results))
 
 
@@ -386,9 +400,10 @@ commands:
   cramer          tabulate correction coefficients and growth thresholds
 
 config JSON keys:
-  potential       {"coeffs": [c0, c1, ...], "ga_infinity": bool}; c_k multiplies x^k;
-                  "ga_infinity" is optional, must be a boolean and enters no result
-  N_list          non-empty list of positive integers (tail, compare)
+  potential       {"coeffs": [c0, c1, ...], "ga_infinity": bool}; c_k multiplies x^k
+                  and must be finite; "ga_infinity" is optional, must be a boolean
+                  and enters no result
+  N_list          non-empty list of positive integers that fit a double (tail, compare)
   t_grid | s_grid strictly increasing list of thresholds (tail, compare); give one
   k               correction order, integer in [0, 6] (default 3): the number of
                   d_j and alpha_j that equilibrium and cramer print; tail and
@@ -410,7 +425,8 @@ CSV column orders (floats carry 17 significant digits):
 Linear-space probabilities below 1e-300 print as the token "underflow";
 their log columns stay finite.  JSON output is strict JSON: a non-finite
 number prints as null.  Failed rows carry an "error: ..." status and the
-run exits 1 after writing every row.
+run exits 1 after writing every row; a compare row whose bound is not a
+finite double is one.
 """
 
 

@@ -23,6 +23,7 @@ from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, Record, SolverError
+from .potential import _real_only, _require_field
 
 # Below m Theta = SINHC_CUT, sinh(z)/z - 1 is summed from its Taylor
 # series, 1/(2k+1)! z^2k for k = 1..12 (listed from k = 12 for Horner's
@@ -173,11 +174,9 @@ def solve_mrs(V):
     mid = 0.5 * (a + b)
     ell = float(V.eval(mid, 0) - 2.0 * _log_moment(V, a, b, np.array([mid]))[0])
     # L > ell off [a, b]: there (L - ell)' = +-sqrt(|(x-a)(x-b)|) G(x) and
-    # L - ell = 0 at a and b, so its minima are real roots of G (taken
-    # with the imaginary-part test of kernel_oracle._real_roots)
-    y = cheb.chebroots(g)
-    y = y[(np.abs(y.imag) < 1e-9 * (1.0 + np.abs(y.real))) & (np.abs(y.real) > 1.0)].real
-    x = c + r * y
+    # L - ell = 0 at a and b, so its minima are real roots of G
+    y = _real_only(cheb.chebroots(g))
+    x = c + r * y[np.abs(y) > 1.0]
     dip = V.eval(x, 0) - 2.0 * _log_moment(V, a, b, x) - ell
     if (dip < -1e-12 * (1.0 + abs(ell))).any():
         i = int(np.argmin(dip))
@@ -191,19 +190,11 @@ def solve_mrs(V):
     )
 
 
-def _require_field(eq, V):
-    """Raise ValueError unless eq was solved for the field V."""
-    if V.coeffs != eq.coeffs:
-        raise ValueError(
-            f"equilibrium data solved for the field {eq.coeffs!r}, "
-            f"used with {V.coeffs!r}")
-
-
-def _points(core, eq, x):
-    """core(eq, flat float array) evaluated at scalar or array x, shaped
-    like x; a scalar x gives a float."""
+def _points(core, record, x):
+    """core(record, flat float array) evaluated at scalar or array x,
+    shaped like x; a scalar x gives a float."""
     x_arr = np.asarray(x, dtype=float)
-    out = core(eq, x_arr.reshape(-1)).reshape(x_arr.shape)
+    out = core(record, x_arr.reshape(-1)).reshape(x_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -219,7 +210,7 @@ def g_factor(eq, V, x):
     essentially sets gamma.  Accepts scalar or array x.  G is read from
     eq.g_coeffs; V only has to be the field eq was solved for.
     """
-    _require_field(eq, V)
+    _require_field(V, eq.coeffs, "equilibrium data solved")
     return _points(_g, eq, x)
 
 
@@ -234,7 +225,7 @@ def _density(eq, x):
 def density(eq, V, x):
     """Equilibrium density at x: sqrt((b-x)(x-a)) G(x) / (2 pi) on the
     support, zero outside.  Accepts scalar or array x."""
-    _require_field(eq, V)
+    _require_field(V, eq.coeffs, "equilibrium data solved")
     return _points(_density, eq, x)
 
 
@@ -296,7 +287,7 @@ def eta(eq, V, x):
     x below b by more than 1e-12 (1 + |b|) raises ValueError; closer
     points count as b, where eta is 0.
     """
-    _require_field(eq, V)
+    _require_field(V, eq.coeffs, "equilibrium data solved")
     x_arr = np.asarray(x, dtype=float)
     low = x_arr < eq.b - 1e-12 * (1.0 + abs(eq.b))
     if low.any():
@@ -321,7 +312,7 @@ def eta_prime(eq, V, x):
     sqrt(x-b) sqrt(x-a), so the value is finite wherever the true value
     is; where that is past the double range, x = inf included, the value
     is +inf, without a warning; only a nan x gives nan."""
-    _require_field(eq, V)
+    _require_field(V, eq.coeffs, "equilibrium data solved")
     x_arr = np.asarray(x, dtype=float)
     low = x_arr <= eq.b
     if low.any():
@@ -391,5 +382,5 @@ def effective_potential(eq, V, x):
     Constant (= ell) on the support, and L(x) - ell reproduces eta(x)
     beyond the right edge.  Accepts scalar or array x.
     """
-    _require_field(eq, V)
+    _require_field(V, eq.coeffs, "equilibrium data solved")
     return _points(lambda eq, x: V.eval(x, 0) - 2.0 * _log_moment(V, eq.a, eq.b, x), eq, x)

@@ -11,7 +11,8 @@ phi_0 = exp(-N (V - Vmin) / 2) / sqrt(beta_0) stays a normal double.
 V is a polynomial, so the window edges are exact: the outermost real
 roots of N(V - Vmin) - 1400, as eigenvalues of its companion matrix.
 Vmin (from the real roots of V') and the far edge of the series box
-come from the same root finder, _real_roots.
+come from the same root finder: the companion-matrix eigenvalues that
+potential._real_only keeps.
 build_basis checks that the kernel diagonal at both window edges is
 negligible, which holds up to about N = 550 for x^2/2 and N = 800 for
 x^4, and certifies its rule by the Freud equations (_freud_residual).
@@ -56,6 +57,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import UNDERFLOW_LIMIT, NumericalError, Record
+from .potential import _real_only, _require_field
 
 WINDOW_LOG_CUTOFF = 1400.0         # N(V - Vmin) at the window edges, where phi_0 is about e^-700
 WINDOW_EDGE_TOL = 1e-30            # kernel share the window may cut off
@@ -139,18 +141,9 @@ def composite_gl(edges, n):
     return x, w
 
 
-def _real_roots(coeffs):
-    """Sorted real roots of the polynomial with coefficients coeffs
-    (lowest degree first): the companion-matrix eigenvalues whose
-    imaginary part is below 1e-9 (1 + |real part|)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    roots = npoly.polyroots(coeffs) if coeffs.size > 1 else np.array([])
-    return np.sort(roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real)
-
-
 def _potential_minimum(V):
     """Minimum value of an admissible polynomial V."""
-    real = _real_roots(npoly.polyder(np.asarray(V.coeffs, dtype=float)))
+    real = _real_only(npoly.polyroots(npoly.polyder(np.asarray(V.coeffs, dtype=float))))
     if not real.size:
         raise ValueError(f"V' has no real root: {V.coeffs!r} has no minimum")
     return float(np.min(V.eval(real, 0)))
@@ -173,7 +166,7 @@ def _level_roots(V, base, level):
     c = np.array(V.coeffs, dtype=float)
     c[0] -= base
     c[0] -= level
-    roots = _real_roots(c) if np.isfinite(c).all() else np.array([])
+    roots = np.sort(_real_only(npoly.polyroots(c))) if np.isfinite(c).all() else np.array([])
     if roots.size < 2:
         raise NumericalError(
             f"V - {float(base)!r} crosses {level!r} at {roots.tolist()!r}, not on two sides")
@@ -436,12 +429,6 @@ def _threshold(t):
     return t
 
 
-def _require_field(basis, V):
-    """Raise ValueError unless basis was built for the field V."""
-    if V.coeffs != basis.V.coeffs:
-        raise ValueError(f"basis built for the field {basis.V.coeffs!r}, used with {V.coeffs!r}")
-
-
 def _edge_widths(basis, t, bulk):
     """First-panel widths of the edge grids at the thresholds t (an
     array), given the bulk estimate: the edge scale, the Jacobi span times
@@ -577,7 +564,7 @@ def gram(basis, V, t):
     tail grid (_tail_grids).  Raises NumericalError for a threshold past
     the window, where phi_0 is not a normal double, and otherwise the
     error _tail_grids records for t."""
-    _require_field(basis, V)
+    _require_field(V, basis.V.coeffs, "basis built")
     t, (lo, hi) = _threshold(t), basis.support_window
     if t > hi:
         raise NumericalError(f"threshold {t!r} lies past the oracle window [{lo!r}, {hi!r}], "
@@ -692,7 +679,7 @@ def gap_probabilities(basis, V, ts):
     matrix, or per row, so each result is the one gap_probability gives,
     bit for bit.
     """
-    _require_field(basis, V)
+    _require_field(V, basis.V.coeffs, "basis built")
     ts = np.array([float(t) for t in ts])
     out = [None] * ts.size
     for rows, x, _, cd, trace in _tail_grids(basis, ts, out):
@@ -793,7 +780,7 @@ def brute_force_survival(basis, V, t):
     most 3.4e-12 from t = b - 2 to b + 2 on four fields; 9.1e-11 up to
     N = 24).
     """
-    _require_field(basis, V)
+    _require_field(V, basis.V.coeffs, "basis built")
     N = basis.N
     if N > SERIES_SIZE_LIMIT:
         raise ValueError(f"brute-force series restricted to N <= {SERIES_SIZE_LIMIT}")

@@ -7,6 +7,8 @@ and a one-cut regular equilibrium measure) is checked exactly by
 equilibrium.solve_mrs, not here.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -19,8 +21,8 @@ class Potential(Record):
     Parameters
     ----------
     coeffs : sequence of float
-        Polynomial coefficients in ascending degree.  Trailing zeros are
-        stripped so ``degree`` is meaningful.
+        Polynomial coefficients in ascending degree, all finite.  Trailing
+        zeros are stripped so ``degree`` is meaningful.
     """
 
     coeffs: tuple
@@ -29,6 +31,8 @@ class Potential(Record):
         c = [float(v) for v in self.coeffs]
         if not c:
             raise ValueError("potential needs at least one coefficient")
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"potential coefficients must be finite, got {tuple(c)!r}")
         while len(c) > 1 and c[-1] == 0.0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -65,13 +69,30 @@ class Potential(Record):
         return float(self.leading_coefficient) ** (-1.0 / self.degree)
 
 
+def _real_only(roots):
+    """The real members of roots, as floats, in their order: those whose
+    imaginary part is below 1e-9 (1 + |real part|)."""
+    return roots[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots.real))].real
+
+
+def _require_field(V, coeffs, made):
+    """Raise ValueError unless V is the field of coefficients coeffs, the
+    one a record was made for; made says how ("basis built")."""
+    if V.coeffs != coeffs:
+        raise ValueError(f"{made} for the field {coeffs!r}, used with {V.coeffs!r}")
+
+
 def json_float(value):
     """float(value) of one JSON number; TypeError for anything else: a
     JSON string, which float() would parse, or a JSON true or false,
-    which it would read as 1.0 or 0.0."""
+    which it would read as 1.0 or 0.0.  An integer past the double range
+    reads as the +-inf its float spelling gives."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def potential_from_json(obj):

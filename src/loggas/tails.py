@@ -18,9 +18,9 @@ from numpy.polynomial import polynomial as npoly
 
 # eta and eta_prime are not called here, but perfbench/child.py wraps
 # loggas.tails.eta and loggas.tails.eta_prime when it traces a run
-from .equilibrium import (_compose, _eta, _eta_prime, _require_field, eta,  # noqa: F401
-                          eta_prime)
+from .equilibrium import _compose, _eta, _eta_prime, _points, eta, eta_prime  # noqa: F401
 from .errors import UNDERFLOW_LIMIT, NumericalError, Record
+from .potential import _require_field
 
 LOG_UNDERFLOW = math.log(UNDERFLOW_LIMIT)
 K_MAX_SUPPORTED = 6      # highest correction order regime_labels names
@@ -74,7 +74,7 @@ def cramer_coefficients(eq, V, k):
     a violation means eq is inconsistent and raises NumericalError; an
     eq solved for another field than V raises ValueError.
     """
-    _require_field(eq, V)
+    _require_field(V, eq.coeffs, "equilibrium data solved")
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > K_MAX_SUPPORTED:
@@ -104,12 +104,15 @@ def log_f_approx(model, t):
     the flattened t.  Raises the error tail_terms reports at the first
     failing threshold in C order: ValueError for a t <= b, NumericalError
     where the tail table prints an error row for a t past b."""
-    t_arr = np.asarray(t, dtype=float)
-    log_f, _, _, errors = tail_terms(model, t_arr.reshape(-1))
+    return _points(_log_f, model, t)
+
+
+def _log_f(model, t):
+    """log F on a 1-d float array t; see log_f_approx."""
+    log_f, _, _, errors = tail_terms(model, t)
     if errors:
         raise errors[min(errors)]
-    out = np.array(log_f).reshape(t_arr.shape)
-    return float(out) if out.ndim == 0 else out
+    return np.array(log_f)
 
 
 def tail_terms(model, ts):

@@ -98,6 +98,14 @@ class TestLoadConfig:
         {"t_grid": ["2.5"]},
         {"s_grid": [0.5, "1.0"]},
         {"potential": {"coeffs": ["0", "0", "0.5"]}},
+        # a coefficient must be finite; an integer past the double range
+        # reads as inf
+        {"potential": {"coeffs": [-math.inf, 0, 0.5]}},
+        {"potential": {"coeffs": [0, 0, math.inf]}},
+        {"potential": {"coeffs": [math.nan, 0, 0.5]}},
+        {"potential": {"coeffs": [0, 0, 10 ** 400]}},
+        # an N must fit a double
+        {"N_list": [4, 10 ** 400]},
     ])
     def test_rejected_keys(self, tmp_path, keys):
         if keys.get("potential", "keep") is None:
@@ -111,6 +119,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, **keys))
 
+
+    def test_overflowing_literals(self, tmp_path, capsys):
+        # strict-JSON 1e999 reads as inf, and so does a 401-digit integer:
+        # a coefficient is rejected, a threshold is the t = inf error row
+        path = tmp_path / "big.json"
+        path.write_text('{"potential": {"coeffs": [1e999, 0, 0.5]}, "N_list": [4], '
+                        '"t_grid": [2.5]}')
+        assert main(["tail", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad potential entry: ")
+        path.write_text('{"potential": {"coeffs": [0, 0, 0.5]}, "N_list": [4], '
+                        '"t_grid": [2.5, 1%s]}' % ("0" * 400))
+        assert main(["tail", "--config", str(path)]) == 1
+        big = capsys.readouterr()
+        assert main(["tail", "--config", write_config(tmp_path, N_list=[4],
+                                                      t_grid=[2.5, math.inf])]) == 1
+        assert big == capsys.readouterr()
+        assert big.out.splitlines()[-1].startswith('4,inf,,,,,"error: ')
 
     @pytest.mark.parametrize("keys, named", [
         ({"K": 6}, "'K'"),
@@ -328,6 +353,22 @@ class TestCompareCommand:
         t = float(rows[ok_row]["t"])
         scaled = abs(float(rows[ok_row]["ratio_minus_1"])) * 10 * (t - 2.0) ** 1.5
         assert float(summary["max_scaled_deviation"]) == pytest.approx(scaled, rel=1e-12)
+
+    def test_bound_not_a_double_is_an_error_row(self, tmp_path, capsys):
+        # b = 0.0 exactly: at t = 1e-217, N (t-b)^{3/2} underflows to 0 and
+        # the bound 1/(N (t-b)^{3/2}) has no double value; at t = 1e-200
+        # it is 1e298
+        cfg = write_config(tmp_path, potential={"coeffs": [2, 2, 0.5]}, N_list=[100],
+                           t_grid=[1e-217, 1e-200])
+        assert main(["compare", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows, _ = parse_csv(captured.out)
+        assert rows[0]["status"] == ("error: bound 1/(N (t-b)^(3/2)) is not a finite double "
+                                     "at t = 1e-217")
+        assert rows[0]["bound"] == rows[0]["log_survival_oracle"] == ""
+        assert rows[1]["status"] == "ok"
+        assert rows[1]["bound"] == "9.9999999999999984e+297"
 
     def test_row_past_the_window(self, tmp_path, capsys):
         # GUE N = 500 ends its oracle window at 2.366; past it, at t = 2.4,

@@ -27,6 +27,16 @@ def test_empty_coeffs_rejected():
         Potential(())
 
 
+def test_non_finite_coeffs_rejected():
+    # a nan field used to give the GUE support with ell = nan, and an
+    # infinite one the GUE table with status ok
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="potential coefficients must be finite"):
+            Potential((bad, 0.0, 0.5))
+        with pytest.raises(ValueError, match="potential coefficients must be finite"):
+            Potential((0.0, 0.0, bad))
+
+
 def test_frozen_and_hashable():
     V = Potential((0.0, 0.0, 0.5))
     assert V == Potential([0, 0, 0.5])
